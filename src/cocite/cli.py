@@ -4,6 +4,11 @@ Every subcommand writes its outputs plus a ``run.manifest`` into the
 directory given by ``--out``; ``rerun`` re-executes the argv recorded in
 a manifest (optionally with a different worker count) and reproduces the
 output CSVs byte for byte.
+
+The analysis chain is defined once, as the stages of ``Run``. Each
+subcommand writes the outputs of the stages it needs, ``pipeline``
+writes them all in order, and each subcommand accepts exactly the flag
+groups its stages read.
 """
 
 from __future__ import annotations
@@ -12,11 +17,15 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import fields
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
 from .classify import (
     ClassifyConfig,
+    PubSummary,
     classify_corpus,
     corpus_summaries,
     index_pair_stats,
@@ -25,6 +34,8 @@ from .classify import (
 )
 from .corpus import Corpus, IngestConfig, IngestError, export_corpus, ingest, summarize
 from .diverge import (
+    CompositionRow,
+    DivergenceResult,
     composition_fold,
     kl_divergence,
     write_composition_csv,
@@ -32,6 +43,7 @@ from .diverge import (
 )
 from .impact import (
     HitConfig,
+    HitReport,
     designate_hits,
     format_hit_grid,
     hit_report,
@@ -39,10 +51,13 @@ from .impact import (
     write_hit_tests_json,
 )
 from .manifest import RunManifest, file_digest
-from .pairs import observed_frequencies, write_pair_csv
-from .shuffle import build_groups, repcs_shuffle, umsj_shuffle
+from .pairs import JournalPairTable, observed_frequencies, write_pair_csv
+from .shuffle import ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
 from .simulate import (
+    PairStats,
     SimConfig,
+    SimResult,
+    WorkerError,
     benchmark_algorithms,
     read_pair_stats_csv,
     run_simulations,
@@ -53,431 +68,312 @@ from .simulate import (
 )
 from .synth import SynthConfig, generate
 
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
+POOL_FLAGS = "--pool-pubs, --pool-refs, and --pool-cites"
 
 
-def _int_or_list(text: str):
-    if "," in text:
-        return [int(v) for v in text.split(",") if v]
-    return int(text)
+class Run:
+    """One subcommand invocation: its ``--out`` directory, inputs and manifest.
+
+    The stages of the chain (load, observe, simulate, zscore, classify,
+    hits, kld, compose) are computed on first use. A stage first resolves
+    the stages it reads, then runs under one ``perf_counter`` timing kept
+    under its own name, and adds its counters to ``diagnostics``.
+    Assigning a stage's attribute stands in for computing it, which is
+    how ``classify`` and ``hits`` start from their input CSVs.
+    """
+
+    def __init__(self, args: argparse.Namespace, argv: list[str]):
+        self.args = args
+        self.argv = argv
+        self.out = Path(args.out)
+        self.out.mkdir(parents=True, exist_ok=True)
+        self.digests: dict[str, str] = {}
+        self.timings: dict[str, float] = {}
+        self.diagnostics: dict = {}
+
+    @contextmanager
+    def timed(self, stage: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - t0
+
+    def read(self, path: str, reader):
+        """``reader(path)``, with the file's digest recorded as a run input."""
+        self.digests[str(path)] = file_digest(path)
+        return reader(path)
+
+    def save(self) -> None:
+        RunManifest(
+            tool_version=__version__,
+            command=self.args.command,
+            argv=self.argv,
+            master_seed=getattr(self.args, "seed", None),
+            input_digests=self.digests,
+            timings={k: round(v, 6) for k, v in self.timings.items()},
+            diagnostics=self.diagnostics,
+        ).save(self.out)
+
+    def _ingest(self, paths, background_tag: str) -> Corpus:
+        for path in paths:
+            self.digests[str(path)] = file_digest(path)
+        cfg = IngestConfig(slice_year=self.args.slice_year, background_tag=background_tag)
+        return ingest(*paths, cfg)
+
+    @cached_property
+    def inputs(self) -> tuple[Corpus, Corpus | None]:
+        """Load stage: the analyzed corpus and, given ``--pool-*``, the substitution pool."""
+        a = self.args
+        pool_paths = [getattr(a, name, None) for name in ("pool_pubs", "pool_refs", "pool_cites")]
+        background = getattr(a, "background", None)
+        if any(pool_paths) and not all(pool_paths):
+            raise ValueError(f"{POOL_FLAGS} must be given together")
+        if any(pool_paths) and background == "local":
+            raise ValueError(f"{POOL_FLAGS} are not read with --background local")
+        if background == "global" and not any(pool_paths):
+            raise ValueError("global background requires --pool-* files")
+        with self.timed("load"):
+            corpus = self._ingest((a.pubs, a.refs, a.cites), "local")
+            pool = self._ingest(pool_paths, "global") if any(pool_paths) else None
+        self.diagnostics["dropped"] = dict(corpus.diagnostics.dropped)
+        return corpus, pool
+
+    @property
+    def corpus(self) -> Corpus:
+        return self.inputs[0]
+
+    @cached_property
+    def observed(self) -> JournalPairTable:
+        """Observe stage: the corpus's journal-pair frequencies."""
+        corpus = self.corpus
+        with self.timed("observe"):
+            table = observed_frequencies(corpus)
+        self.diagnostics.update(n_pairs=len(table), total_pairs=table.total_pairs)
+        return table
+
+    def simulate(self, background: str) -> SimResult:
+        """Simulate stage: pair mean and sigma over ``--sims`` shuffles against a background."""
+        corpus, pool = self.inputs
+        a = self.args
+        cfg = SimConfig(
+            n_simulations=a.sims,
+            master_seed=a.seed,
+            background=background,
+            algorithm=a.algorithm,
+            workers=a.workers,
+            umsj_max_retries=a.max_retries,
+        )
+        with self.timed("simulate"):
+            return run_simulations(corpus, pool if background == "global" else None, cfg)
+
+    @cached_property
+    def sims(self) -> SimResult:
+        """The simulate stage against ``--background``, with its counters."""
+        sims = self.simulate(self.args.background)
+        deleted = sims.per_sim_deleted
+        self.diagnostics.update(
+            algorithm=sims.algorithm,
+            background=sims.background,
+            n_simulations=sims.n_simulations,
+            support_pairs=len(sims),
+            deleted_pubs_total=sum(deleted),
+            deleted_pubs_max=max(deleted) if deleted else 0,
+            retry_exhausted_total=sims.retry_exhausted_total,
+        )
+        return sims
+
+    @cached_property
+    def stats(self) -> list[PairStats]:
+        """Zscore stage: observed against simulated frequency, pair by pair."""
+        observed, sims = self.observed, self.sims
+        with self.timed("zscore"):
+            stats = zscores(observed, sims)
+        self.diagnostics["sigma_zero_pairs"] = undefined_pair_count(stats)
+        return stats
+
+    @cached_property
+    def labeled(self) -> list[PubSummary]:
+        """Classify stage: per-publication z statistics and category labels."""
+        corpus, stats = self.corpus, self.stats
+        with self.timed("classify"):
+            summaries, excluded = corpus_summaries(corpus, index_pair_stats(stats))
+            labeled, threshold = classify_corpus(summaries, ClassifyConfig(self.args.novelty_pct))
+        self.diagnostics.update(threshold=threshold, classified=len(labeled),
+                                excluded_no_defined_pairs=excluded)
+        return labeled
+
+    @cached_property
+    def report(self) -> HitReport:
+        """Hits stage: hit rate per category and the chi-square tests."""
+        corpus, labeled = self.corpus, self.labeled
+        with self.timed("hits"):
+            hits = designate_hits(corpus.publications, HitConfig(self.args.hit_pct))
+            report = hit_report(labeled, hits)
+        self.diagnostics.update(total_hits=report.total_hits, hit_percentile=self.args.hit_pct)
+        return report
+
+    def divergence(self, sims: SimResult) -> DivergenceResult:
+        """Kld stage: K-L divergence of the observed pairs from one simulated background."""
+        observed, corpus = self.observed, self.corpus
+        with self.timed("kld"):
+            return kl_divergence(observed, sims, corpus.journals(), self.args.epsilon,
+                                 corpus_tag=self.args.tag, background=sims.background,
+                                 year=corpus.slice_year)
+
+    def compose(self, include_deleted: bool = True) -> tuple[ShuffleOutcome, list[CompositionRow]]:
+        """Compose stage: one shuffle (simulation 0's streams) and its per-subject fold."""
+        corpus, pool = self.inputs
+        a = self.args
+        with self.timed("compose"):
+            plan = build_groups(corpus, pool)
+            if a.algorithm == "repcs":
+                outcome = repcs_shuffle(plan, a.seed)
+            else:
+                outcome = umsj_shuffle(plan, a.seed, a.max_retries)
+            rows = composition_fold(corpus, outcome, include_deleted=include_deleted)
+        self.diagnostics.update(deleted_pubs=len(outcome.deleted_pubs),
+                                fixed_points=outcome.fixed_points,
+                                retry_exhausted=outcome.retry_exhausted,
+                                max_fold=max(r.fold for r in rows))
+        return outcome, rows
 
 
-def _add_out_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", required=True, help="output directory (created if missing)")
-    p.add_argument("--tag", default="corpus", help="corpus label used in output rows")
-
-
-def _add_corpus_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pubs", required=True, help="publications TSV")
-    p.add_argument("--refs", required=True, help="references TSV")
-    p.add_argument("--cites", required=True, help="citations TSV")
-    p.add_argument("--slice-year", type=int, default=None)
-
-
-def _add_pool_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pool-pubs", help="substitution-pool publications TSV")
-    p.add_argument("--pool-refs", help="substitution-pool references TSV")
-    p.add_argument("--pool-cites", help="substitution-pool citations TSV")
-
-
-def _add_sim_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--background", choices=["local", "global"], default="local")
-    p.add_argument("--algorithm", choices=["repcs", "umsj"], default="repcs")
-    p.add_argument("--sims", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=_default_workers())
-    p.add_argument("--max-retries", type=int, default=10)
-
-
-def _load_corpus(args, digests: dict[str, str], tag: str = "local") -> Corpus:
-    for path in (args.pubs, args.refs, args.cites):
-        digests[str(path)] = file_digest(path)
-    cfg = IngestConfig(slice_year=args.slice_year, background_tag=tag)
-    return ingest(args.pubs, args.refs, args.cites, cfg)
-
-
-def _load_pool(args, digests: dict[str, str]) -> Corpus | None:
-    paths = (getattr(args, "pool_pubs", None), getattr(args, "pool_refs", None),
-             getattr(args, "pool_cites", None))
-    if not any(paths):
-        return None
-    if not all(paths):
-        raise ValueError("--pool-pubs, --pool-refs, and --pool-cites must be given together")
-    for path in paths:
-        digests[str(path)] = file_digest(path)
-    cfg = IngestConfig(slice_year=getattr(args, "slice_year", None), background_tag="global")
-    return ingest(paths[0], paths[1], paths[2], cfg)
-
-
-def _sim_config(args) -> SimConfig:
-    return SimConfig(
-        n_simulations=args.sims,
-        master_seed=args.seed,
-        background=args.background,
-        algorithm=args.algorithm,
-        workers=args.workers,
-        umsj_max_retries=args.max_retries,
-    )
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _finish(args, argv, out: Path, digests, timings, diagnostics, seed=None) -> None:
-    RunManifest(
-        tool_version=__version__,
-        command=args.command,
-        argv=list(argv),
-        master_seed=seed,
-        input_digests=digests,
-        timings={k: round(v, 6) for k, v in timings.items()},
-        diagnostics=diagnostics,
-    ).save(out)
-
-
-def cmd_ingest(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    export_corpus(corpus, out)
+def cmd_ingest(run: Run) -> None:
+    corpus = run.corpus
+    export_corpus(corpus, run.out)
     diags = corpus.diagnostics
-    diagnostics = {
-        "dropped": dict(diags.dropped) if diags else {},
-        "journal_aliases_collapsed": diags.journal_aliases_collapsed if diags else 0,
-        "publications": len(corpus.publications),
-        "references": len(corpus.references),
-    }
-    _finish(args, argv, out, digests, {"ingest": time.perf_counter() - t0}, diagnostics)
+    run.diagnostics.update(journal_aliases_collapsed=diags.journal_aliases_collapsed,
+                           publications=len(corpus.publications),
+                           references=len(corpus.references))
     print(f"ingested {len(corpus.publications)} publications, "
-          f"{len(corpus.references)} references "
-          f"({diags.total_dropped() if diags else 0} rows dropped)")
-    return 0
+          f"{len(corpus.references)} references ({diags.total_dropped()} rows dropped)")
 
 
-def cmd_summarize(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    s = summarize(corpus)
-    with open(out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
+def cmd_summarize(run: Run) -> None:
+    s = summarize(run.corpus)
+    tag = run.args.tag
+    with open(run.out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("corpus,unique_publications,unique_references,total_references,ratio\n")
-        fh.write(f"{args.tag},{s.unique_publications},{s.unique_references},"
+        fh.write(f"{tag},{s.unique_publications},{s.unique_references},"
                  f"{s.total_references},{s.ratio!r}\n")
-    _finish(args, argv, out, digests, {"summarize": time.perf_counter() - t0}, {})
-    print(f"{args.tag}: pubs={s.unique_publications} ur={s.unique_references} "
+    print(f"{tag}: pubs={s.unique_publications} ur={s.unique_references} "
           f"tr={s.total_references} tr/ur={s.ratio:.2f}")
-    return 0
 
 
-def cmd_observe(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    table = observed_frequencies(corpus)
-    write_pair_csv(table, out / "observed_pairs.csv")
-    _finish(args, argv, out, digests, {"observe": time.perf_counter() - t0},
-            {"n_pairs": len(table), "total_pairs": table.total_pairs})
+def cmd_observe(run: Run) -> None:
+    table = run.observed
+    write_pair_csv(table, run.out / "observed_pairs.csv")
     print(f"observed {len(table)} distinct journal pairs, {table.total_pairs} total")
-    return 0
 
 
-def cmd_simulate(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    pool = _load_pool(args, digests)
-    timings["load"] = time.perf_counter() - t0
-    cfg = _sim_config(args)
-    t0 = time.perf_counter()
-    sims = run_simulations(corpus, pool if cfg.background == "global" else None, cfg)
-    timings["simulate"] = time.perf_counter() - t0
-    write_pair_means_csv(sims, out / "pair_means.csv")
-    _finish(args, argv, out, digests, timings, _sim_diagnostics(sims), seed=args.seed)
-    print(f"simulated {cfg.n_simulations} shuffles, {len(sims)} pairs in support")
-    return 0
+def cmd_simulate(run: Run) -> None:
+    sims = run.sims
+    write_pair_means_csv(sims, run.out / "pair_means.csv")
+    print(f"simulated {sims.n_simulations} shuffles, {len(sims)} pairs in support")
 
 
-def _sim_diagnostics(sims) -> dict:
-    deleted = sims.per_sim_deleted
-    return {
-        "algorithm": sims.algorithm,
-        "background": sims.background,
-        "n_simulations": sims.n_simulations,
-        "support_pairs": len(sims),
-        "deleted_pubs_total": sum(deleted),
-        "deleted_pubs_max": max(deleted) if deleted else 0,
-        "retry_exhausted_total": sims.retry_exhausted_total,
-    }
+def cmd_zscore(run: Run) -> None:
+    write_pair_stats_csv(run.stats, run.out / "pair_stats.csv")
+    print(f"z-scores for {len(run.stats)} pairs "
+          f"({run.diagnostics['sigma_zero_pairs']} undefined)")
 
 
-def cmd_zscore(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    pool = _load_pool(args, digests)
-    timings["load"] = time.perf_counter() - t0
-    cfg = _sim_config(args)
-    t0 = time.perf_counter()
-    observed = observed_frequencies(corpus)
-    sims = run_simulations(corpus, pool if cfg.background == "global" else None, cfg)
-    stats = zscores(observed, sims)
-    timings["zscore"] = time.perf_counter() - t0
-    write_pair_stats_csv(stats, out / "pair_stats.csv")
-    diagnostics = _sim_diagnostics(sims)
-    diagnostics["sigma_zero_pairs"] = undefined_pair_count(stats)
-    _finish(args, argv, out, digests, timings, diagnostics, seed=args.seed)
-    print(f"z-scores for {len(stats)} pairs "
-          f"({diagnostics['sigma_zero_pairs']} undefined)")
-    return 0
+def cmd_classify(run: Run) -> None:
+    run.stats = run.read(run.args.pair_stats, read_pair_stats_csv)
+    write_summaries_csv(run.labeled, run.out / "classification.csv")
+    d = run.diagnostics
+    print(f"classified {d['classified']} publications (threshold {d['threshold']!r}, "
+          f"{d['excluded_no_defined_pairs']} excluded)")
 
 
-def cmd_classify(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    digests[str(args.pair_stats)] = file_digest(args.pair_stats)
-    stats = read_pair_stats_csv(args.pair_stats)
-    summaries, excluded = corpus_summaries(corpus, index_pair_stats(stats))
-    labeled, threshold = classify_corpus(summaries, ClassifyConfig(args.novelty_pct))
-    write_summaries_csv(labeled, out / "classification.csv")
-    _finish(args, argv, out, digests, {"classify": time.perf_counter() - t0},
-            {"threshold": threshold, "classified": len(labeled),
-             "excluded_no_defined_pairs": excluded})
-    print(f"classified {len(labeled)} publications (threshold {threshold!r}, "
-          f"{excluded} excluded)")
-    return 0
+def cmd_hits(run: Run) -> None:
+    run.labeled = run.read(run.args.classification, read_summaries_csv)
+    write_hit_report_csv(run.report, run.out / "hit_report.csv")
+    write_hit_tests_json(run.report, run.out / "hit_tests.json")
+    print(f"hit rates at top {run.args.hit_pct}% ({run.report.total_hits} hits):")
+    print(format_hit_grid(run.report))
 
 
-def cmd_hits(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    digests[str(args.classification)] = file_digest(args.classification)
-    labeled = read_summaries_csv(args.classification)
-    hits = designate_hits(corpus.publications, HitConfig(args.hit_pct))
-    report = hit_report(labeled, hits)
-    write_hit_report_csv(report, out / "hit_report.csv")
-    write_hit_tests_json(report, out / "hit_tests.json")
-    _finish(args, argv, out, digests, {"hits": time.perf_counter() - t0},
-            {"total_hits": report.total_hits, "hit_percentile": args.hit_pct})
-    print(f"hit rates at top {args.hit_pct}% ({report.total_hits} hits):")
-    print(format_hit_grid(report))
-    return 0
-
-
-def cmd_kld(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    pool = _load_pool(args, digests)
-    timings["load"] = time.perf_counter() - t0
-    observed = observed_frequencies(corpus)
-    journals = corpus.journals()
-    rows = []
-    t0 = time.perf_counter()
-    local_cfg = _sim_config(args)
-    local_cfg.background = "local"
-    local_sims = run_simulations(corpus, None, local_cfg)
-    rows.append(kl_divergence(observed, local_sims, journals, args.epsilon,
-                              corpus_tag=args.tag, background="local",
-                              year=corpus.slice_year))
+def cmd_kld(run: Run) -> None:
+    """K-L divergence against the local background, plus the global one given a pool."""
+    rows = [run.divergence(run.simulate("local"))]
     ratio = None
-    if pool is not None:
-        global_cfg = _sim_config(args)
-        global_cfg.background = "global"
-        global_sims = run_simulations(corpus, pool, global_cfg)
-        rows.append(kl_divergence(observed, global_sims, journals, args.epsilon,
-                                  corpus_tag=args.tag, background="global",
-                                  year=corpus.slice_year))
+    if run.inputs[1] is not None:
+        rows.append(run.divergence(run.simulate("global")))
         ratio = rows[1].kld / rows[0].kld if rows[0].kld > 0 else float("inf")
-    timings["kld"] = time.perf_counter() - t0
-    write_divergence_csv(rows, out / "kld.csv", ratio=ratio)
-    _finish(args, argv, out, digests, timings,
-            {"kld_local": rows[0].kld,
-             "kld_global": rows[1].kld if len(rows) > 1 else None,
-             "ratio": ratio},
-            seed=args.seed)
+    write_divergence_csv(rows, run.out / "kld.csv", ratio=ratio)
+    run.diagnostics.update(kld_local=rows[0].kld,
+                           kld_global=rows[1].kld if len(rows) > 1 else None,
+                           ratio=ratio)
     for row in rows:
         print(f"kld {row.corpus_tag} {row.background}: {row.kld:.4f} bits "
               f"({row.n_support} pairs)")
     if ratio is not None:
         print(f"global/local ratio: {ratio:.2f}")
-    return 0
 
 
-def cmd_compose(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    pool = _load_pool(args, digests)
-    if args.background == "global" and pool is None:
-        raise ValueError("global background requires --pool-* files")
-    plan = build_groups(corpus, pool if args.background == "global" else None)
-    if args.algorithm == "repcs":
-        outcome = repcs_shuffle(plan, args.seed)
-    else:
-        outcome = umsj_shuffle(plan, args.seed, args.max_retries)
-    rows = composition_fold(corpus, outcome, include_deleted=not args.survivors_only)
-    write_composition_csv(rows, out / "composition.csv")
-    if args.dump_shuffled:
-        export_corpus(outcome.corpus, args.dump_shuffled)
-    _finish(args, argv, out, digests, {"compose": time.perf_counter() - t0},
-            {"deleted_pubs": len(outcome.deleted_pubs),
-             "fixed_points": outcome.fixed_points,
-             "retry_exhausted": outcome.retry_exhausted,
-             "max_fold": max(r.fold for r in rows)},
-            seed=args.seed)
-    print(f"composition over {len(rows)} subjects, max fold "
-          f"{max(r.fold for r in rows)}")
-    return 0
+def cmd_compose(run: Run) -> None:
+    outcome, rows = run.compose(include_deleted=not run.args.survivors_only)
+    write_composition_csv(rows, run.out / "composition.csv")
+    if run.args.dump_shuffled:
+        export_corpus(outcome.corpus, run.args.dump_shuffled)
+    print(f"composition over {len(rows)} subjects, max fold {run.diagnostics['max_fold']}")
 
 
-def cmd_synth(args, argv) -> int:
-    out = _out_dir(args)
-    t0 = time.perf_counter()
-    cfg = SynthConfig(
-        n_disciplines=args.disciplines,
-        journals_per_discipline=args.journals_per_discipline,
-        pubs_per_discipline=args.pubs_per_discipline,
-        ref_pool_per_discipline=args.ref_pool,
-        refs_mean=args.refs_mean,
-        refs_dispersion=args.refs_dispersion,
-        p_intra=args.p_intra,
-        skew=args.skew,
-        slice_year=args.year,
-        n_ref_years=args.ref_years,
-        seed=args.seed,
-    )
-    result = generate(cfg)
-    export_corpus(result.pool, out)
-    for label, sub in result.by_discipline.items():
-        export_corpus(sub, out / label)
-    _finish(args, argv, out, {}, {"synth": time.perf_counter() - t0},
-            {"publications": len(result.pool.publications),
-             "references": len(result.pool.references),
-             "citations": result.pool.n_citations(),
-             "disciplines": sorted(result.by_discipline)},
-            seed=args.seed)
+def cmd_synth(run: Run) -> None:
+    a = run.args
+    names = {f.name for f in fields(SynthConfig)}
+    cfg = SynthConfig(**{k: v for k, v in vars(a).items() if k in names})
+    with run.timed("synth"):
+        result = generate(cfg)
+        export_corpus(result.pool, run.out)
+        for label, sub in result.by_discipline.items():
+            export_corpus(sub, run.out / label)
+    run.diagnostics.update(publications=len(result.pool.publications),
+                           references=len(result.pool.references),
+                           citations=result.pool.n_citations(),
+                           disciplines=sorted(result.by_discipline))
     print(f"synthesized {len(result.pool.publications)} publications, "
           f"{result.pool.n_citations()} citations, "
-          f"{args.disciplines} disciplines under {out}")
-    return 0
+          f"{cfg.n_disciplines} disciplines under {run.out}")
 
 
-def cmd_bench(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    corpus = _load_corpus(args, digests)
-    pool = _load_pool(args, digests)
-    algorithms = [a for a in args.algorithms.split(",") if a]
-    timings = benchmark_algorithms(
-        corpus, pool if args.background == "global" else None,
-        algorithms=algorithms, n_simulations=args.sims, master_seed=args.seed,
-        umsj_max_retries=args.max_retries,
-    )
-    with open(out / "bench.csv", "w", encoding="utf-8", newline="") as fh:
+def cmd_bench(run: Run) -> None:
+    a = run.args
+    algorithms = [alg for alg in a.algorithms.split(",") if alg]
+    corpus, pool = run.inputs
+    timings = benchmark_algorithms(corpus, pool, algorithms=algorithms, n_simulations=a.sims,
+                                   master_seed=a.seed, umsj_max_retries=a.max_retries)
+    run.timings.update(timings)
+    with open(run.out / "bench.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write("algorithm,n_simulations,seconds,sims_per_second\n")
         for alg in algorithms:
             secs = timings[alg]
-            rate = args.sims / secs if secs > 0 else float("inf")
-            fh.write(f"{alg},{args.sims},{secs!r},{rate!r}\n")
-    _finish(args, argv, out, digests, timings, {"n_simulations": args.sims},
-            seed=args.seed)
+            rate = a.sims / secs if secs > 0 else float("inf")
+            fh.write(f"{alg},{a.sims},{secs!r},{rate!r}\n")
+    run.diagnostics["n_simulations"] = a.sims
     print(f"{'algorithm':>10} {'sims':>6} {'seconds':>12}")
     for alg in algorithms:
-        print(f"{alg:>10} {args.sims:>6} {timings[alg]:>12.3f}")
-    return 0
+        print(f"{alg:>10} {a.sims:>6} {timings[alg]:>12.3f}")
 
 
-def cmd_pipeline(args, argv) -> int:
-    out = _out_dir(args)
-    digests: dict[str, str] = {}
-    timings: dict[str, float] = {}
-    diagnostics: dict = {}
-
-    t0 = time.perf_counter()
-    corpus = _load_corpus(args, digests)
-    pool = _load_pool(args, digests)
-    timings["load"] = time.perf_counter() - t0
-    if corpus.diagnostics:
-        diagnostics["dropped"] = dict(corpus.diagnostics.dropped)
-
-    t0 = time.perf_counter()
-    observed = observed_frequencies(corpus)
-    write_pair_csv(observed, out / "observed_pairs.csv")
-    timings["observe"] = time.perf_counter() - t0
-
-    cfg = _sim_config(args)
-    t0 = time.perf_counter()
-    sims = run_simulations(corpus, pool if cfg.background == "global" else None, cfg)
-    timings["simulate"] = time.perf_counter() - t0
-    diagnostics.update(_sim_diagnostics(sims))
-
-    t0 = time.perf_counter()
-    stats = zscores(observed, sims)
-    write_pair_stats_csv(stats, out / "pair_stats.csv")
-    diagnostics["sigma_zero_pairs"] = undefined_pair_count(stats)
-    timings["zscore"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    summaries, excluded = corpus_summaries(corpus, index_pair_stats(stats))
-    labeled, threshold = classify_corpus(summaries, ClassifyConfig(args.novelty_pct))
-    write_summaries_csv(labeled, out / "classification.csv")
-    diagnostics["threshold"] = threshold
-    diagnostics["excluded_no_defined_pairs"] = excluded
-    timings["classify"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    hits = designate_hits(corpus.publications, HitConfig(args.hit_pct))
-    report = hit_report(labeled, hits)
-    write_hit_report_csv(report, out / "hit_report.csv")
-    write_hit_tests_json(report, out / "hit_tests.json")
-    diagnostics["total_hits"] = report.total_hits
-    timings["hits"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    row = kl_divergence(observed, sims, corpus.journals(), args.epsilon,
-                        corpus_tag=args.tag, background=cfg.background,
-                        year=corpus.slice_year)
-    write_divergence_csv([row], out / "kld.csv")
-    diagnostics["kld"] = row.kld
-    timings["kld"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    plan = build_groups(corpus, pool if cfg.background == "global" else None)
-    if cfg.algorithm == "repcs":
-        outcome = repcs_shuffle(plan, cfg.master_seed)
-    else:
-        outcome = umsj_shuffle(plan, cfg.master_seed, cfg.umsj_max_retries)
-    rows = composition_fold(corpus, outcome)
-    write_composition_csv(rows, out / "composition.csv")
-    timings["compose"] = time.perf_counter() - t0
-
-    _finish(args, argv, out, digests, timings, diagnostics, seed=args.seed)
-    print(f"pipeline complete: {len(labeled)} publications classified, "
-          f"threshold {threshold:.4f}, kld({cfg.background}) {row.kld:.4f} bits")
-    print(format_hit_grid(report))
-    return 0
+def cmd_pipeline(run: Run) -> None:
+    """The outputs of observe, zscore, classify, hits, kld and compose, in that order."""
+    write_pair_csv(run.observed, run.out / "observed_pairs.csv")
+    write_pair_stats_csv(run.stats, run.out / "pair_stats.csv")
+    write_summaries_csv(run.labeled, run.out / "classification.csv")
+    write_hit_report_csv(run.report, run.out / "hit_report.csv")
+    write_hit_tests_json(run.report, run.out / "hit_tests.json")
+    row = run.divergence(run.sims)
+    write_divergence_csv([row], run.out / "kld.csv")
+    run.diagnostics["kld"] = row.kld
+    write_composition_csv(run.compose()[1], run.out / "composition.csv")
+    print(f"pipeline complete: {len(run.labeled)} publications classified, "
+          f"threshold {run.diagnostics['threshold']:.4f}, "
+          f"kld({row.background}) {row.kld:.4f} bits")
+    print(format_hit_grid(run.report))
 
 
-def cmd_rerun(args, argv) -> int:
+def cmd_rerun(args: argparse.Namespace) -> int:
     manifest = RunManifest.load(args.manifest)
     for path, digest in manifest.input_digests.items():
         if not Path(path).exists():
@@ -487,9 +383,93 @@ def cmd_rerun(args, argv) -> int:
     new_argv = list(manifest.argv)
     if args.out:
         new_argv += ["--out", args.out]
-    if args.workers is not None:
+    recorded = COMMANDS.get(manifest.command)
+    if args.workers is not None and recorded and "workers" in recorded[2]:
         new_argv += ["--workers", str(args.workers)]
     return main(new_argv)
+
+
+def _int_or_list(text: str):
+    if "," in text:
+        return [int(v) for v in text.split(",") if v]
+    return int(text)
+
+
+# Every flag, declared once in its group; a subcommand takes the groups it reads.
+FLAG_GROUPS: dict[str, list[tuple[str, dict]]] = {
+    "corpus": [
+        ("--pubs", {"required": True, "help": "publications TSV"}),
+        ("--refs", {"required": True, "help": "references TSV"}),
+        ("--cites", {"required": True, "help": "citations TSV"}),
+        ("--slice-year", {"type": int, "default": None}),
+    ],
+    "pool": [
+        ("--pool-pubs", {"help": "substitution-pool publications TSV"}),
+        ("--pool-refs", {"help": "substitution-pool references TSV"}),
+        ("--pool-cites", {"help": "substitution-pool citations TSV"}),
+    ],
+    "background": [("--background", {"choices": ["local", "global"], "default": "local"})],
+    "algorithm": [("--algorithm", {"choices": ["repcs", "umsj"], "default": "repcs"})],
+    "shuffle": [
+        ("--seed", {"type": int, "default": 0}),
+        ("--max-retries", {"type": int, "default": 10}),
+    ],
+    "sims": [("--sims", {"type": int, "default": 1000})],
+    "workers": [("--workers", {"type": int, "default": os.cpu_count() or 1})],
+    "tag": [("--tag", {"default": "corpus", "help": "corpus label used in output rows"})],
+    "novelty": [("--novelty-pct", {"type": int, "choices": [10, 1], "default": 10})],
+    "hit": [("--hit-pct", {"type": int, "choices": [1, 2, 5, 10], "default": 10})],
+    "epsilon": [("--epsilon", {"type": float, "default": 1e-12})],
+    "pair-stats": [("--pair-stats", {"required": True, "help": "pair_stats.csv from zscore"})],
+    "classification": [("--classification", {"required": True,
+                                             "help": "classification.csv from classify"})],
+    "compose": [
+        ("--survivors-only", {"action": "store_true",
+                              "help": "count only publications surviving error correction"}),
+        ("--dump-shuffled", {"default": None,
+                             "help": "directory for a TSV dump of the shuffled corpus"}),
+    ],
+    "bench": [("--algorithms", {"default": "repcs,umsj"})],
+    # Each dest is the SynthConfig field the flag sets.
+    "synth": [
+        ("--disciplines", {"dest": "n_disciplines", "type": int, "default": 3}),
+        ("--journals-per-discipline", {"type": int, "default": 4}),
+        ("--pubs-per-discipline", {"type": _int_or_list, "default": 200}),
+        ("--ref-pool", {"dest": "ref_pool_per_discipline", "type": _int_or_list,
+                        "default": 800}),
+        ("--refs-mean", {"type": float, "default": 8.0}),
+        ("--refs-dispersion", {"type": float, "default": 0.3}),
+        ("--p-intra", {"type": float, "default": 0.9}),
+        ("--skew", {"type": float, "default": 0.5}),
+        ("--year", {"dest": "slice_year", "type": int, "default": 1995}),
+        ("--ref-years", {"dest": "n_ref_years", "type": int, "default": 5}),
+        ("--seed", {"type": int, "default": 0}),
+    ],
+}
+
+SIMULATING = ["corpus", "pool", "background", "algorithm", "shuffle", "sims", "workers"]
+
+# Subcommand: (handler, help, flag groups). Each also takes --out.
+COMMANDS = {
+    "ingest": (cmd_ingest, "validate and normalize a corpus", ["corpus"]),
+    "summarize": (cmd_summarize, "corpus size statistics", ["corpus", "tag"]),
+    "observe": (cmd_observe, "observed journal-pair frequencies", ["corpus"]),
+    "simulate": (cmd_simulate, "expected pair frequencies over N shuffles", SIMULATING),
+    "zscore": (cmd_zscore, "pair z-scores against the null model", SIMULATING),
+    "classify": (cmd_classify, "novelty/conventionality categories",
+                 ["corpus", "pair-stats", "novelty"]),
+    "hits": (cmd_hits, "hit rates and goodness-of-fit tests",
+             ["corpus", "classification", "hit"]),
+    "kld": (cmd_kld, "observed-vs-simulated divergence per background",
+            ["corpus", "pool", "algorithm", "shuffle", "sims", "workers", "epsilon", "tag"]),
+    "compose": (cmd_compose, "subject composition before/after one shuffle",
+                ["corpus", "pool", "background", "algorithm", "shuffle", "compose"]),
+    "synth": (cmd_synth, "generate a synthetic corpus", ["synth"]),
+    "bench": (cmd_bench, "time the shuffle algorithms",
+              ["corpus", "pool", "background", "shuffle", "sims", "bench"]),
+    "pipeline": (cmd_pipeline, "run the whole chain",
+                 SIMULATING + ["novelty", "hit", "epsilon", "tag"]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -499,108 +479,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cocite {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # No abbreviations: a prefix such as bench's --algorithm would silently
+    # mean --algorithms.
+    for name, (_, help_text, groups) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for group in groups:
+            for flag, options in FLAG_GROUPS[group]:
+                p.add_argument(flag, **options)
+        p.add_argument("--out", required=True, help="output directory (created if missing)")
 
-    p = sub.add_parser("ingest", help="validate and normalize a corpus")
-    _add_corpus_args(p)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("summarize", help="corpus size statistics")
-    _add_corpus_args(p)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_summarize)
-
-    p = sub.add_parser("observe", help="observed journal-pair frequencies")
-    _add_corpus_args(p)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_observe)
-
-    p = sub.add_parser("simulate", help="expected pair frequencies over N shuffles")
-    _add_corpus_args(p)
-    _add_pool_args(p)
-    _add_sim_args(p)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("zscore", help="pair z-scores against the null model")
-    _add_corpus_args(p)
-    _add_pool_args(p)
-    _add_sim_args(p)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_zscore)
-
-    p = sub.add_parser("classify", help="novelty/conventionality categories")
-    _add_corpus_args(p)
-    p.add_argument("--pair-stats", required=True, help="pair_stats.csv from zscore")
-    p.add_argument("--novelty-pct", type=int, choices=[10, 1], default=10)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("hits", help="hit rates and goodness-of-fit tests")
-    _add_corpus_args(p)
-    p.add_argument("--classification", required=True, help="classification.csv from classify")
-    p.add_argument("--hit-pct", type=int, choices=[1, 2, 5, 10], default=10)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_hits)
-
-    p = sub.add_parser("kld", help="observed-vs-simulated divergence per background")
-    _add_corpus_args(p)
-    _add_pool_args(p)
-    _add_sim_args(p)
-    p.add_argument("--epsilon", type=float, default=1e-12)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_kld)
-
-    p = sub.add_parser("compose", help="subject composition before/after one shuffle")
-    _add_corpus_args(p)
-    _add_pool_args(p)
-    _add_sim_args(p)
-    p.add_argument("--survivors-only", action="store_true",
-                   help="count only publications surviving error correction")
-    p.add_argument("--dump-shuffled", default=None,
-                   help="directory for a TSV dump of the shuffled corpus")
-    _add_out_args(p)
-    p.set_defaults(func=cmd_compose)
-
-    p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--disciplines", type=int, default=3)
-    p.add_argument("--journals-per-discipline", type=int, default=4)
-    p.add_argument("--pubs-per-discipline", type=_int_or_list, default=200)
-    p.add_argument("--ref-pool", type=_int_or_list, default=800)
-    p.add_argument("--refs-mean", type=float, default=8.0)
-    p.add_argument("--refs-dispersion", type=float, default=0.3)
-    p.add_argument("--p-intra", type=float, default=0.9)
-    p.add_argument("--skew", type=float, default=0.5)
-    p.add_argument("--year", type=int, default=1995)
-    p.add_argument("--ref-years", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("bench", help="time the shuffle algorithms")
-    _add_corpus_args(p)
-    _add_pool_args(p)
-    _add_sim_args(p)
-    p.add_argument("--algorithms", default="repcs,umsj")
-    _add_out_args(p)
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("pipeline", help="run the whole chain")
-    _add_corpus_args(p)
-    _add_pool_args(p)
-    _add_sim_args(p)
-    p.add_argument("--novelty-pct", type=int, choices=[10, 1], default=10)
-    p.add_argument("--hit-pct", type=int, choices=[1, 2, 5, 10], default=10)
-    p.add_argument("--epsilon", type=float, default=1e-12)
-    _add_out_args(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("rerun", help="re-execute the run recorded in a manifest")
+    p = sub.add_parser("rerun", help="re-execute the run recorded in a manifest",
+                       allow_abbrev=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--workers", type=int, default=None, help="override the worker count")
-    p.set_defaults(func=cmd_rerun)
-
+    p.add_argument("--workers", type=int, default=None,
+                   help="override the worker count of a subcommand that takes --workers")
     return parser
 
 
@@ -636,10 +529,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return args.func(args, argv)
-    except (IngestError, ValueError, OSError) as exc:
+        args = build_parser().parse_args(argv)
+        if args.command == "rerun":
+            return cmd_rerun(args)
+        run = Run(args, argv)
+        COMMANDS[args.command][0](run)
+        run.save()
+        return 0
+    except (IngestError, ValueError, OSError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,8 @@ import math
 import multiprocessing
 import time
 from collections.abc import Mapping
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,6 +30,10 @@ from .shuffle import GroupPlan, build_groups, umsj_shuffle, _permuted_assignment
 
 ALGORITHMS = ("repcs", "umsj")
 BACKGROUNDS = ("local", "global")
+
+
+class WorkerError(RuntimeError):
+    """A forked simulation worker died before returning its range."""
 
 
 @dataclass
@@ -223,6 +229,10 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
     Deterministic for a given master seed: per-simulation streams are
     derived by simulation index and integer accumulators commute, so any
     worker count yields bit-identical statistics.
+
+    Raises ValueError before the first simulation when N times the square
+    of the corpus's pairs per simulation could overflow the int64 sum of
+    squares, and WorkerError when a forked worker dies mid-range.
     """
     cfg.validate()
     if cfg.background == "global":
@@ -236,6 +246,12 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
     idx = plan.index
 
     n = cfg.n_simulations
+    pairs_bound = int((idx.c_counts * (idx.c_counts - 1) // 2).sum())
+    if n * pairs_bound * pairs_bound >= 1 << 63:
+        raise ValueError(
+            f"{n} simulations of up to {pairs_bound} pairs each could overflow the int64 "
+            "sum-of-squares accumulator; use fewer simulations"
+        )
     workers = min(cfg.workers, n)
     if workers > 1:
         bounds = []
@@ -246,8 +262,17 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
         _FORK_STATE = (plan, cfg)
         try:
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=workers) as pool_exec:
-                parts = pool_exec.map(_forked_range, bounds)
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as executor:
+                futures = [executor.submit(_forked_range, b) for b in bounds]
+                parts = []
+                for (lo, hi), future in zip(bounds, futures):
+                    try:
+                        parts.append(future.result())
+                    except BrokenProcessPool as exc:
+                        raise WorkerError(
+                            f"a simulation worker died before simulations {lo}..{hi - 1} "
+                            f"finished: {exc}"
+                        ) from exc
         finally:
             _FORK_STATE = None
         acc, deleted_per_sim, pairs_per_sim, exhausted = parts[0]

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from cocite.corpus import Corpus, Publication, ReferenceRecord
@@ -47,6 +50,26 @@ def write_tsvs(tmp_path):
         )
 
     return _write
+
+
+@pytest.fixture
+def time_limit():
+    """Context manager that raises TimeoutError in a block still running after N seconds."""
+
+    @contextmanager
+    def _limit(seconds: int):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return _limit
 
 
 def pytest_configure(config):

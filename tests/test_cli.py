@@ -215,3 +215,91 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "non-integer year" in err
+
+
+CHAIN_FILES = ("observed_pairs.csv", "pair_stats.csv", "classification.csv",
+               "hit_report.csv", "hit_tests.json", "composition.csv")
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_subcommand_chain_matches_pipeline(synth_dir, tmp_path, background):
+    corpus = corpus_flags(synth_dir / "D00")
+    shuffle = [*(pool_flags(synth_dir) if background == "global" else []),
+               "--background", background, "--seed", "8"]
+    sims = ["--sims", "20", "--workers", "1"]
+    pipe, chain = tmp_path / "pipeline", tmp_path / "chain"
+    assert main(["pipeline", *corpus, *shuffle, *sims, "--out", str(pipe)]) == 0
+    assert main(["observe", *corpus, "--out", str(chain)]) == 0
+    assert main(["zscore", *corpus, *shuffle, *sims, "--out", str(chain)]) == 0
+    assert main(["classify", *corpus, "--pair-stats", str(chain / "pair_stats.csv"),
+                 "--out", str(chain)]) == 0
+    assert main(["hits", *corpus, "--classification", str(chain / "classification.csv"),
+                 "--out", str(chain)]) == 0
+    assert main(["compose", *corpus, *shuffle, "--out", str(chain)]) == 0
+    for name in CHAIN_FILES:
+        assert (chain / name).read_bytes() == (pipe / name).read_bytes(), name
+
+
+def test_manifest_times_each_stage_that_ran(synth_dir, tmp_path):
+    out = tmp_path / "z"
+    assert main(["zscore", *corpus_flags(synth_dir / "D00"), "--sims", "5",
+                 "--workers", "1", "--out", str(out)]) == 0
+    manifest = RunManifest.load(out / "run.manifest")
+    assert set(manifest.timings) == {"load", "observe", "simulate", "zscore"}
+    assert manifest.diagnostics["sigma_zero_pairs"] >= 0
+
+
+# Flags that these subcommands never read; argparse must refuse them.
+UNREAD_FLAGS = [(command, "--tag", "x") for command in (
+    "ingest", "observe", "simulate", "zscore", "classify", "hits", "compose", "synth", "bench")]
+UNREAD_FLAGS += [("kld", "--background", "global"), ("compose", "--sims", "7"),
+                 ("compose", "--workers", "9"), ("bench", "--algorithm", "umsj"),
+                 ("bench", "--workers", "9")]
+
+
+@pytest.mark.parametrize("command,flag,value", UNREAD_FLAGS)
+def test_unread_flag_is_a_usage_error(synth_dir, tmp_path, capsys, command, flag, value):
+    argv = [command, flag, value, "--out", str(tmp_path / "o")]
+    if command != "synth":
+        argv += corpus_flags(synth_dir / "D00")
+    if command == "classify":
+        argv += ["--pair-stats", "pair_stats.csv"]
+    if command == "hits":
+        argv += ["--classification", "classification.csv"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "zscore", "compose", "bench", "pipeline"])
+def test_pool_flags_with_local_background_exit_1(synth_dir, tmp_path, capsys, command):
+    code = main([command, *corpus_flags(synth_dir / "D00"), *pool_flags(synth_dir),
+                 "--background", "local", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "--pool-pubs, --pool-refs, and --pool-cites" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "run.manifest").exists()
+
+
+def test_rerun_workers_override_skips_commands_without_workers(synth_dir, tmp_path):
+    first = tmp_path / "first"
+    assert main(["observe", *corpus_flags(synth_dir / "D00"), "--out", str(first)]) == 0
+    second = tmp_path / "second"
+    assert main(["rerun", "--manifest", str(first / "run.manifest"),
+                 "--out", str(second), "--workers", "2"]) == 0
+    assert ((first / "observed_pairs.csv").read_bytes()
+            == (second / "observed_pairs.csv").read_bytes())
+    assert "--workers" not in RunManifest.load(second / "run.manifest").argv
+
+
+def test_dead_simulation_worker_exits_1(synth_dir, tmp_path, capsys, monkeypatch, time_limit):
+    import os
+
+    import cocite.simulate as simulate
+
+    monkeypatch.setattr(simulate, "_run_sim_range", lambda *args: os._exit(3))
+    with time_limit(60):
+        code = main(["zscore", *corpus_flags(synth_dir / "D00"), "--sims", "4",
+                     "--workers", "2", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error: a simulation worker died" in capsys.readouterr().err

@@ -186,3 +186,37 @@ def test_empty_corpus_simulates_to_empty_support(make_corpus):
                            SimConfig(n_simulations=3, master_seed=0))
     assert len(sims) == 0
     assert sims.per_sim_total_pairs == [0, 0, 0]
+
+
+def test_dead_worker_raises_instead_of_hanging(monkeypatch, small_world, time_limit):
+    import os
+
+    import cocite.simulate as simulate
+
+    # The forked child inherits the patched module and dies mid-range.
+    monkeypatch.setattr(simulate, "_run_sim_range", lambda *args: os._exit(3))
+    corpus = small_world.by_discipline["D00"]
+    with time_limit(60), pytest.raises(simulate.WorkerError,
+                                       match=r"before simulations \d+\.\.\d+ finished"):
+        run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=0, workers=2))
+
+
+def test_sum_of_squares_overflow_is_refused_before_any_simulation(monkeypatch, make_corpus):
+    import cocite.simulate as simulate
+
+    def no_simulation(*args):
+        raise AssertionError("a simulation started")
+
+    monkeypatch.setattr(simulate, "_run_sim_range", no_simulation)
+    # One publication citing three references: at most C(3,2) = 3 pairs per simulation.
+    corpus = make_corpus(
+        pubs=[("p1", "J", ["a", "b", "c"], 0)],
+        refs={"a": (1990, "JA", "s"), "b": (1991, "JB", "s"), "c": (1992, "JC", "s")},
+    )
+    at_bound = -(-(1 << 63) // 9)  # smallest N with N * 3**2 >= 2**63
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="overflow"):
+            run_simulations(corpus, None, SimConfig(n_simulations=at_bound, workers=workers))
+    # One simulation fewer stays under the bound and reaches the simulation loop.
+    with pytest.raises(AssertionError, match="a simulation started"):
+        run_simulations(corpus, None, SimConfig(n_simulations=at_bound - 1, workers=1))
