@@ -13,7 +13,7 @@ from .corpus import (
     summarize,
     validate_corpus,
 )
-from .pairs import JournalPair, JournalPairTable, observed_frequencies, pub_pairs
+from .pairs import JournalPair, JournalPairTable, observed_frequencies
 from .shuffle import (
     GroupPlan,
     PermutationGroup,

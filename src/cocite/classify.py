@@ -10,7 +10,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, Publication, ReferenceRecord
-from .pairs import JournalPair, pub_pairs
+from .indexing import CorpusIndex
+from .pairs import JournalPair
 from .simulate import PairStats
 
 CATEGORIES = ("LNLC", "LNHC", "HNLC", "HNHC")
@@ -47,38 +48,57 @@ def index_pair_stats(stats: Iterable[PairStats]) -> dict[JournalPair, PairStats]
 
 def pub_zstats(pub: Publication, references: Mapping[str, ReferenceRecord],
                stats: Mapping[JournalPair, PairStats]) -> PubSummary:
-    """Median, 10th, and 1st percentile of a publication's z-score multiset.
+    """``corpus_summaries`` of a corpus holding only ``pub``.
 
-    Every pair instance counts with its multiplicity; pairs with an
-    undefined z are dropped. Percentiles interpolate linearly between
-    closest order statistics.
+    Raises ValueError when none of the publication's pairs has a defined z.
     """
-    zs = []
-    for pair in pub_pairs(pub, references):
-        ps = stats.get(pair)
-        if ps is not None and ps.z is not None:
-            zs.append(ps.z)
-    if not zs:
+    refs = {r: references[r] for r in pub.refs if r in references}
+    summaries, _ = corpus_summaries(Corpus(pub.year, [pub], refs), stats)
+    if not summaries:
         raise ValueError(f"publication {pub.pub_id!r} has no journal pair with a defined z-score")
-    med, p10, p1 = np.percentile(np.asarray(zs, dtype=np.float64), [50.0, 10.0, 1.0])
-    return PubSummary(pub.pub_id, float(med), float(p10), float(p1), len(zs))
+    return summaries[0]
 
 
 def corpus_summaries(corpus: Corpus, stats: Mapping[JournalPair, PairStats]
                      ) -> tuple[list[PubSummary], int]:
-    """Summaries for every publication with at least one defined pair.
+    """Median, 10th and 1st percentile of each publication's pair z-scores.
 
-    Returns (summaries, excluded) where excluded counts publications
-    whose pairs all lack a defined z-score.
+    Every pair instance counts with its multiplicity; pairs with an
+    undefined or unknown z are dropped. Percentiles interpolate linearly
+    between closest order statistics. Returns (summaries, excluded), in
+    corpus order, where excluded counts the publications left with no
+    defined pair, those with fewer than two references included.
     """
-    out: list[PubSummary] = []
-    excluded = 0
-    for pub in corpus.publications:
-        try:
-            out.append(pub_zstats(pub, corpus.references, stats))
-        except ValueError:
-            excluded += 1
-    return out, excluded
+    idx = CorpusIndex(corpus)
+    rank = {j: i for i, j in enumerate(idx.journal_ids)}
+    # Defined z-scores sorted by pair key, ending in a sentinel key above
+    # every pair key so that searchsorted always lands inside the array.
+    defined = sorted(
+        (rank[a] * idx.n_journals + rank[b], ps.z)
+        for (a, b), ps in stats.items()
+        if ps.z is not None and a in rank and b in rank
+    ) + [(idx.n_journals ** 2, np.nan)]
+    keys, zs = (np.array(column) for column in zip(*defined))
+    n_pubs = len(idx.c_pub_ids)
+    q = np.zeros((3, n_pubs))
+    n_defined = np.zeros(n_pubs, np.int64)
+    for rows, pair_keys in idx.bucket_pair_keys(idx.slot_ref):
+        pos = np.searchsorted(keys, pair_keys)
+        hit = keys[pos] == pair_keys
+        z = np.where(hit, zs[pos], np.nan)
+        z.sort(axis=1)
+        counts = hit.sum(axis=1)
+        n_defined[rows] = counts
+        # Sorting puts NaN last, so rows with c defined pairs hold them in [:c].
+        for c in np.unique(counts[counts > 0]).tolist():
+            sel = counts == c
+            q[:, rows[sel]] = np.percentile(z[sel, :c], [50.0, 10.0, 1.0], axis=1)
+    out = [
+        PubSummary(pid, med, p10, p1, n)
+        for pid, med, p10, p1, n in zip(idx.c_pub_ids, *q.tolist(), n_defined.tolist())
+        if n
+    ]
+    return out, n_pubs - len(out)
 
 
 def classify_corpus(summaries: Sequence[PubSummary],

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -71,6 +72,13 @@ from .synth import SynthConfig, generate
 POOL_FLAGS = "--pool-pubs, --pool-refs, and --pool-cites"
 
 
+def rss_hwm_mb() -> float:
+    """Peak resident set of this process or of its largest reaped child, in MiB."""
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+    return max(own, children) / 1024.0
+
+
 class Run:
     """One subcommand invocation: its ``--out`` directory, inputs and manifest.
 
@@ -89,13 +97,16 @@ class Run:
         self.out.mkdir(parents=True, exist_ok=True)
         self.digests: dict[str, str] = {}
         self.timings: dict[str, float] = {}
+        self.peak_rss_mb: dict[str, float] = {}
         self.diagnostics: dict = {}
 
     @contextmanager
     def timed(self, stage: str):
+        """Time a stage, then record the memory high-water mark reached by its end."""
         t0 = time.perf_counter()
         yield
         self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - t0
+        self.peak_rss_mb[stage] = rss_hwm_mb()
 
     def read(self, path: str, reader):
         """``reader(path)``, with the file's digest recorded as a run input."""
@@ -110,6 +121,7 @@ class Run:
             master_seed=getattr(self.args, "seed", None),
             input_digests=self.digests,
             timings={k: round(v, 6) for k, v in self.timings.items()},
+            peak_rss_mb={k: round(v, 1) for k, v in self.peak_rss_mb.items()},
             diagnostics=self.diagnostics,
         ).save(self.out)
 

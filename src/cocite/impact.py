@@ -9,7 +9,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .classify import CATEGORIES, PubSummary
 from .corpus import Publication
@@ -46,6 +45,9 @@ def designate_hits(pubs: Sequence[Publication], cfg: HitConfig) -> set[str]:
 
 def chi2_sf(statistic: float, df: int) -> float:
     """Chi-square survival function via the regularized upper incomplete gamma."""
+    # Imported here so that only the commands that run a chi-square test load scipy.
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, statistic / 2.0))
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from .corpus import Corpus
@@ -122,13 +124,6 @@ class CorpusIndex:
     def n_groups(self) -> int:
         return len(self.group_years)
 
-    def _triu_idx(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        got = self._triu.get(n)
-        if got is None:
-            got = np.triu_indices(n, k=1)
-            self._triu[n] = got
-        return got
-
     def duplicate_pub_rows(self, assignment: np.ndarray) -> np.ndarray:
         """Analyzed publication rows holding the same reference twice."""
         hit = []
@@ -141,30 +136,45 @@ class CorpusIndex:
             return np.zeros(0, np.int64)
         return np.sort(np.concatenate(hit))
 
-    def pair_key_counts(
+    def bucket_pair_keys(
         self, assignment: np.ndarray, exclude_rows: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Unique canonical pair keys and counts over analyzed publications.
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Each bucket's analyzed rows and their canonical pair-key matrix.
 
-        Keys encode (lo, hi) journal ranks as lo * n_journals + hi; keys
-        are returned in ascending order.
+        This is the one place where references expand into journal pairs.
+        Row i of the matrix holds the n*(n-1)/2 pairs of publication
+        rows[i], with multiplicity and self-pairs, each encoded as
+        lo * n_journals + hi over journal ranks. Rows in ``exclude_rows``
+        are left out, and a bucket with no row left is skipped.
         """
         excl_mask = None
         if exclude_rows is not None and len(exclude_rows):
             excl_mask = np.zeros(len(self.c_pub_ids), bool)
             excl_mask[exclude_rows] = True
-        parts = []
         for n, rows, mat in self._buckets:
-            sel = mat if excl_mask is None else mat[~excl_mask[rows]]
-            if sel.shape[0] == 0:
+            if excl_mask is not None:
+                keep = ~excl_mask[rows]
+                rows, mat = rows[keep], mat[keep]
+            if len(rows) == 0:
                 continue
-            j = self.ref_journal[assignment[sel]]
-            iu0, iu1 = self._triu_idx(n)
-            a = j[:, iu0].reshape(-1)
-            b = j[:, iu1].reshape(-1)
-            lo = np.minimum(a, b)
-            hi = np.maximum(a, b)
-            parts.append(lo * self.n_journals + hi)
+            iu = self._triu.get(n)
+            if iu is None:
+                iu = self._triu[n] = np.triu_indices(n, k=1)
+            j = self.ref_journal[assignment[mat]]
+            a, b = j[:, iu[0]], j[:, iu[1]]
+            keys = np.minimum(a, b)
+            keys *= self.n_journals
+            keys += np.maximum(a, b)
+            yield rows, keys
+
+    def pair_key_counts(
+        self, assignment: np.ndarray, exclude_rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unique canonical pair keys and counts over analyzed publications.
+
+        Keys are those of ``bucket_pair_keys``, returned in ascending order.
+        """
+        parts = [keys.reshape(-1) for _, keys in self.bucket_pair_keys(assignment, exclude_rows)]
         if not parts:
             return np.zeros(0, np.int64), np.zeros(0, np.int64)
         keys = np.concatenate(parts)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
-from .corpus import Corpus, Publication, ReferenceRecord
+import numpy as np
+
+from .corpus import Corpus
+from .indexing import CorpusIndex
 
 
 class JournalPair(NamedTuple):
@@ -40,30 +42,23 @@ class JournalPairTable:
         return len(self.counts)
 
 
-def pub_pairs(pub: Publication, references: Mapping[str, ReferenceRecord]) -> list[JournalPair]:
-    """All unordered journal pairs among a publication's references.
-
-    Returns exactly n*(n-1)/2 pairs as a multiset: two references in the
-    same journal contribute a self-pair, repeated journal combinations
-    are repeated in the output.
-    """
-    if len(pub.refs) < 2:
-        raise ValueError(f"publication {pub.pub_id!r} has fewer than two references")
-    journals = []
-    for rid in pub.refs:
-        rec = references.get(rid)
-        if rec is None:
-            raise ValueError(f"reference {rid!r} cited by {pub.pub_id!r} has no journal record")
-        journals.append(rec.journal_id)
-    return [JournalPair.of(x, y) for x, y in combinations(journals, 2)]
-
-
 def observed_frequencies(corpus: Corpus) -> JournalPairTable:
-    """Journal-pair frequencies summed across every publication in the corpus."""
-    table = JournalPairTable()
-    for pub in corpus.publications:
-        table.counts.update(pub_pairs(pub, corpus.references))
-    return table
+    """Journal-pair frequencies summed across every publication in the corpus.
+
+    Each publication with n references contributes its n*(n-1)/2 pairs
+    as a multiset: two references in the same journal make a self-pair,
+    and a repeated journal pair counts each time. Raises ValueError
+    naming a publication with fewer than two references or a reference
+    without a journal record.
+    """
+    idx = CorpusIndex(corpus)
+    short = np.flatnonzero(idx.c_counts < 2)
+    if len(short):
+        raise ValueError(f"publication {idx.c_pub_ids[short[0]]!r} has fewer than two references")
+    keys, counts = idx.pair_key_counts(idx.slot_ref)
+    return JournalPairTable(Counter({
+        JournalPair(*idx.key_to_pair(k)): c for k, c in zip(keys.tolist(), counts.tolist())
+    }))
 
 
 def write_pair_csv(table: JournalPairTable, path: str | Path) -> None:

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,73 @@ def test_corpus_summaries_counts_excluded(make_corpus):
     summaries, excluded = corpus_summaries(corpus, stats)
     assert [s.pub_id for s in summaries] == ["p1"]
     assert excluded == 1
+
+
+def test_corpus_summaries_excludes_a_publication_with_one_reference(make_corpus):
+    corpus = make_corpus(
+        pubs=[("p1", "J", ["a", "b"], 0), ("p2", "J", ["c"], 0)],
+        refs={"a": (1990, "A", "s"), "b": (1990, "B", "s"), "c": (1990, "C", "s")},
+    )
+    summaries, excluded = corpus_summaries(corpus, stats_map([("A", "B", 1.5)]))
+    assert [s.pub_id for s in summaries] == ["p1"]
+    assert excluded == 1
+
+
+def per_publication_summaries(corpus, stats):
+    """Independent oracle: each publication's pairs, looked up and summarized one by one."""
+    out, excluded = [], 0
+    for pub in corpus.publications:
+        journals = [corpus.references[r].journal_id for r in pub.refs]
+        zs = []
+        for x, y in combinations(journals, 2):
+            got = stats.get(JournalPair.of(x, y))
+            if got is not None and got.z is not None:
+                zs.append(got.z)
+        if not zs:
+            excluded += 1
+            continue
+        med, p10, p1 = np.percentile(np.asarray(zs), [50.0, 10.0, 1.0])
+        out.append((pub.pub_id, repr(float(med)), repr(float(p10)), repr(float(p1)), len(zs)))
+    return out, excluded
+
+
+def test_corpus_summaries_match_per_publication_oracle():
+    pool = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=60,
+                                ref_pool_per_discipline=120, seed=41)).pool
+    first = pool.publications[0]
+    loner = Publication("p-one-ref", pool.slice_year, "J", first.refs[:1], 0)
+    corpus = Corpus(pool.slice_year, pool.publications + [loner], pool.references)
+    assert len({len(p.refs) for p in corpus.publications}) >= 5
+
+    # Every pair of the first publication is undefined or absent, so it has
+    # no defined pair; the others get a mix of undefined, absent, tied and
+    # distinct z-scores.
+    first_journals = [corpus.references[r].journal_id for r in first.refs]
+    first_pairs = {JournalPair.of(x, y) for x, y in combinations(first_journals, 2)}
+    journals = sorted(corpus.journals())
+    rng = np.random.default_rng(7)
+    entries = []
+    for i, a in enumerate(journals):
+        for b in journals[i:]:
+            pair = JournalPair(a, b)
+            roll = rng.random()
+            if pair in first_pairs or roll < 0.2:
+                if roll < 0.5:
+                    entries.append((a, b, None))
+            elif roll < 0.4:
+                entries.append((a, b, float(rng.integers(-2, 3))))
+            else:
+                entries.append((a, b, float(rng.normal(0.0, 2.0))))
+    stats = stats_map(entries)
+    n_pairs = len(journals) * (len(journals) + 1) // 2
+    assert any(z is None for _, _, z in entries) and len(entries) < n_pairs
+
+    summaries, excluded = corpus_summaries(corpus, stats)
+    expected, expected_excluded = per_publication_summaries(corpus, stats)
+    got = [(s.pub_id, repr(s.z_median), repr(s.z_p10), repr(s.z_p1), s.n_defined_pairs)
+           for s in summaries]
+    assert got == expected
+    assert excluded == expected_excluded >= 2
 
 
 def summary(pub_id, median, p10=1.0, p1=1.0):

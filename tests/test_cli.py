@@ -247,6 +247,11 @@ def test_manifest_times_each_stage_that_ran(synth_dir, tmp_path):
     manifest = RunManifest.load(out / "run.manifest")
     assert set(manifest.timings) == {"load", "observe", "simulate", "zscore"}
     assert manifest.diagnostics["sigma_zero_pairs"] >= 0
+    # One memory high-water mark per timed stage, read after it ran, so it never falls.
+    assert set(manifest.peak_rss_mb) == set(manifest.timings)
+    peaks = [manifest.peak_rss_mb[stage] for stage in ("load", "observe", "simulate", "zscore")]
+    assert peaks[0] > 0
+    assert peaks == sorted(peaks)
 
 
 # Flags that these subcommands never read; argparse must refuse them.

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import cocite
 from cocite import HitConfig, designate_hits, hit_report
 from cocite.classify import PubSummary
 from cocite.corpus import Publication
@@ -137,3 +142,12 @@ def test_hit_report_bookkeeping():
 def test_hit_report_requires_categories():
     with pytest.raises(ValueError, match="no category"):
         hit_report([PubSummary("p0", 0.0, 0.0, 0.0, 1, None)], set())
+
+
+def test_importing_cocite_leaves_scipy_unloaded():
+    src = str(Path(cocite.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, cocite, cocite.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

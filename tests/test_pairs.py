@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from cocite import JournalPair, observed_frequencies, pub_pairs
+from cocite import JournalPair, indexing, observed_frequencies
 from cocite.corpus import Corpus
 from cocite.synth import SynthConfig, generate
 
@@ -24,37 +24,46 @@ def test_pair_canonical_order():
     assert JournalPair.of("J-A", "J-A") == ("J-A", "J-A")
 
 
-def test_pub_pairs_three_journals(make_corpus):
+def test_observed_frequencies_three_journals(make_corpus):
     corpus = make_corpus(
         pubs=[("p1", "J-X", ["a", "b", "c"], 0)],
         refs={"a": (1990, "A", "s"), "b": (1990, "B", "s"), "c": (1990, "C", "s")},
     )
-    pairs = pub_pairs(corpus.publications[0], corpus.references)
-    assert sorted(pairs) == [("A", "B"), ("A", "C"), ("B", "C")]
+    table = observed_frequencies(corpus)
+    assert sorted(table.counts.elements()) == [("A", "B"), ("A", "C"), ("B", "C")]
 
 
-def test_pub_pairs_self_pair_multiset(make_corpus):
+def test_observed_frequencies_self_pair_multiset(make_corpus):
     corpus = make_corpus(
         pubs=[("p1", "J-X", ["a1", "a2", "b"], 0)],
         refs={"a1": (1990, "A", "s"), "a2": (1990, "A", "s"), "b": (1990, "B", "s")},
     )
-    pairs = pub_pairs(corpus.publications[0], corpus.references)
-    assert sorted(pairs) == [("A", "A"), ("A", "B"), ("A", "B")]
+    table = observed_frequencies(corpus)
+    assert table.counts == Counter({("A", "A"): 1, ("A", "B"): 2})
 
 
-def test_pub_pairs_count_is_n_choose_2(make_corpus):
+def test_observed_frequencies_total_is_n_choose_2(make_corpus):
     refs = {f"r{i}": (1990, f"J{i % 7}", "s") for i in range(40)}
     corpus = make_corpus(pubs=[("p1", "J-X", list(refs), 0)], refs=refs)
-    assert len(pub_pairs(corpus.publications[0], corpus.references)) == 780
+    assert observed_frequencies(corpus).total_pairs == 780
 
 
-def test_pub_pairs_unknown_reference_names_it(make_corpus):
+def test_observed_frequencies_unknown_reference_names_it(make_corpus):
     corpus = make_corpus(
         pubs=[("p1", "J-X", ["a", "zz"], 0)],
         refs={"a": (1990, "A", "s")},
     )
     with pytest.raises(ValueError, match="zz"):
-        pub_pairs(corpus.publications[0], corpus.references)
+        observed_frequencies(corpus)
+
+
+def test_observed_frequencies_refuses_a_publication_with_one_reference(make_corpus):
+    corpus = make_corpus(
+        pubs=[("p1", "J-X", ["a", "b"], 0), ("p2", "J-X", ["c"], 0)],
+        refs={"a": (1990, "A", "s"), "b": (1990, "B", "s"), "c": (1990, "C", "s")},
+    )
+    with pytest.raises(ValueError, match="'p2' has fewer than two references"):
+        observed_frequencies(corpus)
 
 
 def test_observed_frequencies_two_pubs(make_corpus):
@@ -87,6 +96,15 @@ def test_observed_matches_brute_force_oracle():
         len(p.refs) * (len(p.refs) - 1) // 2 for p in corpus.publications
     )
     assert table.total_pairs == expected_total
+
+
+def test_observed_sparse_counting_matches_brute_force_oracle(monkeypatch):
+    # A dense limit of 0 sends every journal set down the sorted np.unique branch.
+    monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
+    result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=34,
+                                  ref_pool_per_discipline=150, seed=13))
+    corpus = result.pool
+    assert observed_frequencies(corpus).counts == brute_force_table(corpus)
 
 
 def test_table_invariant_under_reordering():
