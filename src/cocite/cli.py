@@ -23,6 +23,8 @@ from dataclasses import fields
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .classify import (
     ClassifyConfig,
@@ -182,6 +184,7 @@ class Run:
         """The simulate stage against ``--background``, with its counters."""
         sims = self.simulate(self.args.background)
         deleted = sims.per_sim_deleted
+        p50, p99 = np.percentile(deleted, [50, 99])  # n_simulations >= 2, never empty
         self.diagnostics.update(
             algorithm=sims.algorithm,
             background=sims.background,
@@ -189,6 +192,9 @@ class Run:
             support_pairs=len(sims),
             deleted_pubs_total=sum(deleted),
             deleted_pubs_max=max(deleted) if deleted else 0,
+            deleted_pubs_mean=float(np.mean(deleted)),
+            deleted_pubs_p50=float(p50),
+            deleted_pubs_p99=float(p99),
             retry_exhausted_total=sims.retry_exhausted_total,
         )
         return sims

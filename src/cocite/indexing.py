@@ -9,7 +9,8 @@ import numpy as np
 from .corpus import Corpus
 
 # Dense journal-pair tables are used up to this many cells (n_journals
-# squared); larger journal sets fall back to sorted sparse counting.
+# squared), and publication x journal count blocks hold at most this many
+# cells; larger journal sets fall back to sorted sparse counting.
 DENSE_PAIR_LIMIT = 1 << 22
 
 
@@ -59,7 +60,7 @@ class CorpusIndex:
         self.slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)
 
         # Permutation groups: pool slots keyed by reference year, slot
-        # order preserved within each group.
+        # order preserved within each group, with the tokens they start with.
         if len(self.slot_ref):
             slot_year = self.ref_year[self.slot_ref]
             order = np.argsort(slot_year, kind="stable")
@@ -67,11 +68,13 @@ class CorpusIndex:
             bounds = np.append(starts, len(order))
             self.group_years = [int(y) for y in yvals]
             self.group_slots = [order[bounds[i]: bounds[i + 1]] for i in range(len(yvals))]
+            self.group_tokens = [self.slot_ref[slots] for slots in self.group_slots]
             self._year_min = int(self.ref_year.min())
             self._n_year_bins = int(self.ref_year.max()) - self._year_min + 1
         else:
             self.group_years = []
             self.group_slots = []
+            self.group_tokens = []
             self._year_min = 0
             self._n_year_bins = 1
 
@@ -173,17 +176,53 @@ class CorpusIndex:
         """Unique canonical pair keys and counts over analyzed publications.
 
         Keys are those of ``bucket_pair_keys``, returned in ascending order.
+        While the dense J*J table fits ``DENSE_PAIR_LIMIT``, the table is
+        C^T C of the publication x journal count matrix C: a publication
+        with journal counts c adds c_a*c_b to each cross pair and
+        c_a*(c_a-1)/2 to each self-pair. C is built in row blocks of at
+        most ``DENSE_PAIR_LIMIT`` cells, and each block's product runs in
+        float64, which is exact because no cell or partial sum can exceed
+        the sum of squared reference counts; ValueError is raised when
+        that sum reaches 2^53. Larger journal sets count the expanded keys.
         """
-        parts = [keys.reshape(-1) for _, keys in self.bucket_pair_keys(assignment, exclude_rows)]
-        if not parts:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        keys = np.concatenate(parts)
-        if self.n_journals * self.n_journals <= DENSE_PAIR_LIMIT:
-            table = np.bincount(keys, minlength=self.n_journals * self.n_journals)
-            nz = np.nonzero(table)[0]
-            return nz, table[nz]
-        uk, counts = np.unique(keys, return_counts=True)
-        return uk, counts.astype(np.int64)
+        J = self.n_journals
+        if J * J > DENSE_PAIR_LIMIT:
+            parts = [keys.reshape(-1) for _, keys in self.bucket_pair_keys(assignment, exclude_rows)]
+            if not parts:
+                return np.zeros(0, np.int64), np.zeros(0, np.int64)
+            uk, counts = np.unique(np.concatenate(parts), return_counts=True)
+            return uk, counts.astype(np.int64)
+
+        square_sum = int(np.dot(self.c_counts, self.c_counts))
+        if square_sum >= 1 << 53:
+            raise ValueError(
+                f"the squared reference counts sum to {square_sum}, past 2^53, where "
+                "float64 journal-pair products stop being exact"
+            )
+        n_pubs = len(self.c_pub_ids)
+        excluded = np.zeros(n_pubs, bool)
+        if exclude_rows is not None:
+            excluded[exclude_rows] = True
+        table = np.zeros((J, J), np.int64)
+        col_sums = np.zeros(J, np.int64)
+        block = max(1, DENSE_PAIR_LIMIT // max(J, 1))
+        for r0 in range(0, n_pubs, block):
+            r1 = min(r0 + block, n_pubs)
+            s0, s1 = self.c_pub_ptr[r0], self.c_pub_ptr[r1]
+            refs = assignment[s0:s1] if self.local else assignment[self.c_slot_index[s0:s1]]
+            key = self.c_slot_pub[s0:s1] - r0
+            key *= J
+            key += self.ref_journal[refs]
+            C = np.bincount(key, minlength=(r1 - r0) * J).reshape(r1 - r0, J)
+            C[excluded[r0:r1]] = 0
+            Cf = C.astype(np.float64)
+            col_sums += (np.ones(r1 - r0) @ Cf).astype(np.int64)
+            table += (Cf.T @ Cf).astype(np.int64)
+        diag = np.arange(J)
+        table[diag, diag] = (table[diag, diag] - col_sums) // 2
+        flat = np.triu(table).reshape(-1)
+        nz = np.flatnonzero(flat)
+        return nz, flat[nz]
 
     def key_to_pair(self, key: int) -> tuple[str, str]:
         i, j = divmod(int(key), self.n_journals)

@@ -156,7 +156,7 @@ def _permuted_assignment(plan: GroupPlan, master_seed: int, sim_index: int) -> n
         if n <= 1:
             continue  # identity is the only permutation
         perm = group_stream(master_seed, sim_index, gi).permutation(n)
-        out[g.slot_indices] = idx.slot_ref[g.slot_indices][perm]
+        out[g.slot_indices] = idx.group_tokens[gi][perm]
     return out
 
 

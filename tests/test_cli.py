@@ -57,6 +57,9 @@ def test_pipeline_outputs_and_manifest(synth_dir, tmp_path):
     assert len(manifest.input_digests) == 3
     assert "simulate" in manifest.timings
     assert "threshold" in manifest.diagnostics
+    d = manifest.diagnostics
+    assert d["deleted_pubs_mean"] == d["deleted_pubs_total"] / 25
+    assert 0 <= d["deleted_pubs_p50"] <= d["deleted_pubs_p99"] <= d["deleted_pubs_max"]
 
 
 def test_workers_do_not_change_output_bytes(synth_dir, tmp_path):

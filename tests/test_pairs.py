@@ -107,6 +107,19 @@ def test_observed_sparse_counting_matches_brute_force_oracle(monkeypatch):
     assert observed_frequencies(corpus).counts == brute_force_table(corpus)
 
 
+def test_observed_counting_in_row_blocks_matches_brute_force_oracle(monkeypatch):
+    result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=34,
+                                  ref_pool_per_discipline=150, seed=13))
+    corpus = result.pool
+    n_journals = len({rec.journal_id for rec in corpus.references.values()})
+    # A limit of J*J cells keeps the dense table but builds the publication x
+    # journal counts J rows at a time, here in several blocks and a partial last one.
+    monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", n_journals * n_journals)
+    assert len(corpus.publications) > 2 * n_journals
+    assert len(corpus.publications) % n_journals
+    assert observed_frequencies(corpus).counts == brute_force_table(corpus)
+
+
 def test_table_invariant_under_reordering():
     result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=25,
                                   ref_pool_per_discipline=100, seed=8))

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cocite import (
@@ -220,3 +221,92 @@ def test_sum_of_squares_overflow_is_refused_before_any_simulation(monkeypatch, m
     # One simulation fewer stays under the bound and reaches the simulation loop.
     with pytest.raises(AssertionError, match="a simulation started"):
         run_simulations(corpus, None, SimConfig(n_simulations=at_bound - 1, workers=1))
+
+
+def with_edge_publications(result):
+    """D00 and its pool plus a publication whose references share one journal
+    (self-pairs only) and a publication with one reference."""
+    from collections import defaultdict
+
+    from cocite.corpus import Corpus, Publication
+
+    corpus, pool = result.by_discipline["D00"], result.pool
+    cited = {r for p in corpus.publications for r in p.refs}
+    by_journal = defaultdict(list)
+    for rid in sorted(cited):
+        by_journal[corpus.references[rid].journal_id].append(rid)
+    same = max(by_journal.values(), key=len)[:7]
+    assert len(same) == 7
+    extra = [Publication("same-journal", corpus.slice_year, "J-X", tuple(same), 0),
+             Publication("one-ref", corpus.slice_year, "J-X", (same[0],), 0)]
+    return (Corpus(corpus.slice_year, corpus.publications + extra, corpus.references),
+            Corpus(pool.slice_year, pool.publications + extra, pool.references))
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_journal_product_counts_match_key_path(monkeypatch, small_world, background):
+    import cocite.indexing as indexing
+    from cocite.shuffle import _permuted_assignment
+
+    corpus, pool = with_edge_publications(small_world)
+    plan = build_groups(corpus, pool if background == "global" else None)
+    idx = plan.index
+    assert idx.local == (background == "local")
+    assert idx.n_journals ** 2 <= indexing.DENSE_PAIR_LIMIT  # default limit: product path
+    same_row = idx.c_pub_ids.index("same-journal")
+    one_row = idx.c_pub_ids.index("one-ref")
+    same_bucket = np.flatnonzero(idx.c_counts == idx.c_counts[same_row])
+    cases = []
+    for assignment in [idx.slot_ref] + [_permuted_assignment(plan, 9, s) for s in range(5)]:
+        deleted = idx.duplicate_pub_rows(assignment)
+        cases.append((assignment, deleted))
+        # Emptying whole buckets: every row with the same-journal row's reference
+        # count, and the one-reference row.
+        cases.append((assignment, np.union1d(deleted, np.append(same_bucket, one_row))))
+    assert any(len(deleted) for _, deleted in cases[2::2])
+    product = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
+    monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
+    expanded = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
+    for (pk, pc), (ek, ec) in zip(product, expanded):
+        assert pk.dtype == ek.dtype == pc.dtype == ec.dtype == np.int64
+        assert np.array_equal(pk, ek)
+        assert np.array_equal(pc, ec)
+    # Unshuffled, the same-journal publication alone adds C(7, 2) = 21 self-pairs.
+    monkeypatch.undo()
+    j = idx.ref_journal[idx.slot_ref[idx.c_slot_index[idx.c_pub_ptr[same_row]]]]
+    without = idx.pair_key_counts(idx.slot_ref, exclude_rows=np.array([same_row]))
+    delta = dict(zip(*(a.tolist() for a in product[0])))
+    for k, c in zip(*(a.tolist() for a in without)):
+        delta[k] -= c
+    assert {k: c for k, c in delta.items() if c} == {int(j * idx.n_journals + j): 21}
+
+
+def test_dense_counting_does_not_expand_pairs(monkeypatch, small_world):
+    from cocite.indexing import CorpusIndex
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("journal pairs were expanded")
+
+    corpus = small_world.by_discipline["D00"]
+    expected = dict(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2)))
+    observed = observed_frequencies(corpus)
+    monkeypatch.setattr(CorpusIndex, "bucket_pair_keys", no_expansion)
+    assert dict(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2))) \
+        == expected
+    assert observed_frequencies(corpus) == observed
+
+
+def test_journal_product_refuses_squared_counts_past_2_53(make_corpus):
+    from cocite.indexing import CorpusIndex
+
+    corpus = make_corpus(
+        pubs=[("p1", "J", ["a", "b"], 0), ("p2", "J", ["b", "c"], 0)],
+        refs={"a": (1990, "JA", "s"), "b": (1991, "JB", "s"), "c": (1992, "JC", "s")},
+    )
+    idx = CorpusIndex(corpus)
+    keys, counts = idx.pair_key_counts(idx.slot_ref)
+    assert counts.tolist() == [1, 1]
+    # Two publications of 2^26 references: the squares sum to exactly 2^53.
+    idx.c_counts = np.array([1 << 26, 1 << 26], np.int64)
+    with pytest.raises(ValueError, match="2\\^53"):
+        idx.pair_key_counts(idx.slot_ref)
