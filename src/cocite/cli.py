@@ -184,14 +184,14 @@ class Run:
         """The simulate stage against ``--background``, with its counters."""
         sims = self.simulate(self.args.background)
         deleted = sims.per_sim_deleted
-        p50, p99 = np.percentile(deleted, [50, 99])  # n_simulations >= 2, never empty
+        p50, p99 = np.percentile(deleted, [50, 99])  # SimConfig requires n_simulations >= 2
         self.diagnostics.update(
             algorithm=sims.algorithm,
             background=sims.background,
             n_simulations=sims.n_simulations,
             support_pairs=len(sims),
             deleted_pubs_total=sum(deleted),
-            deleted_pubs_max=max(deleted) if deleted else 0,
+            deleted_pubs_max=max(deleted),
             deleted_pubs_mean=float(np.mean(deleted)),
             deleted_pubs_p50=float(p50),
             deleted_pubs_p99=float(p99),

@@ -176,36 +176,44 @@ class CorpusIndex:
         """Unique canonical pair keys and counts over analyzed publications.
 
         Keys are those of ``bucket_pair_keys``, returned in ascending order.
-        While the dense J*J table fits ``DENSE_PAIR_LIMIT``, the table is
-        C^T C of the publication x journal count matrix C: a publication
+        When the dense J*J table fits ``DENSE_PAIR_LIMIT`` and the
+        publication x journal count matrix C has fewer cells than there
+        are pair instances to expand, the table is C^T C: a publication
         with journal counts c adds c_a*c_b to each cross pair and
         c_a*(c_a-1)/2 to each self-pair. C is built in row blocks of at
         most ``DENSE_PAIR_LIMIT`` cells, and each block's product runs in
         float64, which is exact because no cell or partial sum can exceed
         the sum of squared reference counts; ValueError is raised when
-        that sum reaches 2^53. Larger journal sets count the expanded keys.
+        that sum reaches 2^53. Otherwise the expanded keys are counted, in
+        the dense table or, past ``DENSE_PAIR_LIMIT``, sorted.
         """
         J = self.n_journals
-        if J * J > DENSE_PAIR_LIMIT:
+        n_pubs = len(self.c_pub_ids)
+        square_sum = int(np.dot(self.c_counts, self.c_counts))
+        n_pairs = (square_sum - int(self.c_counts.sum())) // 2
+        if J * J > DENSE_PAIR_LIMIT or n_pubs * J >= n_pairs:
             parts = [keys.reshape(-1) for _, keys in self.bucket_pair_keys(assignment, exclude_rows)]
             if not parts:
                 return np.zeros(0, np.int64), np.zeros(0, np.int64)
-            uk, counts = np.unique(np.concatenate(parts), return_counts=True)
+            keys = np.concatenate(parts)
+            if J * J <= DENSE_PAIR_LIMIT:
+                table = np.bincount(keys, minlength=J * J)
+                nz = np.flatnonzero(table)
+                return nz, table[nz]
+            uk, counts = np.unique(keys, return_counts=True)
             return uk, counts.astype(np.int64)
 
-        square_sum = int(np.dot(self.c_counts, self.c_counts))
         if square_sum >= 1 << 53:
             raise ValueError(
                 f"the squared reference counts sum to {square_sum}, past 2^53, where "
                 "float64 journal-pair products stop being exact"
             )
-        n_pubs = len(self.c_pub_ids)
         excluded = np.zeros(n_pubs, bool)
         if exclude_rows is not None:
             excluded[exclude_rows] = True
         table = np.zeros((J, J), np.int64)
         col_sums = np.zeros(J, np.int64)
-        block = max(1, DENSE_PAIR_LIMIT // max(J, 1))
+        block = DENSE_PAIR_LIMIT // J
         for r0 in range(0, n_pubs, block):
             r1 = min(r0 + block, n_pubs)
             s0, s1 = self.c_pub_ptr[r0], self.c_pub_ptr[r1]
@@ -215,8 +223,8 @@ class CorpusIndex:
             key += self.ref_journal[refs]
             C = np.bincount(key, minlength=(r1 - r0) * J).reshape(r1 - r0, J)
             C[excluded[r0:r1]] = 0
+            col_sums += C.sum(axis=0)
             Cf = C.astype(np.float64)
-            col_sums += (np.ones(r1 - r0) @ Cf).astype(np.int64)
             table += (Cf.T @ Cf).astype(np.int64)
         diag = np.arange(J)
         table[diag, diag] = (table[diag, diag] - col_sums) // 2

@@ -19,6 +19,10 @@ def brute_force_table(corpus):
     return counts
 
 
+def refuse_expansion(*args, **kwargs):
+    raise AssertionError("journal pairs were expanded")
+
+
 def test_pair_canonical_order():
     assert JournalPair.of("J-B", "J-A") == JournalPair.of("J-A", "J-B") == ("J-A", "J-B")
     assert JournalPair.of("J-A", "J-A") == ("J-A", "J-A")
@@ -115,9 +119,33 @@ def test_observed_counting_in_row_blocks_matches_brute_force_oracle(monkeypatch)
     # A limit of J*J cells keeps the dense table but builds the publication x
     # journal counts J rows at a time, here in several blocks and a partial last one.
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", n_journals * n_journals)
+    monkeypatch.setattr(indexing.CorpusIndex, "bucket_pair_keys", refuse_expansion)
     assert len(corpus.publications) > 2 * n_journals
     assert len(corpus.publications) % n_journals
     assert observed_frequencies(corpus).counts == brute_force_table(corpus)
+
+
+def test_observed_dense_key_counting_matches_brute_force_oracle(monkeypatch):
+    # Few references over many journals: the publication x journal counts
+    # would have more cells than there are pairs, so the pair keys are counted.
+    result = generate(SynthConfig(n_disciplines=3, journals_per_discipline=10,
+                                  pubs_per_discipline=30, ref_pool_per_discipline=150,
+                                  refs_mean=2.5, seed=17))
+    corpus = result.pool
+    idx = indexing.CorpusIndex(corpus)
+    n_pairs = int((idx.c_counts * (idx.c_counts - 1) // 2).sum())
+    assert idx.n_journals ** 2 <= indexing.DENSE_PAIR_LIMIT
+    assert len(idx.c_pub_ids) * idx.n_journals >= n_pairs > 0
+    calls = []
+    expand = indexing.CorpusIndex.bucket_pair_keys
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return expand(self, *args, **kwargs)
+
+    monkeypatch.setattr(indexing.CorpusIndex, "bucket_pair_keys", spy)
+    assert observed_frequencies(corpus).counts == brute_force_table(corpus)
+    assert calls
 
 
 def test_table_invariant_under_reordering():

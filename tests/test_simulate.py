@@ -223,6 +223,10 @@ def test_sum_of_squares_overflow_is_refused_before_any_simulation(monkeypatch, m
         run_simulations(corpus, None, SimConfig(n_simulations=at_bound - 1, workers=1))
 
 
+def refuse_expansion(*args, **kwargs):
+    raise AssertionError("journal pairs were expanded")
+
+
 def with_edge_publications(result):
     """D00 and its pool plus a publication whose references share one journal
     (self-pairs only) and a publication with one reference."""
@@ -252,7 +256,6 @@ def test_journal_product_counts_match_key_path(monkeypatch, small_world, backgro
     plan = build_groups(corpus, pool if background == "global" else None)
     idx = plan.index
     assert idx.local == (background == "local")
-    assert idx.n_journals ** 2 <= indexing.DENSE_PAIR_LIMIT  # default limit: product path
     same_row = idx.c_pub_ids.index("same-journal")
     one_row = idx.c_pub_ids.index("one-ref")
     same_bucket = np.flatnonzero(idx.c_counts == idx.c_counts[same_row])
@@ -264,7 +267,9 @@ def test_journal_product_counts_match_key_path(monkeypatch, small_world, backgro
         # count, and the one-reference row.
         cases.append((assignment, np.union1d(deleted, np.append(same_bucket, one_row))))
     assert any(len(deleted) for _, deleted in cases[2::2])
-    product = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
+    with monkeypatch.context() as m:
+        m.setattr(indexing.CorpusIndex, "bucket_pair_keys", refuse_expansion)
+        product = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
     expanded = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
     for (pk, pc), (ek, ec) in zip(product, expanded):
@@ -284,13 +289,10 @@ def test_journal_product_counts_match_key_path(monkeypatch, small_world, backgro
 def test_dense_counting_does_not_expand_pairs(monkeypatch, small_world):
     from cocite.indexing import CorpusIndex
 
-    def no_expansion(*args, **kwargs):
-        raise AssertionError("journal pairs were expanded")
-
     corpus = small_world.by_discipline["D00"]
     expected = dict(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2)))
     observed = observed_frequencies(corpus)
-    monkeypatch.setattr(CorpusIndex, "bucket_pair_keys", no_expansion)
+    monkeypatch.setattr(CorpusIndex, "bucket_pair_keys", refuse_expansion)
     assert dict(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2))) \
         == expected
     assert observed_frequencies(corpus) == observed
