@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -69,7 +69,12 @@ def corpus_summaries(corpus: Corpus, stats: Mapping[JournalPair, PairStats]
     corpus order, where excluded counts the publications left with no
     defined pair, those with fewer than two references included.
     """
-    idx = CorpusIndex(corpus)
+    return index_summaries(CorpusIndex(corpus), stats)
+
+
+def index_summaries(idx: CorpusIndex, stats: Mapping[JournalPair, PairStats]
+                    ) -> tuple[list[PubSummary], int]:
+    """``corpus_summaries`` of the analyzed corpus of an index built before."""
     rank = {j: i for i, j in enumerate(idx.journal_ids)}
     # Defined z-scores sorted by pair key, ending in a sentinel key above
     # every pair key so that searchsorted always lands inside the array.
@@ -82,7 +87,7 @@ def corpus_summaries(corpus: Corpus, stats: Mapping[JournalPair, PairStats]
     n_pubs = len(idx.c_pub_ids)
     q = np.zeros((3, n_pubs))
     n_defined = np.zeros(n_pubs, np.int64)
-    for rows, pair_keys in idx.bucket_pair_keys(idx.slot_ref):
+    for rows, pair_keys in idx.bucket_pair_keys(idx.c_tokens):
         pos = np.searchsorted(keys, pair_keys)
         hit = keys[pos] == pair_keys
         z = np.where(hit, zs[pos], np.nan)
@@ -121,7 +126,8 @@ def classify_corpus(summaries: Sequence[PubSummary],
         hc = s.z_median > threshold
         tail = s.z_p10 if cfg.novelty_percentile == 10 else s.z_p1
         hn = tail < 0.0
-        labeled.append(replace(s, category=("HN" if hn else "LN") + ("HC" if hc else "LC")))
+        labeled.append(PubSummary(s.pub_id, s.z_median, s.z_p10, s.z_p1, s.n_defined_pairs,
+                                  ("HN" if hn else "LN") + ("HC" if hc else "LC")))
     return labeled, threshold
 
 

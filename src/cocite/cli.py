@@ -30,8 +30,8 @@ from .classify import (
     ClassifyConfig,
     PubSummary,
     classify_corpus,
-    corpus_summaries,
     index_pair_stats,
+    index_summaries,
     read_summaries_csv,
     write_summaries_csv,
 )
@@ -54,8 +54,9 @@ from .impact import (
     write_hit_tests_json,
 )
 from .manifest import RunManifest, file_digest
-from .pairs import JournalPairTable, observed_frequencies, write_pair_csv
-from .shuffle import ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
+from .indexing import CorpusIndex
+from .pairs import JournalPairTable, index_frequencies, write_pair_csv
+from .shuffle import GroupPlan, ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
 from .simulate import (
     PairStats,
     SimConfig,
@@ -63,7 +64,7 @@ from .simulate import (
     WorkerError,
     benchmark_algorithms,
     read_pair_stats_csv,
-    run_simulations,
+    simulate_plan,
     undefined_pair_count,
     write_pair_means_csv,
     write_pair_stats_csv,
@@ -89,7 +90,9 @@ class Run:
     the stages it reads, then runs under one ``perf_counter`` timing kept
     under its own name, and adds its counters to ``diagnostics``.
     Assigning a stage's attribute stands in for computing it, which is
-    how ``classify`` and ``hits`` start from their input CSVs.
+    how ``classify`` and ``hits`` start from their input CSVs. The corpus
+    index and permutation groups are built once per background, by the
+    first stage that reads them.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
@@ -101,6 +104,7 @@ class Run:
         self.timings: dict[str, float] = {}
         self.peak_rss_mb: dict[str, float] = {}
         self.diagnostics: dict = {}
+        self.plans: dict[str, GroupPlan] = {}
 
     @contextmanager
     def timed(self, stage: str):
@@ -155,18 +159,30 @@ class Run:
     def corpus(self) -> Corpus:
         return self.inputs[0]
 
+    def plan(self, background: str) -> GroupPlan:
+        """The corpus's index and permutation groups against a background."""
+        if background not in self.plans:
+            corpus, pool = self.inputs
+            self.plans[background] = build_groups(corpus, pool if background == "global" else None)
+        return self.plans[background]
+
+    @property
+    def index(self) -> CorpusIndex:
+        """The index observe and classify read: that of ``--background``, else local."""
+        return self.plan(getattr(self.args, "background", "local")).index
+
     @cached_property
     def observed(self) -> JournalPairTable:
         """Observe stage: the corpus's journal-pair frequencies."""
-        corpus = self.corpus
+        self.inputs  # loaded outside this stage's timing
         with self.timed("observe"):
-            table = observed_frequencies(corpus)
+            table = index_frequencies(self.index)
         self.diagnostics.update(n_pairs=len(table), total_pairs=table.total_pairs)
         return table
 
     def simulate(self, background: str) -> SimResult:
         """Simulate stage: pair mean and sigma over ``--sims`` shuffles against a background."""
-        corpus, pool = self.inputs
+        self.inputs  # loaded outside this stage's timing
         a = self.args
         cfg = SimConfig(
             n_simulations=a.sims,
@@ -177,7 +193,7 @@ class Run:
             umsj_max_retries=a.max_retries,
         )
         with self.timed("simulate"):
-            return run_simulations(corpus, pool if background == "global" else None, cfg)
+            return simulate_plan(self.plan(background), cfg)
 
     @cached_property
     def sims(self) -> SimResult:
@@ -196,6 +212,7 @@ class Run:
             deleted_pubs_p50=float(p50),
             deleted_pubs_p99=float(p99),
             retry_exhausted_total=sims.retry_exhausted_total,
+            sim_layer_s={k: round(v, 6) for k, v in sims.layer_s.items()},
         )
         return sims
 
@@ -211,9 +228,10 @@ class Run:
     @cached_property
     def labeled(self) -> list[PubSummary]:
         """Classify stage: per-publication z statistics and category labels."""
-        corpus, stats = self.corpus, self.stats
+        stats = self.stats
+        self.inputs  # loaded outside this stage's timing
         with self.timed("classify"):
-            summaries, excluded = corpus_summaries(corpus, index_pair_stats(stats))
+            summaries, excluded = index_summaries(self.index, index_pair_stats(stats))
             labeled, threshold = classify_corpus(summaries, ClassifyConfig(self.args.novelty_pct))
         self.diagnostics.update(threshold=threshold, classified=len(labeled),
                                 excluded_no_defined_pairs=excluded)
@@ -239,10 +257,10 @@ class Run:
 
     def compose(self, include_deleted: bool = True) -> tuple[ShuffleOutcome, list[CompositionRow]]:
         """Compose stage: one shuffle (simulation 0's streams) and its per-subject fold."""
-        corpus, pool = self.inputs
+        corpus = self.corpus
         a = self.args
         with self.timed("compose"):
-            plan = build_groups(corpus, pool)
+            plan = self.plan(a.background)
             if a.algorithm == "repcs":
                 outcome = repcs_shuffle(plan, a.seed)
             else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -12,6 +13,12 @@ from .corpus import Corpus
 # squared), and publication x journal count blocks hold at most this many
 # cells; larger journal sets fall back to sorted sparse counting.
 DENSE_PAIR_LIMIT = 1 << 22
+
+# Duplicate deletion compares same-year slot pairs while there are at most
+# this many per analyzed slot, and sorts each publication's tokens beyond:
+# checking one pair was measured to cost as much as sorting 1.6 slots at 40
+# references per publication and 2.7 slots at 10.
+PAIRS_PER_SORTED_SLOT = 2
 
 
 class CorpusIndex:
@@ -58,6 +65,8 @@ class CorpusIndex:
             raise ValueError(f"citation to unknown reference {exc.args[0]!r}") from None
         self.slot_ref = np.asarray(flat, dtype=np.int64)
         self.slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)
+        # Slot positions and slot pairs fit int32 below 2^31 slots.
+        self._pos_dtype = np.int32 if len(self.slot_ref) < 1 << 31 else np.int64
 
         # Permutation groups: pool slots keyed by reference year, slot
         # order preserved within each group, with the tokens they start with.
@@ -67,6 +76,7 @@ class CorpusIndex:
             yvals, starts = np.unique(slot_year[order], return_index=True)
             bounds = np.append(starts, len(order))
             self.group_years = [int(y) for y in yvals]
+            order = order.astype(self._pos_dtype)
             self.group_slots = [order[bounds[i]: bounds[i + 1]] for i in range(len(yvals))]
             self.group_tokens = [self.slot_ref[slots] for slots in self.group_slots]
             self._year_min = int(self.ref_year.min())
@@ -78,13 +88,16 @@ class CorpusIndex:
             self._year_min = 0
             self._n_year_bins = 1
 
-        # Analyzed-corpus read-back: flat slot ids in corpus order.
+        # Analyzed-corpus read-back: flat slot ids in corpus order, and the
+        # tokens they hold before any shuffle.
         self.c_pub_ids = [p.pub_id for p in corpus.publications]
         n_cpubs = len(self.c_pub_ids)
         if self.local:
             c_counts = counts
             self.c_pub_ptr = self.pool_pub_ptr
             self.c_slot_index = np.arange(len(self.slot_ref), dtype=np.int64)
+            self.c_tokens = self.slot_ref
+            self.c_slot_pub = self.slot_pub
         else:
             pub_row = {pid: i for i, pid in enumerate(self.pool_pub_ids)}
             rows = np.empty(n_cpubs, np.int64)
@@ -107,31 +120,118 @@ class CorpusIndex:
                 )
             else:
                 self.c_slot_index = np.zeros(0, np.int64)
+            self.c_tokens = self.slot_ref[self.c_slot_index]
+            self.c_slot_pub = np.repeat(np.arange(n_cpubs, dtype=np.int64), c_counts)
         self.c_counts = c_counts
-        self.c_slot_pub = np.repeat(np.arange(n_cpubs, dtype=np.int64), c_counts)
         self.c_citations = np.fromiter(
             (p.citations_8yr for p in corpus.publications), np.int64, n_cpubs
         )
-
-        # Publications bucketed by reference count give rectangular slot
-        # matrices, so duplicate detection and pair extraction vectorize.
-        self._buckets: list[tuple[int, np.ndarray, np.ndarray]] = []
-        if n_cpubs:
-            for n in np.unique(c_counts):
-                rows = np.nonzero(c_counts == n)[0]
-                mat = self.c_slot_index[self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]]
-                self._buckets.append((int(n), rows, mat))
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_groups(self) -> int:
         return len(self.group_years)
 
-    def duplicate_pub_rows(self, assignment: np.ndarray) -> np.ndarray:
-        """Analyzed publication rows holding the same reference twice."""
+    # The read-back data below is built on first use, so that building an
+    # index costs no more than the groups need.
+
+    @cached_property
+    def _buckets(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Per reference count n: the analyzed rows with n references and the
+        rows x n matrix of their positions in the read-back vector.
+
+        Rectangular matrices let duplicate detection and pair extraction
+        vectorize.
+        """
+        buckets = []
+        for n in np.unique(self.c_counts).tolist():
+            rows = np.flatnonzero(self.c_counts == n)
+            mat = self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]
+            buckets.append((n, rows, mat.astype(self._pos_dtype)))
+        return buckets
+
+    @cached_property
+    def group_readback(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
+        """Per permutation group, where its analyzed slots sit: their
+        positions within the group (None when every slot of the group is
+        analyzed) and their positions in the read-back vector."""
+        where = np.full(len(self.slot_ref), -1, self._pos_dtype)
+        where[self.c_slot_index] = np.arange(len(self.c_slot_index), dtype=self._pos_dtype)
+        out = []
+        for slots in self.group_slots:
+            dst = where[slots]
+            if dst.min(initial=0) >= 0:
+                # Every slot analyzed; a local index reads back slot order itself.
+                out.append((None, slots if np.array_equal(dst, slots) else dst))
+            else:
+                pos = np.flatnonzero(dst >= 0).astype(self._pos_dtype)
+                out.append((pos, dst[pos]))
+        return out
+
+    @cached_property
+    def same_year_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Read-back positions (a, b) of every pair of one publication's
+        slots whose references share a year, or None where checking them
+        would cost more than sorting each publication's references.
+
+        A repeated reference has one year, and repcs moves a token only
+        within its year group, so a shuffled publication holds a duplicate
+        exactly when one of these pairs holds equal tokens. The pairs are
+        sorted by a, so that gathering their tokens walks the vector in order.
+        """
+        # One key per (publication, year); keys start at 0, above the -1
+        # that opens the first run.
+        key = self.c_slot_pub * self._n_year_bins
+        key += self.ref_year[self.c_tokens]
+        key -= self._year_min
+        order = np.argsort(key, kind="stable").astype(self._pos_dtype)
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        del key
+        lengths = np.diff(starts, append=len(order))
+        n_pairs = int((lengths * (lengths - 1) // 2).sum())
+        if n_pairs > PAIRS_PER_SORTED_SLOT * len(order):
+            return None
+        a, b = [np.zeros(0, self._pos_dtype)], [np.zeros(0, self._pos_dtype)]
+        for h in np.unique(lengths[lengths > 1]).tolist():
+            first = starts[lengths == h][:, None]
+            iu = self._triu_of(h)
+            a.append(order[first + iu[0]].reshape(-1))
+            b.append(order[first + iu[1]].reshape(-1))
+        a, b = np.concatenate(a), np.concatenate(b)
+        by_a = np.argsort(a, kind="stable")
+        return a[by_a], b[by_a]
+
+    def _triu_of(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        iu = self._triu.get(n)
+        if iu is None:
+            iu = self._triu[n] = np.triu_indices(n, k=1)
+        return iu
+
+    def tokens_of(self, assignment: np.ndarray) -> np.ndarray:
+        """The read-back vector of a full pool assignment: the tokens of the
+        analyzed slots, in corpus order."""
+        return assignment[self.c_slot_index]
+
+    def duplicate_rows(self, tokens: np.ndarray) -> np.ndarray:
+        """Analyzed publication rows whose read-back tokens repeat a reference.
+
+        Compares the ``same_year_pairs`` where there are few of them and
+        sorts each publication's tokens otherwise. The pair check is exact
+        only for assignments that keep every slot's reference year, which
+        every shuffle here does.
+        """
+        if self.same_year_pairs is None:
+            return self._duplicates_by_sorting(tokens)
+        return self._duplicates_by_pairs(tokens)
+
+    def _duplicates_by_pairs(self, tokens: np.ndarray) -> np.ndarray:
+        a, b = self.same_year_pairs
+        return np.unique(self.c_slot_pub[a[tokens[a] == tokens[b]]])
+
+    def _duplicates_by_sorting(self, tokens: np.ndarray) -> np.ndarray:
         hit = []
         for n, rows, mat in self._buckets:
-            t = np.sort(assignment[mat], axis=1)
+            t = np.sort(tokens[mat], axis=1)
             dup = (t[:, 1:] == t[:, :-1]).any(axis=1)
             if dup.any():
                 hit.append(rows[dup])
@@ -139,12 +239,17 @@ class CorpusIndex:
             return np.zeros(0, np.int64)
         return np.sort(np.concatenate(hit))
 
+    def duplicate_pub_rows(self, assignment: np.ndarray) -> np.ndarray:
+        """``duplicate_rows`` of a full pool assignment."""
+        return self.duplicate_rows(self.tokens_of(assignment))
+
     def bucket_pair_keys(
-        self, assignment: np.ndarray, exclude_rows: np.ndarray | None = None
+        self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Each bucket's analyzed rows and their canonical pair-key matrix.
 
         This is the one place where references expand into journal pairs.
+        ``tokens`` is a read-back vector (``c_tokens`` before any shuffle).
         Row i of the matrix holds the n*(n-1)/2 pairs of publication
         rows[i], with multiplicity and self-pairs, each encoded as
         lo * n_journals + hi over journal ranks. Rows in ``exclude_rows``
@@ -160,20 +265,18 @@ class CorpusIndex:
                 rows, mat = rows[keep], mat[keep]
             if len(rows) == 0:
                 continue
-            iu = self._triu.get(n)
-            if iu is None:
-                iu = self._triu[n] = np.triu_indices(n, k=1)
-            j = self.ref_journal[assignment[mat]]
+            iu = self._triu_of(n)
+            j = self.ref_journal[tokens[mat]]
             a, b = j[:, iu[0]], j[:, iu[1]]
             keys = np.minimum(a, b)
             keys *= self.n_journals
             keys += np.maximum(a, b)
             yield rows, keys
 
-    def pair_key_counts(
-        self, assignment: np.ndarray, exclude_rows: np.ndarray | None = None
+    def pair_counts(
+        self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Unique canonical pair keys and counts over analyzed publications.
+        """Unique canonical pair keys and counts of a read-back vector.
 
         Keys are those of ``bucket_pair_keys``, returned in ascending order.
         When the dense J*J table fits ``DENSE_PAIR_LIMIT`` and the
@@ -192,7 +295,7 @@ class CorpusIndex:
         square_sum = int(np.dot(self.c_counts, self.c_counts))
         n_pairs = (square_sum - int(self.c_counts.sum())) // 2
         if J * J > DENSE_PAIR_LIMIT or n_pubs * J >= n_pairs:
-            parts = [keys.reshape(-1) for _, keys in self.bucket_pair_keys(assignment, exclude_rows)]
+            parts = [keys.reshape(-1) for _, keys in self.bucket_pair_keys(tokens, exclude_rows)]
             if not parts:
                 return np.zeros(0, np.int64), np.zeros(0, np.int64)
             keys = np.concatenate(parts)
@@ -217,10 +320,9 @@ class CorpusIndex:
         for r0 in range(0, n_pubs, block):
             r1 = min(r0 + block, n_pubs)
             s0, s1 = self.c_pub_ptr[r0], self.c_pub_ptr[r1]
-            refs = assignment[s0:s1] if self.local else assignment[self.c_slot_index[s0:s1]]
             key = self.c_slot_pub[s0:s1] - r0
             key *= J
-            key += self.ref_journal[refs]
+            key += self.ref_journal[tokens[s0:s1]]
             C = np.bincount(key, minlength=(r1 - r0) * J).reshape(r1 - r0, J)
             C[excluded[r0:r1]] = 0
             col_sums += C.sum(axis=0)
@@ -232,18 +334,23 @@ class CorpusIndex:
         nz = np.flatnonzero(flat)
         return nz, flat[nz]
 
+    def pair_key_counts(
+        self, assignment: np.ndarray, exclude_rows: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``pair_counts`` of a full pool assignment."""
+        return self.pair_counts(self.tokens_of(assignment), exclude_rows)
+
     def key_to_pair(self, key: int) -> tuple[str, str]:
         i, j = divmod(int(key), self.n_journals)
         return self.journal_ids[i], self.journal_ids[j]
 
     def fixed_points(self, assignment: np.ndarray) -> int:
         """Analyzed-corpus citations that landed back on their original reference."""
-        cs = self.c_slot_index
-        return int((assignment[cs] == self.slot_ref[cs]).sum())
+        return int((self.tokens_of(assignment) == self.c_tokens).sum())
 
     def corpus_year_histogram(self, assignment: np.ndarray) -> np.ndarray:
         """Reference-year histogram per analyzed publication, flattened."""
-        y = self.ref_year[assignment[self.c_slot_index]]
+        y = self.ref_year[self.tokens_of(assignment)]
         key = self.c_slot_pub * self._n_year_bins + (y - self._year_min)
         return np.bincount(key, minlength=len(self.c_pub_ids) * self._n_year_bins)
 

@@ -51,11 +51,15 @@ def observed_frequencies(corpus: Corpus) -> JournalPairTable:
     naming a publication with fewer than two references or a reference
     without a journal record.
     """
-    idx = CorpusIndex(corpus)
+    return index_frequencies(CorpusIndex(corpus))
+
+
+def index_frequencies(idx: CorpusIndex) -> JournalPairTable:
+    """``observed_frequencies`` of the analyzed corpus of an index built before."""
     short = np.flatnonzero(idx.c_counts < 2)
     if len(short):
         raise ValueError(f"publication {idx.c_pub_ids[short[0]]!r} has fewer than two references")
-    keys, counts = idx.pair_key_counts(idx.slot_ref)
+    keys, counts = idx.pair_counts(idx.c_tokens)
     return JournalPairTable(Counter({
         JournalPair(*idx.key_to_pair(k)): c for k, c in zip(keys.tolist(), counts.tolist())
     }))

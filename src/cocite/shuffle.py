@@ -129,7 +129,7 @@ class ShuffleOutcome:
     def corpus(self) -> Corpus:
         """Shuffled corpus with duplicate-holding publications removed."""
         idx = self._plan.index
-        new_refs = self._assignment[idx.c_slot_index]
+        new_refs = idx.tokens_of(self._assignment)
         deleted = set(self._deleted_rows.tolist())
         pubs = []
         for row, pub in enumerate(idx.corpus.publications):
@@ -148,15 +148,34 @@ class ShuffleOutcome:
         )
 
 
-def _permuted_assignment(plan: GroupPlan, master_seed: int, sim_index: int) -> np.ndarray:
-    idx = plan.index
-    out = idx.slot_ref.copy()
+def _group_permutations(plan: GroupPlan, master_seed: int, sim_index: int):
+    """(group index, permutation) of one repcs simulation, per group of two or more slots."""
     for gi, g in enumerate(plan.groups):
         n = len(g.slot_indices)
-        if n <= 1:
-            continue  # identity is the only permutation
-        perm = group_stream(master_seed, sim_index, gi).permutation(n)
-        out[g.slot_indices] = idx.group_tokens[gi][perm]
+        if n > 1:  # identity is the only permutation of fewer slots
+            yield gi, group_stream(master_seed, sim_index, gi).permutation(n)
+
+
+def _permuted_assignment(plan: GroupPlan, master_seed: int, sim_index: int) -> np.ndarray:
+    """Every pool slot's token after one repcs permutation."""
+    idx = plan.index
+    out = idx.slot_ref.copy()
+    for gi, perm in _group_permutations(plan, master_seed, sim_index):
+        out[idx.group_slots[gi]] = idx.group_tokens[gi][perm]
+    return out
+
+
+def _permuted_tokens(plan: GroupPlan, master_seed: int, sim_index: int) -> np.ndarray:
+    """The read-back vector of ``_permuted_assignment``, without building it.
+
+    Only the analyzed slots' tokens are gathered, straight into corpus order.
+    """
+    idx = plan.index
+    out = idx.c_tokens.copy()
+    readback = idx.group_readback
+    for gi, perm in _group_permutations(plan, master_seed, sim_index):
+        pos, dst = readback[gi]
+        out[dst] = idx.group_tokens[gi][perm if pos is None else perm[pos]]
     return out
 
 

@@ -26,10 +26,12 @@ import numpy as np
 from .corpus import Corpus
 from .indexing import DENSE_PAIR_LIMIT
 from .pairs import JournalPair, JournalPairTable
-from .shuffle import GroupPlan, build_groups, umsj_shuffle, _permuted_assignment
+from .shuffle import GroupPlan, build_groups, umsj_shuffle, _permuted_tokens
 
 ALGORITHMS = ("repcs", "umsj")
 BACKGROUNDS = ("local", "global")
+# The steps of one simulation, timed cumulatively in SimResult.layer_s.
+SIM_LAYERS = ("permute", "dedupe", "pair_count", "accumulate")
 
 
 class WorkerError(RuntimeError):
@@ -166,22 +168,32 @@ def _run_sim_range(plan: GroupPlan, cfg: SimConfig, lo: int, hi: int):
     deleted_per_sim: list[int] = []
     pairs_per_sim: list[int] = []
     retry_exhausted = 0
+    layer_s = [0.0] * len(SIM_LAYERS)
+    clock = time.perf_counter
     for s in range(lo, hi):
+        t0 = clock()
         if cfg.algorithm == "repcs":
-            assignment = _permuted_assignment(plan, cfg.master_seed, s)
-            deleted = idx.duplicate_pub_rows(assignment)
+            tokens = _permuted_tokens(plan, cfg.master_seed, s)
+            t1 = clock()
+            deleted = idx.duplicate_rows(tokens)
         else:
             outcome = umsj_shuffle(
                 plan, cfg.master_seed, cfg.umsj_max_retries, sim_index=s
             )
-            assignment = outcome._assignment
+            tokens = idx.tokens_of(outcome._assignment)
+            t1 = clock()
             deleted = outcome._deleted_rows
             retry_exhausted += outcome.retry_exhausted
-        keys, counts = idx.pair_key_counts(assignment, exclude_rows=deleted)
+        t2 = clock()
+        keys, counts = idx.pair_counts(tokens, exclude_rows=deleted)
+        t3 = clock()
         acc.add(keys, counts)
         deleted_per_sim.append(int(len(deleted)))
         pairs_per_sim.append(int(counts.sum()))
-    return acc, deleted_per_sim, pairs_per_sim, retry_exhausted
+        t4 = clock()
+        for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+            layer_s[i] += dt
+    return acc, deleted_per_sim, pairs_per_sim, retry_exhausted, layer_s
 
 
 # Plan shared with forked workers; set in the parent right before the
@@ -203,7 +215,7 @@ class SimResult(Mapping):
 
     def __init__(self, stats: dict[JournalPair, tuple[float, float]], cfg: SimConfig,
                  per_sim_deleted: list[int], per_sim_total_pairs: list[int],
-                 retry_exhausted_total: int = 0):
+                 retry_exhausted_total: int = 0, layer_s: dict[str, float] | None = None):
         self._stats = stats
         self.n_simulations = cfg.n_simulations
         self.algorithm = cfg.algorithm
@@ -212,6 +224,8 @@ class SimResult(Mapping):
         self.per_sim_deleted = per_sim_deleted
         self.per_sim_total_pairs = per_sim_total_pairs
         self.retry_exhausted_total = retry_exhausted_total
+        # Seconds spent in each of SIM_LAYERS, summed over simulations and workers.
+        self.layer_s = layer_s or {}
 
     def __getitem__(self, pair):
         return self._stats[pair]
@@ -224,6 +238,24 @@ class SimResult(Mapping):
 
 
 def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimResult:
+    """``simulate_plan`` over the groups of ``corpus`` against ``cfg.background``.
+
+    A global background needs ``pool``; a local one takes None or the
+    corpus itself.
+    """
+    cfg.validate()
+    if cfg.background == "global":
+        if pool is None:
+            raise ValueError("global background requires a substitution pool corpus")
+        plan = build_groups(corpus, pool)
+    else:
+        plan = build_groups(corpus, pool if pool is not None and pool is not corpus else None)
+        if not plan.index.local:
+            raise ValueError("local background requires pool to be the corpus itself")
+    return simulate_plan(plan, cfg)
+
+
+def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
     """Mean and population sigma of every pair's frequency over N shuffles.
 
     Deterministic for a given master seed: per-simulation streams are
@@ -235,16 +267,7 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
     squares, and WorkerError when a forked worker dies mid-range.
     """
     cfg.validate()
-    if cfg.background == "global":
-        if pool is None:
-            raise ValueError("global background requires a substitution pool corpus")
-        plan = build_groups(corpus, pool)
-    else:
-        plan = build_groups(corpus, pool if pool is not None and pool is not corpus else None)
-        if not plan.index.local:
-            raise ValueError("local background requires pool to be the corpus itself")
     idx = plan.index
-
     n = cfg.n_simulations
     pairs_bound = int((idx.c_counts * (idx.c_counts - 1) // 2).sum())
     if n * pairs_bound * pairs_bound >= 1 << 63:
@@ -252,6 +275,10 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
             f"{n} simulations of up to {pairs_bound} pairs each could overflow the int64 "
             "sum-of-squares accumulator; use fewer simulations"
         )
+    if cfg.algorithm == "repcs":
+        # Build the read-back data here, before any worker forks, so that
+        # every worker shares one copy.
+        idx.group_readback, idx.same_year_pairs
     workers = min(cfg.workers, n)
     if workers > 1:
         bounds = []
@@ -275,20 +302,22 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
                         ) from exc
         finally:
             _FORK_STATE = None
-        acc, deleted_per_sim, pairs_per_sim, exhausted = parts[0]
-        for part_acc, part_del, part_pairs, part_exh in parts[1:]:
+        acc, deleted_per_sim, pairs_per_sim, exhausted, layer_s = parts[0]
+        for part_acc, part_del, part_pairs, part_exh, part_layer_s in parts[1:]:
             acc.merge(part_acc)
             deleted_per_sim.extend(part_del)
             pairs_per_sim.extend(part_pairs)
             exhausted += part_exh
+            layer_s = [a + b for a, b in zip(layer_s, part_layer_s)]
     else:
-        acc, deleted_per_sim, pairs_per_sim, exhausted = _run_sim_range(plan, cfg, 0, n)
+        acc, deleted_per_sim, pairs_per_sim, exhausted, layer_s = _run_sim_range(plan, cfg, 0, n)
 
     keys, s1, s2 = acc.support()
     stats: dict[JournalPair, tuple[float, float]] = {}
     for key, a, b in zip(keys.tolist(), s1.tolist(), s2.tolist()):
         stats[JournalPair(*idx.key_to_pair(key))] = pair_mean_sigma(a, b, n)
-    return SimResult(stats, cfg, deleted_per_sim, pairs_per_sim, exhausted)
+    return SimResult(stats, cfg, deleted_per_sim, pairs_per_sim, exhausted,
+                     dict(zip(SIM_LAYERS, layer_s)))
 
 
 def zscores(f_obs: JournalPairTable, sims: Mapping) -> list[PairStats]:

@@ -311,3 +311,94 @@ def test_dead_simulation_worker_exits_1(synth_dir, tmp_path, capsys, monkeypatch
                      "--workers", "2", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "error: a simulation worker died" in capsys.readouterr().err
+
+
+def per_stage_outputs(synth_dir, out, command, background, seed, sims):
+    """The run's CSVs from the library functions that take a corpus, each
+    of which builds its own index."""
+    from cocite import (ClassifyConfig, SimConfig, build_groups, classify_corpus,
+                        composition_fold, corpus_summaries, index_pair_stats, kl_divergence,
+                        observed_frequencies, repcs_shuffle, run_simulations, zscores)
+    from cocite.classify import write_summaries_csv
+    from cocite.corpus import IngestConfig, ingest
+    from cocite.diverge import write_composition_csv, write_divergence_csv
+    from cocite.pairs import write_pair_csv
+    from cocite.simulate import write_pair_stats_csv
+
+    def load(base, tag):
+        paths = (base / "publications.tsv", base / "references.tsv", base / "citations.tsv")
+        return ingest(*paths, IngestConfig(background_tag=tag))
+
+    out.mkdir()
+    corpus, pool = load(synth_dir / "D00", "local"), load(synth_dir, "global")
+    observed = observed_frequencies(corpus)
+
+    def simulate(bg):
+        cfg = SimConfig(n_simulations=sims, master_seed=seed, background=bg, workers=1)
+        return run_simulations(corpus, pool if bg == "global" else None, cfg)
+
+    def divergence(result):
+        return kl_divergence(observed, result, corpus.journals(), 1e-12, corpus_tag="corpus",
+                             background=result.background, year=corpus.slice_year)
+
+    if command == "kld":
+        rows = [divergence(simulate("local")), divergence(simulate("global"))]
+        write_divergence_csv(rows, out / "kld.csv", ratio=rows[1].kld / rows[0].kld)
+        return
+    write_pair_csv(observed, out / "observed_pairs.csv")
+    sims_result = simulate(background)
+    stats = zscores(observed, sims_result)
+    write_pair_stats_csv(stats, out / "pair_stats.csv")
+    summaries, _ = corpus_summaries(corpus, index_pair_stats(stats))
+    write_summaries_csv(classify_corpus(summaries, ClassifyConfig())[0],
+                        out / "classification.csv")
+    write_divergence_csv([divergence(sims_result)], out / "kld.csv")
+    plan = build_groups(corpus, pool if background == "global" else None)
+    write_composition_csv(composition_fold(corpus, repcs_shuffle(plan, seed)),
+                          out / "composition.csv")
+
+
+@pytest.mark.parametrize("command,background,builds", [
+    ("pipeline", "local", 1), ("pipeline", "global", 1), ("kld", None, 2)])
+def test_run_builds_one_index_per_background(synth_dir, tmp_path, monkeypatch,
+                                             command, background, builds):
+    from cocite.indexing import CorpusIndex
+
+    calls = []
+    init = CorpusIndex.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    argv = [command, *corpus_flags(synth_dir / "D00"), "--sims", "12", "--seed", "6",
+            "--workers", "1", "--out", str(tmp_path / "run")]
+    if background != "local":
+        argv += pool_flags(synth_dir)
+    if background:
+        argv += ["--background", background]
+    monkeypatch.setattr(CorpusIndex, "__init__", counting_init)
+    assert main(argv) == 0
+    assert len(calls) == builds
+    monkeypatch.undo()
+
+    per_stage_outputs(synth_dir, tmp_path / "ref", command, background, seed=6, sims=12)
+    written = sorted(p.name for p in (tmp_path / "ref").iterdir())
+    assert written == (["kld.csv"] if command == "kld" else sorted(
+        ("observed_pairs.csv", "pair_stats.csv", "classification.csv", "kld.csv",
+         "composition.csv")))
+    for name in written:
+        assert (tmp_path / "ref" / name).read_bytes() == (tmp_path / "run" / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifest_times_each_simulation_layer(synth_dir, tmp_path, workers):
+    out = tmp_path / "run"
+    assert main(["pipeline", *corpus_flags(synth_dir / "D00"), *pool_flags(synth_dir),
+                 "--background", "global", "--sims", "30", "--workers", str(workers),
+                 "--out", str(out)]) == 0
+    manifest = RunManifest.load(out / "run.manifest")
+    layers = manifest.diagnostics["sim_layer_s"]
+    assert set(layers) == {"permute", "dedupe", "pair_count", "accumulate"}
+    assert all(v >= 0 for v in layers.values())
+    assert 0 < sum(layers.values()) <= manifest.timings["simulate"] * workers

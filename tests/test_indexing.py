@@ -1,0 +1,132 @@
+"""The analyzed-slot read-back kernel against naive oracles.
+
+A repcs simulation reads back only the analyzed slots' tokens, in corpus
+order, and deletes duplicates either by comparing same-year slot pairs or
+by sorting each publication's tokens. The oracles here walk publications
+and their reference lists in Python instead.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+import numpy as np
+import pytest
+
+from cocite import build_groups, repcs_shuffle
+from cocite.indexing import PAIRS_PER_SORTED_SLOT, CorpusIndex
+from cocite.shuffle import _permuted_tokens
+from cocite.synth import SynthConfig, generate
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the other duplicate-deletion path ran")
+
+
+def shuffled_refs(idx, assignment):
+    """Each analyzed publication's references under a full pool assignment,
+    found by walking the pool's publications and their reference lists."""
+    by_id, offset = {}, 0
+    for pub in idx.pool.publications:
+        n = len(pub.refs)
+        by_id[pub.pub_id] = [idx.ref_ids[t] for t in assignment[offset:offset + n].tolist()]
+        offset += n
+    return [by_id[pub.pub_id] for pub in idx.corpus.publications]
+
+
+def brute_force_pairs(references, refs_per_pub, deleted):
+    counts = Counter()
+    for row, refs in enumerate(refs_per_pub):
+        if row not in deleted:
+            journals = [references[r].journal_id for r in refs]
+            for x, y in combinations(journals, 2):
+                counts[tuple(sorted((x, y)))] += 1
+    return counts
+
+
+@pytest.fixture(scope="module", params=[1, 20], ids=["1-ref-year", "20-ref-years"])
+def world(request):
+    # Small reference pools make duplicates common under shuffling. One
+    # reference year gives about 3.5 same-year pairs per slot (sorting
+    # wins), twenty give about 0.2 (pair checks win).
+    n_ref_years = request.param
+    return n_ref_years, generate(SynthConfig(
+        n_disciplines=3, pubs_per_discipline=60, ref_pool_per_discipline=60,
+        n_ref_years=n_ref_years, seed=23))
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_read_back_kernel_matches_naive_oracle(monkeypatch, world, background):
+    n_ref_years, result = world
+    corpus = result.by_discipline["D01"] if background == "global" else result.pool
+    plan = build_groups(corpus, result.pool if background == "global" else None)
+    idx = plan.index
+    assert idx.local == (background == "local")
+
+    sorting = n_ref_years == 1
+    slot_years = [[corpus.references[r].year for r in p.refs] for p in corpus.publications]
+    n_pairs = sum(c * (c - 1) // 2 for years in slot_years for c in Counter(years).values())
+    assert (n_pairs > PAIRS_PER_SORTED_SLOT * len(idx.c_tokens)) == sorting
+    assert (idx.same_year_pairs is None) == sorting
+    other_side = "_duplicates_by_pairs" if sorting else "_duplicates_by_sorting"
+    monkeypatch.setattr(CorpusIndex, other_side, refuse)
+
+    any_deleted = False
+    for s in range(6):
+        outcome = repcs_shuffle(plan, 5, sim_index=s)
+        assignment = outcome._assignment
+        assert len(assignment) == len(idx.slot_ref)
+        refs = shuffled_refs(idx, assignment)
+        tokens = _permuted_tokens(plan, 5, s)
+        assert [idx.ref_ids[t] for t in tokens.tolist()] == [r for rr in refs for r in rr]
+
+        deleted = idx.duplicate_rows(tokens)
+        expected = [row for row, rr in enumerate(refs) if len(set(rr)) != len(rr)]
+        assert deleted.dtype == np.int64
+        assert deleted.tolist() == expected
+        any_deleted |= bool(expected)
+
+        keys, counts = idx.pair_counts(tokens, exclude_rows=deleted)
+        got = {idx.key_to_pair(k): c for k, c in zip(keys.tolist(), counts.tolist())}
+        assert got == brute_force_pairs(idx.pool.references, refs, set(expected))
+
+        # The forms that take a full pool assignment agree with the kernel.
+        assert np.array_equal(idx.duplicate_pub_rows(assignment), deleted)
+        assert outcome.deleted_pubs == [idx.c_pub_ids[r] for r in expected]
+        wrapped = idx.pair_key_counts(assignment, exclude_rows=deleted)
+        assert np.array_equal(wrapped[0], keys) and np.array_equal(wrapped[1], counts)
+        fixed = sum(r == o for rr, p in zip(refs, corpus.publications) for r, o in zip(rr, p.refs))
+        assert idx.fixed_points(assignment) == outcome.fixed_points == fixed
+    assert any_deleted
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_pair_check_sees_a_reference_cited_twice(make_corpus, background):
+    # p1 cites "a" twice before any shuffle; the same-year pair of its two
+    # slots holds equal tokens, so the unshuffled corpus already deletes it.
+    # Only p2 cites 1980 and 1970 references: the 1980 group is read back
+    # whole, from pool slots that a global pool shifts by p0's three, and
+    # "f" is the only 1970 slot, a group no permutation touches.
+    refs = {"a": (1990, "JA", "s"), "b": (1991, "JB", "s"), "c": (1990, "JC", "s"),
+            "d": (1980, "JD", "s"), "e": (1980, "JE", "s"), "f": (1970, "JF", "s")}
+    pubs = [("p1", "J", ["a", "b", "a"], 0), ("p2", "J", ["b", "c", "d", "e", "f"], 0)]
+    corpus = make_corpus(pubs=pubs, refs=refs)
+    pool = make_corpus(pubs=[("p0", "J", ["c", "a", "b"], 0)] + pubs, refs=refs)
+    plan = build_groups(corpus, pool if background == "global" else None)
+    idx = plan.index
+    assert [a.tolist() for a in idx.same_year_pairs] == [[0, 5], [2, 6]]
+    assert idx.duplicate_rows(idx.c_tokens).tolist() == [0]
+    assert idx._duplicates_by_sorting(idx.c_tokens).tolist() == [0]
+    for s in range(4):
+        tokens = _permuted_tokens(plan, 2, s)
+        assignment = repcs_shuffle(plan, 2, sim_index=s)._assignment
+        assert np.array_equal(tokens, idx.tokens_of(assignment))
+        assert tokens[7] == idx.c_tokens[7]
+
+
+def test_read_back_data_is_built_on_first_use():
+    plan = build_groups(generate(SynthConfig(n_disciplines=2, pubs_per_discipline=20,
+                                             ref_pool_per_discipline=50, seed=4)).pool)
+    lazy = ("_buckets", "group_readback", "same_year_pairs")
+    assert not any(name in vars(plan.index) for name in lazy)
+    _permuted_tokens(plan, 1, 0)
+    assert "group_readback" in vars(plan.index)
