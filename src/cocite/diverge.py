@@ -105,7 +105,7 @@ def composition_fold(before: Corpus, after: ShuffleOutcome,
     idx = after._plan.index
     if before is not idx.corpus and [p.pub_id for p in before.publications] != idx.c_pub_ids:
         raise ValueError("shuffle outcome was not produced from this corpus")
-    o_counts = idx.subject_counts(idx.slot_ref)
+    o_counts = idx.subject_counts(idx.c_tokens)
     exclude = None if include_deleted else after._deleted_rows
     s_counts = idx.subject_counts(after._assignment, exclude_rows=exclude)
     known = {

@@ -123,14 +123,7 @@ class CorpusIndex:
             self.c_tokens = self.slot_ref[self.c_slot_index]
             self.c_slot_pub = np.repeat(np.arange(n_cpubs, dtype=np.int64), c_counts)
         self.c_counts = c_counts
-        self.c_citations = np.fromiter(
-            (p.citations_8yr for p in corpus.publications), np.int64, n_cpubs
-        )
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.group_years)
 
     # The read-back data below is built on first use, so that building an
     # index costs no more than the groups need.
@@ -207,12 +200,7 @@ class CorpusIndex:
             iu = self._triu[n] = np.triu_indices(n, k=1)
         return iu
 
-    def tokens_of(self, assignment: np.ndarray) -> np.ndarray:
-        """The read-back vector of a full pool assignment: the tokens of the
-        analyzed slots, in corpus order."""
-        return assignment[self.c_slot_index]
-
-    def duplicate_rows(self, tokens: np.ndarray) -> np.ndarray:
+    def duplicate_pub_rows(self, tokens: np.ndarray) -> np.ndarray:
         """Analyzed publication rows whose read-back tokens repeat a reference.
 
         Compares the ``same_year_pairs`` where there are few of them and
@@ -238,10 +226,6 @@ class CorpusIndex:
         if not hit:
             return np.zeros(0, np.int64)
         return np.sort(np.concatenate(hit))
-
-    def duplicate_pub_rows(self, assignment: np.ndarray) -> np.ndarray:
-        """``duplicate_rows`` of a full pool assignment."""
-        return self.duplicate_rows(self.tokens_of(assignment))
 
     def bucket_pair_keys(
         self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
@@ -273,7 +257,7 @@ class CorpusIndex:
             keys += np.maximum(a, b)
             yield rows, keys
 
-    def pair_counts(
+    def pair_key_counts(
         self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Unique canonical pair keys and counts of a read-back vector.
@@ -334,34 +318,26 @@ class CorpusIndex:
         nz = np.flatnonzero(flat)
         return nz, flat[nz]
 
-    def pair_key_counts(
-        self, assignment: np.ndarray, exclude_rows: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``pair_counts`` of a full pool assignment."""
-        return self.pair_counts(self.tokens_of(assignment), exclude_rows)
-
     def key_to_pair(self, key: int) -> tuple[str, str]:
         i, j = divmod(int(key), self.n_journals)
         return self.journal_ids[i], self.journal_ids[j]
 
-    def fixed_points(self, assignment: np.ndarray) -> int:
+    def fixed_points(self, tokens: np.ndarray) -> int:
         """Analyzed-corpus citations that landed back on their original reference."""
-        return int((self.tokens_of(assignment) == self.c_tokens).sum())
+        return int((tokens == self.c_tokens).sum())
 
-    def corpus_year_histogram(self, assignment: np.ndarray) -> np.ndarray:
+    def corpus_year_histogram(self, tokens: np.ndarray) -> np.ndarray:
         """Reference-year histogram per analyzed publication, flattened."""
-        y = self.ref_year[self.tokens_of(assignment)]
+        y = self.ref_year[tokens]
         key = self.c_slot_pub * self._n_year_bins + (y - self._year_min)
         return np.bincount(key, minlength=len(self.c_pub_ids) * self._n_year_bins)
 
     def subject_counts(
-        self, assignment: np.ndarray, exclude_rows: np.ndarray | None = None
+        self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
     ) -> np.ndarray:
         """Citation counts per subject over analyzed publications."""
-        slots = self.c_slot_index
         if exclude_rows is not None and len(exclude_rows):
             mask = np.zeros(len(self.c_pub_ids), bool)
             mask[exclude_rows] = True
-            slots = slots[~mask[self.c_slot_pub]]
-        s = self.ref_subject[assignment[slots]]
-        return np.bincount(s, minlength=len(self.subject_ids))
+            tokens = tokens[~mask[self.c_slot_pub]]
+        return np.bincount(self.ref_subject[tokens], minlength=len(self.subject_ids))

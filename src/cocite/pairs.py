@@ -59,7 +59,7 @@ def index_frequencies(idx: CorpusIndex) -> JournalPairTable:
     short = np.flatnonzero(idx.c_counts < 2)
     if len(short):
         raise ValueError(f"publication {idx.c_pub_ids[short[0]]!r} has fewer than two references")
-    keys, counts = idx.pair_counts(idx.c_tokens)
+    keys, counts = idx.pair_key_counts(idx.c_tokens)
     return JournalPairTable(Counter({
         JournalPair(*idx.key_to_pair(k)): c for k, c in zip(keys.tolist(), counts.tolist())
     }))

@@ -94,22 +94,17 @@ def build_groups(corpus: Corpus, pool: Corpus | None = None) -> GroupPlan:
         raise ValueError(
             f"pool slice year {pool.slice_year} differs from corpus slice year {corpus.slice_year}"
         )
-    plan = GroupPlan(CorpusIndex(corpus, pool))
-    if len(plan.index.c_slot_index):
-        covered = np.zeros(len(plan.index.slot_ref), bool)
-        for g in plan.groups:
-            covered[g.slot_indices] = True
-        if not covered[plan.index.c_slot_index].all():
-            raise ValueError("citation with a reference year not covered by any pool group")
-    return plan
+    return GroupPlan(CorpusIndex(corpus, pool))
 
 
 class ShuffleOutcome:
     """Result of one citation shuffle of an analyzed corpus.
 
-    ``corpus`` materializes lazily; the raw slot assignment stays
-    available to the reporting helpers so that composition can also be
-    inspected before the duplicate-deletion step.
+    ``_assignment`` is the read-back vector: the analyzed slots' tokens
+    after the shuffle, in corpus order (for a local background, every
+    slot). ``corpus`` materializes lazily; the reporting helpers read the
+    vector itself, so that composition can also be inspected before the
+    duplicate-deletion step.
     """
 
     def __init__(self, plan: GroupPlan, assignment: np.ndarray, deleted_rows: np.ndarray,
@@ -129,14 +124,13 @@ class ShuffleOutcome:
     def corpus(self) -> Corpus:
         """Shuffled corpus with duplicate-holding publications removed."""
         idx = self._plan.index
-        new_refs = idx.tokens_of(self._assignment)
         deleted = set(self._deleted_rows.tolist())
         pubs = []
         for row, pub in enumerate(idx.corpus.publications):
             if row in deleted:
                 continue
             lo, hi = idx.c_pub_ptr[row], idx.c_pub_ptr[row + 1]
-            refs = tuple(idx.ref_ids[t] for t in new_refs[lo:hi].tolist())
+            refs = tuple(idx.ref_ids[t] for t in self._assignment[lo:hi].tolist())
             pubs.append(replace(pub, refs=refs))
         cited = {rid for p in pubs for rid in p.refs}
         references = {rid: idx.pool.references[rid] for rid in sorted(cited)}
@@ -148,34 +142,19 @@ class ShuffleOutcome:
         )
 
 
-def _group_permutations(plan: GroupPlan, master_seed: int, sim_index: int):
-    """(group index, permutation) of one repcs simulation, per group of two or more slots."""
-    for gi, g in enumerate(plan.groups):
-        n = len(g.slot_indices)
-        if n > 1:  # identity is the only permutation of fewer slots
-            yield gi, group_stream(master_seed, sim_index, gi).permutation(n)
-
-
-def _permuted_assignment(plan: GroupPlan, master_seed: int, sim_index: int) -> np.ndarray:
-    """Every pool slot's token after one repcs permutation."""
-    idx = plan.index
-    out = idx.slot_ref.copy()
-    for gi, perm in _group_permutations(plan, master_seed, sim_index):
-        out[idx.group_slots[gi]] = idx.group_tokens[gi][perm]
-    return out
-
-
 def _permuted_tokens(plan: GroupPlan, master_seed: int, sim_index: int) -> np.ndarray:
-    """The read-back vector of ``_permuted_assignment``, without building it.
+    """The read-back vector after one repcs permutation.
 
-    Only the analyzed slots' tokens are gathered, straight into corpus order.
+    Each group of two or more pool slots draws one permutation of its
+    tokens; only the analyzed slots' new tokens are gathered, straight
+    into corpus order.
     """
     idx = plan.index
     out = idx.c_tokens.copy()
-    readback = idx.group_readback
-    for gi, perm in _group_permutations(plan, master_seed, sim_index):
-        pos, dst = readback[gi]
-        out[dst] = idx.group_tokens[gi][perm if pos is None else perm[pos]]
+    for gi, (tokens, (pos, dst)) in enumerate(zip(idx.group_tokens, idx.group_readback)):
+        if len(tokens) > 1:  # identity is the only permutation of fewer slots
+            perm = group_stream(master_seed, sim_index, gi).permutation(len(tokens))
+            out[dst] = tokens[perm if pos is None else perm[pos]]
     return out
 
 
@@ -185,9 +164,9 @@ def repcs_shuffle(plan: GroupPlan, rng_seed: int, *, sim_index: int = 0) -> Shuf
     Deterministic for a given (seed, sim_index); the error-correction
     step only removes publications from the simulated corpus.
     """
-    assignment = _permuted_assignment(plan, rng_seed, sim_index)
-    deleted = plan.index.duplicate_pub_rows(assignment)
-    return ShuffleOutcome(plan, assignment, deleted, plan.index.fixed_points(assignment))
+    idx = plan.index
+    tokens = _permuted_tokens(plan, rng_seed, sim_index)
+    return ShuffleOutcome(plan, tokens, idx.duplicate_pub_rows(tokens), idx.fixed_points(tokens))
 
 
 def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
@@ -245,7 +224,7 @@ def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
                 break
             else:
                 exhausted += 1
-    assignment = np.asarray(tokens, dtype=np.int64)
+    assignment = np.asarray(tokens, dtype=np.int64)[idx.c_slot_index]
     return ShuffleOutcome(
         plan,
         assignment,
@@ -287,7 +266,7 @@ def preservation_report(before: Corpus, after: ShuffleOutcome) -> PreservationRe
         raise ValueError("shuffle outcome was not produced from this corpus")
     n_pubs = len(idx.c_pub_ids)
     ny = idx._n_year_bins
-    hist_before = idx.corpus_year_histogram(idx.slot_ref).reshape(n_pubs, ny)
+    hist_before = idx.corpus_year_histogram(idx.c_tokens).reshape(n_pubs, ny)
     hist_after = idx.corpus_year_histogram(after._assignment).reshape(n_pubs, ny)
     surviving = np.ones(n_pubs, bool)
     surviving[after._deleted_rows] = False

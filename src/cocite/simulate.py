@@ -175,17 +175,17 @@ def _run_sim_range(plan: GroupPlan, cfg: SimConfig, lo: int, hi: int):
         if cfg.algorithm == "repcs":
             tokens = _permuted_tokens(plan, cfg.master_seed, s)
             t1 = clock()
-            deleted = idx.duplicate_rows(tokens)
+            deleted = idx.duplicate_pub_rows(tokens)
         else:
             outcome = umsj_shuffle(
                 plan, cfg.master_seed, cfg.umsj_max_retries, sim_index=s
             )
-            tokens = idx.tokens_of(outcome._assignment)
+            tokens = outcome._assignment
             t1 = clock()
             deleted = outcome._deleted_rows
             retry_exhausted += outcome.retry_exhausted
         t2 = clock()
-        keys, counts = idx.pair_counts(tokens, exclude_rows=deleted)
+        keys, counts = idx.pair_key_counts(tokens, exclude_rows=deleted)
         t3 = clock()
         acc.add(keys, counts)
         deleted_per_sim.append(int(len(deleted)))

@@ -1,9 +1,11 @@
 import signal
+from collections import defaultdict
 from contextlib import contextmanager
 
 import pytest
 
 from cocite.corpus import Corpus, Publication, ReferenceRecord
+from cocite.rng import group_stream
 
 
 @pytest.fixture
@@ -26,6 +28,39 @@ def make_corpus():
         return Corpus(slice_year, publications, references, background_tag)
 
     return _make
+
+
+@pytest.fixture
+def repcs_oracle():
+    """Each analyzed publication's references after one repcs permutation.
+
+    Built from the corpora alone: every pool slot is grouped by its
+    reference's year (groups in year order, slots in pool order), each
+    group of two or more slots takes the permutation
+    ``group_stream(seed, sim, group).permutation(n)``, and the analyzed
+    publications' references are read back from the full pool assignment.
+    """
+
+    def _refs(corpus, pool, seed, sim):
+        pool = corpus if pool is None else pool
+        slots = [r for p in pool.publications for r in p.refs]
+        by_year = defaultdict(list)
+        for i, r in enumerate(slots):
+            by_year[pool.references[r].year].append(i)
+        assignment = list(slots)
+        for gi, year in enumerate(sorted(by_year)):
+            group = by_year[year]
+            if len(group) > 1:
+                perm = group_stream(seed, sim, gi).permutation(len(group))
+                for i, j in zip(group, perm.tolist()):
+                    assignment[i] = slots[group[j]]
+        by_id, offset = {}, 0
+        for p in pool.publications:
+            by_id[p.pub_id] = assignment[offset:offset + len(p.refs)]
+            offset += len(p.refs)
+        return [by_id[p.pub_id] for p in corpus.publications]
+
+    return _refs
 
 
 @pytest.fixture

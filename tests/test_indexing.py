@@ -2,8 +2,9 @@
 
 A repcs simulation reads back only the analyzed slots' tokens, in corpus
 order, and deletes duplicates either by comparing same-year slot pairs or
-by sorting each publication's tokens. The oracles here walk publications
-and their reference lists in Python instead.
+by sorting each publication's tokens. The oracles here and the
+``repcs_oracle`` fixture walk publications and their reference lists in
+Python instead.
 """
 
 from collections import Counter
@@ -20,17 +21,6 @@ from cocite.synth import SynthConfig, generate
 
 def refuse(*args, **kwargs):
     raise AssertionError("the other duplicate-deletion path ran")
-
-
-def shuffled_refs(idx, assignment):
-    """Each analyzed publication's references under a full pool assignment,
-    found by walking the pool's publications and their reference lists."""
-    by_id, offset = {}, 0
-    for pub in idx.pool.publications:
-        n = len(pub.refs)
-        by_id[pub.pub_id] = [idx.ref_ids[t] for t in assignment[offset:offset + n].tolist()]
-        offset += n
-    return [by_id[pub.pub_id] for pub in idx.corpus.publications]
 
 
 def brute_force_pairs(references, refs_per_pub, deleted):
@@ -55,10 +45,11 @@ def world(request):
 
 
 @pytest.mark.parametrize("background", ["local", "global"])
-def test_read_back_kernel_matches_naive_oracle(monkeypatch, world, background):
+def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world, background):
     n_ref_years, result = world
     corpus = result.by_discipline["D01"] if background == "global" else result.pool
-    plan = build_groups(corpus, result.pool if background == "global" else None)
+    pool = result.pool if background == "global" else None
+    plan = build_groups(corpus, pool)
     idx = plan.index
     assert idx.local == (background == "local")
 
@@ -72,35 +63,34 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, world, background):
 
     any_deleted = False
     for s in range(6):
-        outcome = repcs_shuffle(plan, 5, sim_index=s)
-        assignment = outcome._assignment
-        assert len(assignment) == len(idx.slot_ref)
-        refs = shuffled_refs(idx, assignment)
+        refs = repcs_oracle(corpus, pool, 5, s)
         tokens = _permuted_tokens(plan, 5, s)
         assert [idx.ref_ids[t] for t in tokens.tolist()] == [r for rr in refs for r in rr]
 
-        deleted = idx.duplicate_rows(tokens)
+        deleted = idx.duplicate_pub_rows(tokens)
         expected = [row for row, rr in enumerate(refs) if len(set(rr)) != len(rr)]
         assert deleted.dtype == np.int64
         assert deleted.tolist() == expected
         any_deleted |= bool(expected)
 
-        keys, counts = idx.pair_counts(tokens, exclude_rows=deleted)
+        keys, counts = idx.pair_key_counts(tokens, exclude_rows=deleted)
         got = {idx.key_to_pair(k): c for k, c in zip(keys.tolist(), counts.tolist())}
         assert got == brute_force_pairs(idx.pool.references, refs, set(expected))
 
-        # The forms that take a full pool assignment agree with the kernel.
-        assert np.array_equal(idx.duplicate_pub_rows(assignment), deleted)
+        # The shuffle outcome holds the same read-back vector and deletions.
+        outcome = repcs_shuffle(plan, 5, sim_index=s)
+        assert np.array_equal(outcome._assignment, tokens)
+        assert np.array_equal(outcome._deleted_rows, deleted)
         assert outcome.deleted_pubs == [idx.c_pub_ids[r] for r in expected]
-        wrapped = idx.pair_key_counts(assignment, exclude_rows=deleted)
+        wrapped = idx.pair_key_counts(outcome._assignment, exclude_rows=outcome._deleted_rows)
         assert np.array_equal(wrapped[0], keys) and np.array_equal(wrapped[1], counts)
         fixed = sum(r == o for rr, p in zip(refs, corpus.publications) for r, o in zip(rr, p.refs))
-        assert idx.fixed_points(assignment) == outcome.fixed_points == fixed
+        assert idx.fixed_points(tokens) == outcome.fixed_points == fixed
     assert any_deleted
 
 
 @pytest.mark.parametrize("background", ["local", "global"])
-def test_pair_check_sees_a_reference_cited_twice(make_corpus, background):
+def test_pair_check_sees_a_reference_cited_twice(make_corpus, repcs_oracle, background):
     # p1 cites "a" twice before any shuffle; the same-year pair of its two
     # slots holds equal tokens, so the unshuffled corpus already deletes it.
     # Only p2 cites 1980 and 1970 references: the 1980 group is read back
@@ -111,15 +101,17 @@ def test_pair_check_sees_a_reference_cited_twice(make_corpus, background):
     pubs = [("p1", "J", ["a", "b", "a"], 0), ("p2", "J", ["b", "c", "d", "e", "f"], 0)]
     corpus = make_corpus(pubs=pubs, refs=refs)
     pool = make_corpus(pubs=[("p0", "J", ["c", "a", "b"], 0)] + pubs, refs=refs)
-    plan = build_groups(corpus, pool if background == "global" else None)
+    pool = pool if background == "global" else None
+    plan = build_groups(corpus, pool)
     idx = plan.index
     assert [a.tolist() for a in idx.same_year_pairs] == [[0, 5], [2, 6]]
-    assert idx.duplicate_rows(idx.c_tokens).tolist() == [0]
+    assert idx.duplicate_pub_rows(idx.c_tokens).tolist() == [0]
     assert idx._duplicates_by_sorting(idx.c_tokens).tolist() == [0]
     for s in range(4):
         tokens = _permuted_tokens(plan, 2, s)
-        assignment = repcs_shuffle(plan, 2, sim_index=s)._assignment
-        assert np.array_equal(tokens, idx.tokens_of(assignment))
+        expected = [r for rr in repcs_oracle(corpus, pool, 2, s) for r in rr]
+        assert [idx.ref_ids[t] for t in tokens.tolist()] == expected
+        assert np.array_equal(tokens, repcs_shuffle(plan, 2, sim_index=s)._assignment)
         assert tokens[7] == idx.c_tokens[7]
 
 

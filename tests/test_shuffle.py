@@ -6,6 +6,7 @@ import pytest
 
 from cocite import (
     build_groups,
+    composition_fold,
     preservation_report,
     repcs_shuffle,
     umsj_shuffle,
@@ -233,6 +234,47 @@ def test_preservation_sweep_small():
         assert report.all_preserved
         assert report.pubs_with_refcount_delta == 0
         assert report.pubs_with_year_histogram_delta == 0
+
+
+def test_global_outcomes_read_back_the_analyzed_slots(repcs_oracle):
+    # Small reference pools make duplicates, and so deletions, common; the
+    # pool holds three times the analyzed discipline's slots.
+    result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=60,
+                                  ref_pool_per_discipline=60, seed=23))
+    corpus, pool = result.by_discipline["D01"], result.pool
+    plan = build_groups(corpus, pool)
+    idx = plan.index
+    subject = {rid: rec.subject for rid, rec in pool.references.items()}
+    before = Counter(subject[r] for p in corpus.publications for r in p.refs)
+    any_deleted = False
+    for s in range(6):
+        refs = repcs_oracle(corpus, pool, 5, s)
+        deleted = [row for row, rr in enumerate(refs) if len(set(rr)) != len(rr)]
+        any_deleted |= bool(deleted)
+        outcome = repcs_shuffle(plan, 5, sim_index=s)
+        assert len(outcome._assignment) == len(idx.c_tokens)
+        assert outcome._deleted_rows.tolist() == deleted
+        assert outcome.deleted_pubs == [corpus.publications[r].pub_id for r in deleted]
+        survivors = [(p.pub_id, tuple(rr)) for row, (p, rr)
+                     in enumerate(zip(corpus.publications, refs)) if row not in deleted]
+        assert [(p.pub_id, p.refs) for p in outcome.corpus.publications] == survivors
+        assert set(outcome.corpus.references) == {r for _, rr in survivors for r in rr}
+        assert outcome.fixed_points == sum(
+            r == o for rr, p in zip(refs, corpus.publications) for r, o in zip(rr, p.refs))
+        for include_deleted in (True, False):
+            after = Counter(subject[r] for row, rr in enumerate(refs)
+                            if include_deleted or row not in deleted for r in rr)
+            rows = composition_fold(corpus, outcome, include_deleted=include_deleted)
+            assert [(row.subject, row.o, row.s) for row in rows] == [
+                (label, before[label], after[label]) for label in sorted(set(subject.values()))]
+        report = preservation_report(corpus, outcome)
+        assert report.all_preserved
+        assert report.deleted_count == len(deleted)
+    assert any_deleted
+    for s in range(3):
+        outcome = umsj_shuffle(plan, 5, sim_index=s)
+        assert len(outcome._assignment) == len(idx.c_tokens)
+        assert preservation_report(corpus, outcome).all_preserved
 
 
 def test_shuffle_determinism():

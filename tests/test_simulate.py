@@ -248,24 +248,28 @@ def with_edge_publications(result):
 
 
 @pytest.mark.parametrize("background", ["local", "global"])
-def test_journal_product_counts_match_key_path(monkeypatch, small_world, background):
+def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_world,
+                                               background):
     import cocite.indexing as indexing
-    from cocite.shuffle import _permuted_assignment
 
     corpus, pool = with_edge_publications(small_world)
-    plan = build_groups(corpus, pool if background == "global" else None)
+    pool = pool if background == "global" else None
+    plan = build_groups(corpus, pool)
     idx = plan.index
     assert idx.local == (background == "local")
     same_row = idx.c_pub_ids.index("same-journal")
     one_row = idx.c_pub_ids.index("one-ref")
     same_bucket = np.flatnonzero(idx.c_counts == idx.c_counts[same_row])
+    ref_index = {r: i for i, r in enumerate(idx.ref_ids)}
+    shuffled = [np.array([ref_index[r] for rr in repcs_oracle(corpus, pool, 9, s) for r in rr])
+                for s in range(5)]
     cases = []
-    for assignment in [idx.slot_ref] + [_permuted_assignment(plan, 9, s) for s in range(5)]:
-        deleted = idx.duplicate_pub_rows(assignment)
-        cases.append((assignment, deleted))
+    for tokens in [idx.c_tokens] + shuffled:
+        deleted = idx.duplicate_pub_rows(tokens)
+        cases.append((tokens, deleted))
         # Emptying whole buckets: every row with the same-journal row's reference
         # count, and the one-reference row.
-        cases.append((assignment, np.union1d(deleted, np.append(same_bucket, one_row))))
+        cases.append((tokens, np.union1d(deleted, np.append(same_bucket, one_row))))
     assert any(len(deleted) for _, deleted in cases[2::2])
     with monkeypatch.context() as m:
         m.setattr(indexing.CorpusIndex, "bucket_pair_keys", refuse_expansion)
@@ -278,8 +282,8 @@ def test_journal_product_counts_match_key_path(monkeypatch, small_world, backgro
         assert np.array_equal(pc, ec)
     # Unshuffled, the same-journal publication alone adds C(7, 2) = 21 self-pairs.
     monkeypatch.undo()
-    j = idx.ref_journal[idx.slot_ref[idx.c_slot_index[idx.c_pub_ptr[same_row]]]]
-    without = idx.pair_key_counts(idx.slot_ref, exclude_rows=np.array([same_row]))
+    j = idx.ref_journal[idx.c_tokens[idx.c_pub_ptr[same_row]]]
+    without = idx.pair_key_counts(idx.c_tokens, exclude_rows=np.array([same_row]))
     delta = dict(zip(*(a.tolist() for a in product[0])))
     for k, c in zip(*(a.tolist() for a in without)):
         delta[k] -= c
