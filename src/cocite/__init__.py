@@ -16,7 +16,6 @@ from .corpus import (
 from .pairs import JournalPair, JournalPairTable, observed_frequencies
 from .shuffle import (
     GroupPlan,
-    PermutationGroup,
     PreservationReport,
     ShuffleOutcome,
     build_groups,

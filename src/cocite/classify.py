@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Publication, ReferenceRecord
+from .corpus import Corpus, IngestError, Publication, ReferenceRecord, read_rows, write_rows
 from .indexing import CorpusIndex
 from .pairs import JournalPair
 from .simulate import PairStats
 
 CATEGORIES = ("LNLC", "LNHC", "HNLC", "HNHC")
 NOVELTY_PERCENTILES = (10, 1)
+# Header of classification.csv, shared by its writer and reader.
+CLASSIFICATION_COLUMNS = ("pub_id", "z_median", "z_p10", "z_p1", "category", "n_defined_pairs")
 
 
 @dataclass(frozen=True)
@@ -132,23 +133,19 @@ def classify_corpus(summaries: Sequence[PubSummary],
 
 
 def write_summaries_csv(summaries: Sequence[PubSummary], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["pub_id", "z_median", "z_p10", "z_p1", "category", "n_defined_pairs"])
-        for s in summaries:
-            w.writerow([s.pub_id, repr(s.z_median), repr(s.z_p10), repr(s.z_p1),
-                        s.category or "", s.n_defined_pairs])
+    write_rows(path, CLASSIFICATION_COLUMNS,
+               ((s.pub_id, s.z_median, s.z_p10, s.z_p1, s.category, s.n_defined_pairs)
+                for s in summaries))
 
 
 def read_summaries_csv(path: str | Path) -> list[PubSummary]:
     out: list[PubSummary] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["pub_id", "z_median", "z_p10", "z_p1", "category", "n_defined_pairs"]
-        if header != expected:
-            raise ValueError(f"{path}: bad classification header {header!r}")
-        for row in reader:
-            out.append(PubSummary(row[0], float(row[1]), float(row[2]), float(row[3]),
-                                  int(row[5]), row[4] or None))
+    for lineno, (pub_id, med, p10, p1, category, n) in read_rows(path, CLASSIFICATION_COLUMNS):
+        if category and category not in CATEGORIES:
+            raise IngestError(f"{path}:{lineno}: unknown category {category!r}")
+        try:
+            out.append(PubSummary(pub_id, float(med), float(p10), float(p1), int(n),
+                                  category or None))
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from None
     return out

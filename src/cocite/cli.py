@@ -19,7 +19,7 @@ import resource
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import astuple, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -27,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .classify import (
+    NOVELTY_PERCENTILES,
     ClassifyConfig,
     PubSummary,
     classify_corpus,
@@ -35,8 +36,17 @@ from .classify import (
     read_summaries_csv,
     write_summaries_csv,
 )
-from .corpus import Corpus, IngestConfig, IngestError, export_corpus, ingest, summarize
+from .corpus import (
+    Corpus,
+    IngestConfig,
+    IngestError,
+    export_corpus,
+    ingest,
+    summarize,
+    write_rows,
+)
 from .diverge import (
+    DEFAULT_EPSILON,
     CompositionRow,
     DivergenceResult,
     composition_fold,
@@ -45,6 +55,7 @@ from .diverge import (
     write_divergence_csv,
 )
 from .impact import (
+    HIT_PERCENTILES,
     HitConfig,
     HitReport,
     designate_hits,
@@ -58,6 +69,8 @@ from .indexing import CorpusIndex
 from .pairs import JournalPairTable, index_frequencies, write_pair_csv
 from .shuffle import GroupPlan, ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
 from .simulate import (
+    ALGORITHMS,
+    BACKGROUNDS,
     PairStats,
     SimConfig,
     SimResult,
@@ -287,10 +300,9 @@ def cmd_ingest(run: Run) -> None:
 def cmd_summarize(run: Run) -> None:
     s = summarize(run.corpus)
     tag = run.args.tag
-    with open(run.out / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("corpus,unique_publications,unique_references,total_references,ratio\n")
-        fh.write(f"{tag},{s.unique_publications},{s.unique_references},"
-                 f"{s.total_references},{s.ratio!r}\n")
+    write_rows(run.out / "summary.csv",
+               ("corpus", "unique_publications", "unique_references", "total_references", "ratio"),
+               [(tag, *astuple(s))])
     print(f"{tag}: pubs={s.unique_publications} ur={s.unique_references} "
           f"tr={s.total_references} tr/ur={s.ratio:.2f}")
 
@@ -380,12 +392,9 @@ def cmd_bench(run: Run) -> None:
     timings = benchmark_algorithms(corpus, pool, algorithms=algorithms, n_simulations=a.sims,
                                    master_seed=a.seed, umsj_max_retries=a.max_retries)
     run.timings.update(timings)
-    with open(run.out / "bench.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("algorithm,n_simulations,seconds,sims_per_second\n")
-        for alg in algorithms:
-            secs = timings[alg]
-            rate = a.sims / secs if secs > 0 else float("inf")
-            fh.write(f"{alg},{a.sims},{secs!r},{rate!r}\n")
+    write_rows(run.out / "bench.csv", ("algorithm", "n_simulations", "seconds", "sims_per_second"),
+               ((alg, a.sims, secs, a.sims / secs if secs > 0 else float("inf"))
+                for alg, secs in zip(algorithms, map(timings.get, algorithms))))
     run.diagnostics["n_simulations"] = a.sims
     print(f"{'algorithm':>10} {'sims':>6} {'seconds':>12}")
     for alg in algorithms:
@@ -444,18 +453,20 @@ FLAG_GROUPS: dict[str, list[tuple[str, dict]]] = {
         ("--pool-refs", {"help": "substitution-pool references TSV"}),
         ("--pool-cites", {"help": "substitution-pool citations TSV"}),
     ],
-    "background": [("--background", {"choices": ["local", "global"], "default": "local"})],
-    "algorithm": [("--algorithm", {"choices": ["repcs", "umsj"], "default": "repcs"})],
+    "background": [("--background", {"choices": BACKGROUNDS, "default": SimConfig.background})],
+    "algorithm": [("--algorithm", {"choices": ALGORITHMS, "default": SimConfig.algorithm})],
     "shuffle": [
-        ("--seed", {"type": int, "default": 0}),
-        ("--max-retries", {"type": int, "default": 10}),
+        ("--seed", {"type": int, "default": SimConfig.master_seed}),
+        ("--max-retries", {"type": int, "default": SimConfig.umsj_max_retries}),
     ],
-    "sims": [("--sims", {"type": int, "default": 1000})],
+    "sims": [("--sims", {"type": int, "default": SimConfig.n_simulations})],
     "workers": [("--workers", {"type": int, "default": os.cpu_count() or 1})],
     "tag": [("--tag", {"default": "corpus", "help": "corpus label used in output rows"})],
-    "novelty": [("--novelty-pct", {"type": int, "choices": [10, 1], "default": 10})],
-    "hit": [("--hit-pct", {"type": int, "choices": [1, 2, 5, 10], "default": 10})],
-    "epsilon": [("--epsilon", {"type": float, "default": 1e-12})],
+    "novelty": [("--novelty-pct", {"type": int, "choices": NOVELTY_PERCENTILES,
+                                   "default": ClassifyConfig.novelty_percentile})],
+    "hit": [("--hit-pct", {"type": int, "choices": HIT_PERCENTILES,
+                           "default": HitConfig.hit_percentile})],
+    "epsilon": [("--epsilon", {"type": float, "default": DEFAULT_EPSILON})],
     "pair-stats": [("--pair-stats", {"required": True, "help": "pair_stats.csv from zscore"})],
     "classification": [("--classification", {"required": True,
                                              "help": "classification.csv from classify"})],
@@ -465,21 +476,23 @@ FLAG_GROUPS: dict[str, list[tuple[str, dict]]] = {
         ("--dump-shuffled", {"default": None,
                              "help": "directory for a TSV dump of the shuffled corpus"}),
     ],
-    "bench": [("--algorithms", {"default": "repcs,umsj"})],
-    # Each dest is the SynthConfig field the flag sets.
+    "bench": [("--algorithms", {"default": ",".join(ALGORITHMS)})],
+    # Each dest is the SynthConfig field the flag sets; its default is that field's.
     "synth": [
-        ("--disciplines", {"dest": "n_disciplines", "type": int, "default": 3}),
-        ("--journals-per-discipline", {"type": int, "default": 4}),
-        ("--pubs-per-discipline", {"type": _int_or_list, "default": 200}),
-        ("--ref-pool", {"dest": "ref_pool_per_discipline", "type": _int_or_list,
-                        "default": 800}),
-        ("--refs-mean", {"type": float, "default": 8.0}),
-        ("--refs-dispersion", {"type": float, "default": 0.3}),
-        ("--p-intra", {"type": float, "default": 0.9}),
-        ("--skew", {"type": float, "default": 0.5}),
-        ("--year", {"dest": "slice_year", "type": int, "default": 1995}),
-        ("--ref-years", {"dest": "n_ref_years", "type": int, "default": 5}),
-        ("--seed", {"type": int, "default": 0}),
+        (flag, {"dest": dest, "type": kind, "default": getattr(SynthConfig, dest)})
+        for flag, dest, kind in (
+            ("--disciplines", "n_disciplines", int),
+            ("--journals-per-discipline", "journals_per_discipline", int),
+            ("--pubs-per-discipline", "pubs_per_discipline", _int_or_list),
+            ("--ref-pool", "ref_pool_per_discipline", _int_or_list),
+            ("--refs-mean", "refs_mean", float),
+            ("--refs-dispersion", "refs_dispersion", float),
+            ("--p-intra", "p_intra", float),
+            ("--skew", "skew", float),
+            ("--year", "slice_year", int),
+            ("--ref-years", "n_ref_years", int),
+            ("--seed", "seed", int),
+        )
     ],
 }
 

@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 PUB_COLUMNS = ("pub_id", "year", "journal_id", "citations_8yr")
 REF_COLUMNS = ("ref_id", "year", "journal_id", "subject")
@@ -111,10 +111,14 @@ class CorpusSummary:
     ratio: float
 
 
-def _read_rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, fields) for a TSV file, validating the header."""
+def read_rows(path: str | Path, columns: tuple[str, ...],
+              delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
+    """Yield (line_number, fields) for a table file, validating the header.
+
+    Blank lines are skipped; a row of the wrong width raises IngestError.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t")
+        reader = csv.reader(fh, delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
@@ -129,6 +133,19 @@ def _read_rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list
                     f"{path}:{lineno}: expected {len(columns)} columns, found {len(row)}"
                 )
             yield lineno, row
+
+
+def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequence],
+               delimiter: str = ",") -> None:
+    """Write a header and rows: UTF-8, ``\\n`` line ends, minimal quoting.
+
+    ``csv`` writes a float as its shortest round-trip repr and None as an
+    empty field.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(rows)
 
 
 def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
@@ -181,7 +198,7 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     raw_refs: dict[str, tuple[int, str, str]] = {}
     ref_lines: dict[str, int] = {}
     journal_counts: Counter = Counter()
-    for lineno, (ref_id, year_s, journal_id, subject) in _read_rows(ref_path, REF_COLUMNS):
+    for lineno, (ref_id, year_s, journal_id, subject) in read_rows(ref_path, REF_COLUMNS, "\t"):
         year = _parse_int(year_s, ref_path, lineno, "year")
         if ref_id in raw_refs:
             raise IngestError(
@@ -206,7 +223,7 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     raw_pubs: dict[str, tuple[int, str, int]] = {}
     pub_order: list[str] = []
     pub_lines: dict[str, int] = {}
-    for lineno, (pub_id, year_s, journal_id, cites_s) in _read_rows(pub_path, PUB_COLUMNS):
+    for lineno, (pub_id, year_s, journal_id, cites_s) in read_rows(pub_path, PUB_COLUMNS, "\t"):
         year = _parse_int(year_s, pub_path, lineno, "year")
         cites = _parse_int(cites_s, pub_path, lineno, "citations_8yr")
         if cites < 0:
@@ -244,7 +261,7 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
 
     pub_refs: dict[str, list[str]] = {p: [] for p in pub_order}
     seen_cites: set[tuple[str, str]] = set()
-    for lineno, (pub_id, ref_id) in _read_rows(cite_path, CITE_COLUMNS):
+    for lineno, (pub_id, ref_id) in read_rows(cite_path, CITE_COLUMNS, "\t"):
         if pub_id not in pub_refs:
             diags.dropped[DROP_CITE_UNKNOWN_PUB] += 1
             continue
@@ -291,23 +308,14 @@ def export_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         "references": out / "references.tsv",
         "citations": out / "citations.tsv",
     }
-    with open(paths["publications"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        w.writerow(PUB_COLUMNS)
-        for p in corpus.publications:
-            w.writerow([p.pub_id, p.year, p.journal_id, p.citations_8yr])
-    with open(paths["references"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        w.writerow(REF_COLUMNS)
-        for rid in sorted(corpus.references):
-            r = corpus.references[rid]
-            w.writerow([r.ref_id, r.year, r.journal_id, r.subject])
-    with open(paths["citations"], "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, delimiter="\t", lineterminator="\n")
-        w.writerow(CITE_COLUMNS)
-        for p in corpus.publications:
-            for rid in p.refs:
-                w.writerow([p.pub_id, rid])
+    write_rows(paths["publications"], PUB_COLUMNS,
+               ((p.pub_id, p.year, p.journal_id, p.citations_8yr) for p in corpus.publications),
+               "\t")
+    refs = (corpus.references[rid] for rid in sorted(corpus.references))
+    write_rows(paths["references"], REF_COLUMNS,
+               ((r.ref_id, r.year, r.journal_id, r.subject) for r in refs), "\t")
+    write_rows(paths["citations"], CITE_COLUMNS,
+               ((p.pub_id, rid) for p in corpus.publications for rid in p.refs), "\t")
     return paths
 
 

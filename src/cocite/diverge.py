@@ -8,13 +8,12 @@ citation composition before and after a single shuffle.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .corpus import Corpus
+from .corpus import Corpus, write_rows
 from .pairs import JournalPairTable
 from .shuffle import ShuffleOutcome
 
@@ -121,20 +120,14 @@ def composition_fold(before: Corpus, after: ShuffleOutcome,
 
 
 def write_composition_csv(rows: Sequence[CompositionRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["subject", "o", "s", "fold"])
-        for row in rows:
-            w.writerow([row.subject, row.o, row.s, row.fold])
+    write_rows(path, ("subject", "o", "s", "fold"),
+               ((row.subject, row.o, row.s, row.fold) for row in rows))
 
 
 def write_divergence_csv(rows: Sequence[DivergenceResult], path: str | Path,
                          ratio: float | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["corpus", "year", "background", "kld", "n_support", "epsilon", "ratio"])
-        for i, row in enumerate(rows):
-            r = repr(ratio) if ratio is not None and i == len(rows) - 1 else ""
-            w.writerow([row.corpus_tag, "" if row.year is None else row.year,
-                        row.background, repr(row.kld), row.n_support,
-                        repr(row.epsilon), r])
+    """One row per background; ``ratio`` fills the last row's ratio field."""
+    write_rows(path, ("corpus", "year", "background", "kld", "n_support", "epsilon", "ratio"),
+               ((row.corpus_tag, row.year, row.background, row.kld, row.n_support,
+                 row.epsilon, ratio if i == len(rows) - 1 else None)
+                for i, row in enumerate(rows)))

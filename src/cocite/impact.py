@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -11,7 +10,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classify import CATEGORIES, PubSummary
-from .corpus import Publication
+from .corpus import Publication, write_rows
 
 HIT_PERCENTILES = (1, 2, 5, 10)
 
@@ -148,11 +147,8 @@ def hit_report(summaries: Sequence[PubSummary], hits: set[str]) -> HitReport:
 
 
 def write_hit_report_csv(report: HitReport, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["category", "n_articles", "n_hits", "hit_rate"])
-        for row in report.categories:
-            w.writerow([row.category, row.n_articles, row.n_hits, repr(row.hit_rate)])
+    write_rows(path, ("category", "n_articles", "n_hits", "hit_rate"),
+               ((r.category, r.n_articles, r.n_hits, r.hit_rate) for r in report.categories))
 
 
 def write_hit_tests_json(report: HitReport, path: str | Path) -> None:

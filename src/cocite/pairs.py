@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -10,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, write_rows
 from .indexing import CorpusIndex
 
 
@@ -66,8 +65,5 @@ def index_frequencies(idx: CorpusIndex) -> JournalPairTable:
 
 
 def write_pair_csv(table: JournalPairTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["journal_a", "journal_b", "frequency"])
-        for pair in sorted(table.counts):
-            w.writerow([pair.a, pair.b, table.counts[pair]])
+    write_rows(path, ("journal_a", "journal_b", "frequency"),
+               ((*pair, table.counts[pair]) for pair in sorted(table.counts)))

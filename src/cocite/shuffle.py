@@ -20,10 +20,8 @@ reproducible for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
-
 import numpy as np
 
 from .corpus import Corpus
@@ -33,47 +31,15 @@ from .rng import group_stream
 _UMSJ_DRAW_CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class PermutationGroup:
-    """Citation slots whose references share a publication year."""
+class GroupPlan:
+    """A corpus index and the background its year groups permute over.
 
-    year: int
-    slot_indices: np.ndarray = field(repr=False)
-    index: CorpusIndex = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.slot_indices)
-
-    def slots(self) -> list[tuple[str, int]]:
-        """(pub_id, position) per slot, in group order."""
-        idx = self.index
-        pubs = idx.slot_pub[self.slot_indices]
-        pos = self.slot_indices - idx.pool_pub_ptr[pubs]
-        return [
-            (idx.pool_pub_ids[p], int(q)) for p, q in zip(pubs.tolist(), pos.tolist())
-        ]
-
-    def tokens(self) -> list[str]:
-        """Reference ids occupying the slots before any shuffle."""
-        idx = self.index
-        return [idx.ref_ids[t] for t in idx.slot_ref[self.slot_indices].tolist()]
-
-
-class GroupPlan(Sequence):
-    """Permutation groups plus the corpus/pool context they were built from."""
+    The groups live on the index (``group_years``, ``group_slots`` and
+    ``group_tokens``), in the order that fixes each group's random stream.
+    """
 
     def __init__(self, index: CorpusIndex):
         self.index = index
-        self.groups = [
-            PermutationGroup(year, slots, index)
-            for year, slots in zip(index.group_years, index.group_slots)
-        ]
-
-    def __len__(self) -> int:
-        return len(self.groups)
-
-    def __getitem__(self, i):
-        return self.groups[i]
 
     @property
     def background(self) -> str:
@@ -188,8 +154,8 @@ def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
     for t, p in zip(tokens, slot_pub):
         held[p].add(t)
     exhausted = 0
-    for gi, g in enumerate(plan.groups):
-        slots = g.slot_indices.tolist()
+    for gi, group in enumerate(idx.group_slots):
+        slots = group.tolist()
         n = len(slots)
         if n < 2:
             exhausted += n  # no partner slot exists

@@ -10,7 +10,6 @@ by construction.
 
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 import time
@@ -23,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, IngestError, read_rows, write_rows
 from .indexing import DENSE_PAIR_LIMIT
 from .pairs import JournalPair, JournalPairTable
 from .shuffle import GroupPlan, build_groups, umsj_shuffle, _permuted_tokens
@@ -32,6 +31,8 @@ ALGORITHMS = ("repcs", "umsj")
 BACKGROUNDS = ("local", "global")
 # The steps of one simulation, timed cumulatively in SimResult.layer_s.
 SIM_LAYERS = ("permute", "dedupe", "pair_count", "accumulate")
+# Header of pair_stats.csv, shared by its writer and reader.
+PAIR_STATS_COLUMNS = ("journal_a", "journal_b", "f_obs", "f_exp", "sigma", "z", "defined_flag")
 
 
 class WorkerError(RuntimeError):
@@ -384,34 +385,24 @@ def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
 
 
 def write_pair_stats_csv(stats: Sequence[PairStats], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["journal_a", "journal_b", "f_obs", "f_exp", "sigma", "z", "defined_flag"])
-        for ps in stats:
-            z = "" if ps.z is None else repr(ps.z)
-            w.writerow([ps.pair.a, ps.pair.b, ps.f_obs, repr(ps.f_exp), repr(ps.sigma),
-                        z, int(ps.z is not None)])
+    write_rows(path, PAIR_STATS_COLUMNS,
+               ((*ps.pair, ps.f_obs, ps.f_exp, ps.sigma, ps.z, int(ps.z is not None))
+                for ps in stats))
 
 
 def read_pair_stats_csv(path: str | Path) -> list[PairStats]:
     out: list[PairStats] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        expected = ["journal_a", "journal_b", "f_obs", "f_exp", "sigma", "z", "defined_flag"]
-        if header != expected:
-            raise ValueError(f"{path}: bad pair-stats header {header!r}")
-        for row in reader:
-            z = float(row[5]) if row[6] == "1" else None
-            out.append(PairStats(JournalPair(row[0], row[1]), int(row[2]),
-                                 float(row[3]), float(row[4]), z))
+    for lineno, (a, b, f_obs, f_exp, sigma, z, defined) in read_rows(path, PAIR_STATS_COLUMNS):
+        if defined not in ("0", "1"):
+            raise IngestError(f"{path}:{lineno}: defined_flag must be 0 or 1, got {defined!r}")
+        try:
+            out.append(PairStats(JournalPair(a, b), int(f_obs), float(f_exp), float(sigma),
+                                 float(z) if defined == "1" else None))
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from None
     return out
 
 
 def write_pair_means_csv(sims: Mapping, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["journal_a", "journal_b", "f_exp", "sigma"])
-        for pair in sorted(sims):
-            mean, sigma = sims[pair]
-            w.writerow([pair[0], pair[1], repr(mean), repr(sigma)])
+    write_rows(path, ("journal_a", "journal_b", "f_exp", "sigma"),
+               ((*pair, *sims[pair]) for pair in sorted(sims)))

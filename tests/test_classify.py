@@ -14,7 +14,7 @@ from cocite import (
     run_simulations,
     zscores,
 )
-from cocite.classify import PubSummary
+from cocite.classify import PubSummary, read_summaries_csv, write_summaries_csv
 from cocite.corpus import Corpus, Publication, ReferenceRecord
 from cocite.pairs import JournalPair
 from cocite.simulate import PairStats
@@ -283,3 +283,13 @@ def test_consistent_journal_relabeling_keeps_categories():
         return {s.pub_id: s.category for s in labeled}
 
     assert categories(corpus) == categories(_relabel(corpus, mapping))
+
+
+def test_summaries_csv_round_trips(tmp_path):
+    summaries = [
+        PubSummary('p,"1"', 0.1 + 0.2, -1 / 3, -2.5e-17, 4, "HNLC"),
+        PubSummary("p2", 1.0, 0.0, -0.0, 1),
+    ]
+    path = tmp_path / "classification.csv"
+    write_summaries_csv(summaries, path)
+    assert read_summaries_csv(path) == summaries

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -218,6 +219,61 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "non-integer year" in err
+
+
+def test_csv_rows_match_header_width_for_a_quoted_tag(synth_dir, tmp_path):
+    tag = "D00, 1995"
+    corpus = corpus_flags(synth_dir / "D00")
+    out = tmp_path / "out"
+    assert main(["summarize", *corpus, "--tag", tag, "--out", str(out / "summarize")]) == 0
+    assert main(["pipeline", *corpus, "--tag", tag, "--sims", "10", "--workers", "1",
+                 "--out", str(out / "pipeline")]) == 0
+    assert main(["bench", *corpus, "--sims", "2", "--out", str(out / "bench")]) == 0
+    written = sorted(out.rglob("*.csv"))
+    assert len(written) == 8
+    for path in written:
+        with open(path, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows, path
+        assert all(len(row) == len(header) for row in rows), path
+    with open(out / "summarize" / "summary.csv", encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1][0] == tag
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(synth_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("pipeline")
+    assert main(["pipeline", *corpus_flags(synth_dir / "D00"), "--sims", "10",
+                 "--workers", "1", "--out", str(out)]) == 0
+    return out
+
+
+def _corrupt(src, dst, lineno, edit):
+    """Copy a CSV with ``edit`` applied to the fields of one line."""
+    lines = src.read_text().splitlines(keepends=True)
+    fields = lines[lineno - 1].rstrip("\n").split(",")
+    lines[lineno - 1] = ",".join(edit(fields)) + "\n"
+    dst.write_text("".join(lines))
+    return dst
+
+
+@pytest.mark.parametrize("command,flag,name,edit", [
+    ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:-1]),
+    ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:3] + ["many"] + f[4:]),
+    ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:-1] + ["yes"]),
+    ("hits", "--classification", "classification.csv", lambda f: f[:-1]),
+    ("hits", "--classification", "classification.csv", lambda f: f[:4] + ["XX"] + f[5:]),
+], ids=["truncated-pair-stats", "non-numeric-f_exp", "non-binary-defined_flag",
+        "truncated-classification", "unknown-category"])
+def test_bad_table_row_exits_1_with_its_line(synth_dir, pipeline_dir, tmp_path, capsys,
+                                             command, flag, name, edit):
+    bad = _corrupt(pipeline_dir / name, tmp_path / name, 3, edit)
+    capsys.readouterr()
+    assert main([command, *corpus_flags(synth_dir / "D00"), flag, str(bad),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:3:" in err
+    assert "Traceback" not in err
 
 
 CHAIN_FILES = ("observed_pairs.csv", "pair_stats.csv", "classification.csv",

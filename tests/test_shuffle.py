@@ -32,17 +32,18 @@ def yeared_corpus(make_corpus):
 
 
 def test_groups_partition_by_reference_year(yeared_corpus):
-    plan = build_groups(yeared_corpus)
-    assert [(g.year, len(g)) for g in plan] == [(1980, 3), (1982, 2)]
-    for g in plan:
-        assert len(g.slots()) == len(g.tokens())
+    idx = build_groups(yeared_corpus).index
+    sizes = [(year, len(slots)) for year, slots in zip(idx.group_years, idx.group_slots)]
+    assert sizes == [(1980, 3), (1982, 2)]
+    for slots, group_tokens in zip(idx.group_slots, idx.group_tokens):
+        assert len(slots) == len(group_tokens)
 
 
 def test_local_groups_partition_citation_multiset(yeared_corpus):
-    plan = build_groups(yeared_corpus)
+    idx = build_groups(yeared_corpus).index
     tokens = Counter()
-    for g in plan:
-        tokens.update(g.tokens())
+    for group_tokens in idx.group_tokens:
+        tokens.update(idx.ref_ids[t] for t in group_tokens.tolist())
     cited = Counter(rid for p in yeared_corpus.publications for rid in p.refs)
     assert tokens == cited
 
@@ -68,8 +69,9 @@ def test_global_pool_token_can_enter_groups(make_corpus):
     )
     plan = build_groups(corpus, pool)
     assert plan.background == "global"
-    group_1980 = next(g for g in plan if g.year == 1980)
-    assert "extra80" in group_1980.tokens()
+    idx = plan.index
+    group_1980 = idx.group_tokens[idx.group_years.index(1980)]
+    assert "extra80" in [idx.ref_ids[t] for t in group_1980.tolist()]
     # Some seed hands the pool-only token to an analyzed publication.
     seen = False
     for seed in range(40):
@@ -216,9 +218,9 @@ def test_both_algorithms_preserve_group_token_multisets():
     plan = build_groups(corpus)
     idx = plan.index
     for outcome in (repcs_shuffle(plan, 5), umsj_shuffle(plan, 5)):
-        for g in plan:
-            before = np.sort(idx.slot_ref[g.slot_indices])
-            after = np.sort(outcome._assignment[g.slot_indices])
+        for slots in idx.group_slots:
+            before = np.sort(idx.slot_ref[slots])
+            after = np.sort(outcome._assignment[slots])
             assert np.array_equal(before, after)
 
 

@@ -14,7 +14,13 @@ from cocite import (
     zscores,
 )
 from cocite.pairs import JournalPair, JournalPairTable
-from cocite.simulate import PairStats, benchmark_algorithms, pair_mean_sigma
+from cocite.simulate import (
+    PairStats,
+    benchmark_algorithms,
+    pair_mean_sigma,
+    read_pair_stats_csv,
+    write_pair_stats_csv,
+)
 from cocite.synth import SynthConfig, generate
 
 
@@ -316,3 +322,15 @@ def test_journal_product_refuses_squared_counts_past_2_53(make_corpus):
     idx.c_counts = np.array([1 << 26, 1 << 26], np.int64)
     with pytest.raises(ValueError, match="2\\^53"):
         idx.pair_key_counts(idx.slot_ref)
+
+
+def test_pair_stats_csv_round_trips(tmp_path):
+    quoted = 'J,"1"'
+    stats = [
+        PairStats(JournalPair("J-A", quoted), 3, 0.1 + 0.2, 1 / 3, (3 - 0.3) / (1 / 3)),
+        PairStats(JournalPair(quoted, quoted), 0, 0.0, 0.0, None),
+        PairStats(JournalPair("J-B", "J-C"), 7, 7.0, 1e-300, 0.0),
+    ]
+    path = tmp_path / "pair_stats.csv"
+    write_pair_stats_csv(stats, path)
+    assert read_pair_stats_csv(path) == stats
