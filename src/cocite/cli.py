@@ -76,6 +76,7 @@ from .simulate import (
     SimResult,
     WorkerError,
     benchmark_algorithms,
+    check_algorithms,
     read_pair_stats_csv,
     simulate_plan,
     undefined_pair_count,
@@ -388,6 +389,7 @@ def cmd_synth(run: Run) -> None:
 def cmd_bench(run: Run) -> None:
     a = run.args
     algorithms = [alg for alg in a.algorithms.split(",") if alg]
+    check_algorithms(algorithms)
     corpus, pool = run.inputs
     timings = benchmark_algorithms(corpus, pool, algorithms=algorithms, n_simulations=a.sims,
                                    master_seed=a.seed, umsj_max_retries=a.max_retries)

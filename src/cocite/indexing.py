@@ -27,8 +27,15 @@ class CorpusIndex:
     The pool supplies the reference universe and the citation slots that
     shuffling permutes; the analyzed corpus is the subset of publications
     whose statistics are read back out. For a local background the two
-    coincide. Slot order is publication-major in pool order, which fixes
-    the layout every deterministic contract builds on.
+    coincide. Pool slots are numbered publication-major in pool order.
+
+    Read-back vectors are group-major: year group 0's analyzed slots come
+    first, then group 1's, each group's in pool-slot order. A shuffle
+    then rewrites each group's slice of the vector in place.
+    ``c_slot_index`` holds the pool slot of each position, ``c_tokens``
+    the tokens before any shuffle and ``c_slot_pub`` the analyzed
+    publication row; ``tokens[corpus_order]`` lists the same slots in
+    corpus order, publication by publication, bounded by ``c_pub_ptr``.
     """
 
     def __init__(self, corpus: Corpus, pool: Corpus | None = None):
@@ -65,42 +72,36 @@ class CorpusIndex:
             raise ValueError(f"citation to unknown reference {exc.args[0]!r}") from None
         self.slot_ref = np.asarray(flat, dtype=np.int64)
         self.slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)
-        # Slot positions and slot pairs fit int32 below 2^31 slots.
-        self._pos_dtype = np.int32 if len(self.slot_ref) < 1 << 31 else np.int64
 
-        # Permutation groups: pool slots keyed by reference year, slot
-        # order preserved within each group, with the tokens they start with.
-        if len(self.slot_ref):
-            slot_year = self.ref_year[self.slot_ref]
-            order = np.argsort(slot_year, kind="stable")
-            yvals, starts = np.unique(slot_year[order], return_index=True)
-            bounds = np.append(starts, len(order))
-            self.group_years = [int(y) for y in yvals]
-            order = order.astype(self._pos_dtype)
-            self.group_slots = [order[bounds[i]: bounds[i + 1]] for i in range(len(yvals))]
-            self.group_tokens = [self.slot_ref[slots] for slots in self.group_slots]
+        # Permutation groups: pool slots keyed by reference year, slot order
+        # preserved within each group. ``pool_tokens`` holds the groups'
+        # tokens one group after another, group g in [group_ptr[g], group_ptr[g + 1]).
+        slot_year = self.ref_year[self.slot_ref]
+        order = np.argsort(slot_year, kind="stable")
+        yvals, starts = np.unique(slot_year[order], return_index=True)
+        self.group_years = [int(y) for y in yvals]
+        self.group_ptr = np.append(starts, len(order))
+        self.pool_tokens = self.slot_ref[order]
+        spans = list(zip(self.group_ptr[:-1].tolist(), self.group_ptr[1:].tolist()))
+        self.group_slots = [order[lo:hi] for lo, hi in spans]
+        self.group_tokens = [self.pool_tokens[lo:hi] for lo, hi in spans]
+        if n_refs:
             self._year_min = int(self.ref_year.min())
             self._n_year_bins = int(self.ref_year.max()) - self._year_min + 1
         else:
-            self.group_years = []
-            self.group_slots = []
-            self.group_tokens = []
             self._year_min = 0
             self._n_year_bins = 1
 
-        # Analyzed-corpus read-back: flat slot ids in corpus order, and the
-        # tokens they hold before any shuffle.
+        # Analyzed-corpus read-back. ``readback_pos`` holds the positions in
+        # ``pool_tokens`` of the analyzed slots, or None for a local index,
+        # whose read-back vector is ``pool_tokens`` itself.
         self.c_pub_ids = [p.pub_id for p in corpus.publications]
         n_cpubs = len(self.c_pub_ids)
         if self.local:
-            c_counts = counts
-            self.c_pub_ptr = self.pool_pub_ptr
-            self.c_slot_index = np.arange(len(self.slot_ref), dtype=np.int64)
-            self.c_tokens = self.slot_ref
-            self.c_slot_pub = self.slot_pub
+            self._pool_rows = np.arange(n_pool)
         else:
             pub_row = {pid: i for i, pid in enumerate(self.pool_pub_ids)}
-            rows = np.empty(n_cpubs, np.int64)
+            self._pool_rows = np.empty(n_cpubs, np.intp)
             for i, p in enumerate(corpus.publications):
                 r = pub_row.get(p.pub_id)
                 if r is None:
@@ -111,27 +112,47 @@ class CorpusIndex:
                     raise ValueError(
                         f"publication {p.pub_id!r} cites different references in the pool"
                     )
-                rows[i] = r
-            c_counts = counts[rows] if n_cpubs else np.zeros(0, np.int64)
-            self.c_pub_ptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(c_counts)])
-            if n_cpubs:
-                self.c_slot_index = np.concatenate(
-                    [np.arange(self.pool_pub_ptr[r], self.pool_pub_ptr[r + 1]) for r in rows]
-                )
-            else:
-                self.c_slot_index = np.zeros(0, np.int64)
-            self.c_tokens = self.slot_ref[self.c_slot_index]
-            self.c_slot_pub = np.repeat(np.arange(n_cpubs, dtype=np.int64), c_counts)
-        self.c_counts = c_counts
+                self._pool_rows[i] = r
+        self.c_counts = counts[self._pool_rows]
+        self.c_pub_ptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(self.c_counts)])
+        if self.local:
+            self.readback_pos = None
+            self.c_slot_index = order
+            self.c_tokens = self.pool_tokens
+        else:
+            analyzed = np.zeros(len(order), bool)
+            corpus_slots = self._corpus_slots()
+            analyzed[corpus_slots] = True
+            self.readback_pos = np.flatnonzero(analyzed[order])
+            if len(self.readback_pos) != len(corpus_slots):
+                raise ValueError("the corpus lists a publication more than once")
+            self.c_slot_index = order[self.readback_pos]
+            self.c_tokens = self.pool_tokens[self.readback_pos]
+        row_of_pool = np.empty(n_pool, np.int64)
+        row_of_pool[self._pool_rows] = np.arange(n_cpubs)
+        self.c_slot_pub = row_of_pool[self.slot_pub[self.c_slot_index]]
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _corpus_slots(self) -> np.ndarray:
+        """Pool slots of the analyzed corpus, in corpus order."""
+        shift = self.pool_pub_ptr[self._pool_rows] - self.c_pub_ptr[:-1]
+        return np.repeat(shift, self.c_counts) + np.arange(self.c_pub_ptr[-1])
 
     # The read-back data below is built on first use, so that building an
     # index costs no more than the groups need.
 
     @cached_property
+    def corpus_order(self) -> np.ndarray:
+        """Position in a read-back vector of each analyzed slot, in corpus order."""
+        where = np.empty(len(self.slot_ref), np.intp)
+        where[self.c_slot_index] = np.arange(len(self.c_slot_index))
+        return where[self._corpus_slots()]
+
+    @cached_property
     def _buckets(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Per reference count n: the analyzed rows with n references and the
-        rows x n matrix of their positions in the read-back vector.
+        rows x n matrix of their slots' read-back positions, each row in
+        the publication's reference order.
 
         Rectangular matrices let duplicate detection and pair extraction
         vectorize.
@@ -139,27 +160,15 @@ class CorpusIndex:
         buckets = []
         for n in np.unique(self.c_counts).tolist():
             rows = np.flatnonzero(self.c_counts == n)
-            mat = self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]
-            buckets.append((n, rows, mat.astype(self._pos_dtype)))
+            mat = self.corpus_order[self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]]
+            buckets.append((n, rows, mat))
         return buckets
 
     @cached_property
-    def group_readback(self) -> list[tuple[np.ndarray | None, np.ndarray]]:
-        """Per permutation group, where its analyzed slots sit: their
-        positions within the group (None when every slot of the group is
-        analyzed) and their positions in the read-back vector."""
-        where = np.full(len(self.slot_ref), -1, self._pos_dtype)
-        where[self.c_slot_index] = np.arange(len(self.c_slot_index), dtype=self._pos_dtype)
-        out = []
-        for slots in self.group_slots:
-            dst = where[slots]
-            if dst.min(initial=0) >= 0:
-                # Every slot analyzed; a local index reads back slot order itself.
-                out.append((None, slots if np.array_equal(dst, slots) else dst))
-            else:
-                pos = np.flatnonzero(dst >= 0).astype(self._pos_dtype)
-                out.append((pos, dst[pos]))
-        return out
+    def _pub_key(self) -> np.ndarray:
+        """Each read-back position's row offset, c_slot_pub * n_journals, in
+        the flattened publication x journal count matrix."""
+        return self.c_slot_pub * self.n_journals
 
     @cached_property
     def same_year_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -172,24 +181,24 @@ class CorpusIndex:
         exactly when one of these pairs holds equal tokens. The pairs are
         sorted by a, so that gathering their tokens walks the vector in order.
         """
-        # One key per (publication, year); keys start at 0, above the -1
-        # that opens the first run.
+        # A publication's slots of one year are adjacent in the group-major
+        # vector: one group, in pool-slot order. One key per (publication,
+        # year); keys start at 0, above the -1 that opens the first run.
         key = self.c_slot_pub * self._n_year_bins
         key += self.ref_year[self.c_tokens]
         key -= self._year_min
-        order = np.argsort(key, kind="stable").astype(self._pos_dtype)
-        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        starts = np.flatnonzero(np.diff(key, prepend=-1))
         del key
-        lengths = np.diff(starts, append=len(order))
+        lengths = np.diff(starts, append=len(self.c_tokens))
         n_pairs = int((lengths * (lengths - 1) // 2).sum())
-        if n_pairs > PAIRS_PER_SORTED_SLOT * len(order):
+        if n_pairs > PAIRS_PER_SORTED_SLOT * len(self.c_tokens):
             return None
-        a, b = [np.zeros(0, self._pos_dtype)], [np.zeros(0, self._pos_dtype)]
+        a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
         for h in np.unique(lengths[lengths > 1]).tolist():
             first = starts[lengths == h][:, None]
             iu = self._triu_of(h)
-            a.append(order[first + iu[0]].reshape(-1))
-            b.append(order[first + iu[1]].reshape(-1))
+            a.append((first + iu[0]).reshape(-1))
+            b.append((first + iu[1]).reshape(-1))
         a, b = np.concatenate(a), np.concatenate(b)
         by_a = np.argsort(a, kind="stable")
         return a[by_a], b[by_a]
@@ -268,11 +277,13 @@ class CorpusIndex:
         are pair instances to expand, the table is C^T C: a publication
         with journal counts c adds c_a*c_b to each cross pair and
         c_a*(c_a-1)/2 to each self-pair. C is built in row blocks of at
-        most ``DENSE_PAIR_LIMIT`` cells, and each block's product runs in
-        float64, which is exact because no cell or partial sum can exceed
-        the sum of squared reference counts; ValueError is raised when
-        that sum reaches 2^53. Otherwise the expanded keys are counted, in
-        the dense table or, past ``DENSE_PAIR_LIMIT``, sorted.
+        most ``DENSE_PAIR_LIMIT`` cells, each from its publications' slots
+        (read through ``corpus_order`` when there are several blocks).
+        Each block's product and column sums run in float64, which is
+        exact because no cell or partial sum can exceed the sum of squared
+        reference counts; ValueError is raised when that sum reaches 2^53.
+        Otherwise the expanded keys are counted, in the dense table or,
+        past ``DENSE_PAIR_LIMIT``, sorted.
         """
         J = self.n_journals
         n_pubs = len(self.c_pub_ids)
@@ -295,6 +306,7 @@ class CorpusIndex:
                 f"the squared reference counts sum to {square_sum}, past 2^53, where "
                 "float64 journal-pair products stop being exact"
             )
+        journals = self.ref_journal[tokens]
         excluded = np.zeros(n_pubs, bool)
         if exclude_rows is not None:
             excluded[exclude_rows] = True
@@ -303,15 +315,18 @@ class CorpusIndex:
         block = DENSE_PAIR_LIMIT // J
         for r0 in range(0, n_pubs, block):
             r1 = min(r0 + block, n_pubs)
-            s0, s1 = self.c_pub_ptr[r0], self.c_pub_ptr[r1]
-            key = self.c_slot_pub[s0:s1] - r0
-            key *= J
-            key += self.ref_journal[tokens[s0:s1]]
+            if r1 - r0 == n_pubs:
+                key = self._pub_key + journals
+            else:
+                # This block's slots, gathered through the corpus-order map.
+                pos = self.corpus_order[self.c_pub_ptr[r0]:self.c_pub_ptr[r1]]
+                key = self._pub_key[pos] + journals[pos]
+                key -= r0 * J
             C = np.bincount(key, minlength=(r1 - r0) * J).reshape(r1 - r0, J)
             C[excluded[r0:r1]] = 0
-            col_sums += C.sum(axis=0)
             Cf = C.astype(np.float64)
             table += (Cf.T @ Cf).astype(np.int64)
+            col_sums += (np.ones(r1 - r0) @ Cf).astype(np.int64)
         diag = np.arange(J)
         table[diag, diag] = (table[diag, diag] - col_sums) // 2
         flat = np.triu(table).reshape(-1)

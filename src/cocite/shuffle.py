@@ -35,7 +35,8 @@ class GroupPlan:
     """A corpus index and the background its year groups permute over.
 
     The groups live on the index (``group_years``, ``group_slots`` and
-    ``group_tokens``), in the order that fixes each group's random stream.
+    ``group_tokens``, the slices of ``pool_tokens`` that ``group_ptr``
+    bounds), in the order that fixes each group's random stream.
     """
 
     def __init__(self, index: CorpusIndex):
@@ -67,10 +68,11 @@ class ShuffleOutcome:
     """Result of one citation shuffle of an analyzed corpus.
 
     ``_assignment`` is the read-back vector: the analyzed slots' tokens
-    after the shuffle, in corpus order (for a local background, every
-    slot). ``corpus`` materializes lazily; the reporting helpers read the
-    vector itself, so that composition can also be inspected before the
-    duplicate-deletion step.
+    after the shuffle, group-major like ``CorpusIndex.c_tokens`` (for a
+    local background, every slot). ``corpus`` materializes lazily, reading
+    the vector in corpus order through ``CorpusIndex.corpus_order``; the
+    reporting helpers read the vector itself, so that composition can also
+    be inspected before the duplicate-deletion step.
     """
 
     def __init__(self, plan: GroupPlan, assignment: np.ndarray, deleted_rows: np.ndarray,
@@ -91,12 +93,13 @@ class ShuffleOutcome:
         """Shuffled corpus with duplicate-holding publications removed."""
         idx = self._plan.index
         deleted = set(self._deleted_rows.tolist())
+        tokens = self._assignment[idx.corpus_order].tolist()
         pubs = []
         for row, pub in enumerate(idx.corpus.publications):
             if row in deleted:
                 continue
             lo, hi = idx.c_pub_ptr[row], idx.c_pub_ptr[row + 1]
-            refs = tuple(idx.ref_ids[t] for t in self._assignment[lo:hi].tolist())
+            refs = tuple(idx.ref_ids[t] for t in tokens[lo:hi])
             pubs.append(replace(pub, refs=refs))
         cited = {rid for p in pubs for rid in p.refs}
         references = {rid: idx.pool.references[rid] for rid in sorted(cited)}
@@ -111,17 +114,18 @@ class ShuffleOutcome:
 def _permuted_tokens(plan: GroupPlan, master_seed: int, sim_index: int) -> np.ndarray:
     """The read-back vector after one repcs permutation.
 
-    Each group of two or more pool slots draws one permutation of its
-    tokens; only the analyzed slots' new tokens are gathered, straight
-    into corpus order.
+    Each group of two or more pool slots shuffles its slice of the pool's
+    group-major tokens in place. ``Generator.shuffle`` makes the draws of
+    ``permutation(n)`` and leaves the slice equal to ``tokens[perm]``. A
+    global background then gathers its analyzed slots once.
     """
     idx = plan.index
-    out = idx.c_tokens.copy()
-    for gi, (tokens, (pos, dst)) in enumerate(zip(idx.group_tokens, idx.group_readback)):
-        if len(tokens) > 1:  # identity is the only permutation of fewer slots
-            perm = group_stream(master_seed, sim_index, gi).permutation(len(tokens))
-            out[dst] = tokens[perm if pos is None else perm[pos]]
-    return out
+    out = idx.pool_tokens.copy()
+    ptr = idx.group_ptr.tolist()
+    for gi, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
+        if hi - lo > 1:  # identity is the only permutation of fewer slots
+            group_stream(master_seed, sim_index, gi).shuffle(out[lo:hi])
+    return out if idx.readback_pos is None else out[idx.readback_pos]
 
 
 def repcs_shuffle(plan: GroupPlan, rng_seed: int, *, sim_index: int = 0) -> ShuffleOutcome:

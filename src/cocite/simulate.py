@@ -276,10 +276,11 @@ def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
             f"{n} simulations of up to {pairs_bound} pairs each could overflow the int64 "
             "sum-of-squares accumulator; use fewer simulations"
         )
+    # Build the read-back data here, before any worker forks, so that
+    # every worker shares one copy.
+    idx.corpus_order, idx._buckets, idx._pub_key
     if cfg.algorithm == "repcs":
-        # Build the read-back data here, before any worker forks, so that
-        # every worker shares one copy.
-        idx.group_readback, idx.same_year_pairs
+        idx.same_year_pairs
     workers = min(cfg.workers, n)
     if workers > 1:
         bounds = []
@@ -358,6 +359,18 @@ def sign_change_report(stats_a: Sequence[PairStats], stats_b: Sequence[PairStats
     return changed / common if common else 0.0
 
 
+def check_algorithms(algorithms: Sequence[str]) -> None:
+    """Raise ValueError unless ``algorithms`` names at least one algorithm,
+    each known and none twice."""
+    if not algorithms:
+        raise ValueError("no algorithm to benchmark")
+    for i, alg in enumerate(algorithms):
+        if alg not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {alg!r}; choose from {', '.join(ALGORITHMS)}")
+        if alg in algorithms[:i]:
+            raise ValueError(f"algorithm {alg!r} is listed twice")
+
+
 def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
                          algorithms: Sequence[str] = ALGORITHMS,
                          n_simulations: int = 10, master_seed: int = 0,
@@ -369,11 +382,10 @@ def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
     """
     from .shuffle import repcs_shuffle
 
+    check_algorithms(algorithms)
     plan = build_groups(corpus, pool)
     timings: dict[str, float] = {}
     for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {alg!r}")
         start = time.perf_counter()
         for s in range(n_simulations):
             if alg == "repcs":

@@ -153,6 +153,21 @@ def test_bench_writes_timing_table(synth_dir, tmp_path):
     assert {row.split(",")[0] for row in lines[1:]} == {"repcs", "umsj"}
 
 
+@pytest.mark.parametrize("algorithms,message", [
+    ("repcs,repcs", "algorithm 'repcs' is listed twice"),
+    ("repcs,bogus", "unknown algorithm 'bogus'"),
+    ("", "no algorithm to benchmark"),
+])
+def test_bench_refuses_bad_algorithm_list_before_reading(tmp_path, capsys, algorithms,
+                                                          message):
+    # The corpus files do not exist, so reading them first would fail differently.
+    code = main(["bench", *corpus_flags(tmp_path / "missing"), "--algorithms", algorithms,
+                 "--sims", "2", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bench.csv").exists()
+
+
 def test_classify_and_hits_compose_from_files(synth_dir, tmp_path):
     zdir = tmp_path / "z"
     assert main([

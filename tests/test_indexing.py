@@ -1,10 +1,13 @@
 """The analyzed-slot read-back kernel against naive oracles.
 
-A repcs simulation reads back only the analyzed slots' tokens, in corpus
-order, and deletes duplicates either by comparing same-year slot pairs or
+A repcs simulation shuffles each year group's slice of a group-major
+token vector in place and reads back only the analyzed slots, group by
+group. It deletes duplicates either by comparing same-year slot pairs or
 by sorting each publication's tokens. The oracles here and the
 ``repcs_oracle`` fixture walk publications and their reference lists in
-Python instead.
+Python instead, in corpus order, and draw each group's permutation with
+``permutation(n)``; the tests compare the two through the index's
+corpus-order position map, ``corpus_order``.
 """
 
 from collections import Counter
@@ -65,7 +68,8 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
     for s in range(6):
         refs = repcs_oracle(corpus, pool, 5, s)
         tokens = _permuted_tokens(plan, 5, s)
-        assert [idx.ref_ids[t] for t in tokens.tolist()] == [r for rr in refs for r in rr]
+        in_corpus_order = tokens[idx.corpus_order].tolist()
+        assert [idx.ref_ids[t] for t in in_corpus_order] == [r for rr in refs for r in rr]
 
         deleted = idx.duplicate_pub_rows(tokens)
         expected = [row for row, rr in enumerate(refs) if len(set(rr)) != len(rr)]
@@ -104,21 +108,61 @@ def test_pair_check_sees_a_reference_cited_twice(make_corpus, repcs_oracle, back
     pool = pool if background == "global" else None
     plan = build_groups(corpus, pool)
     idx = plan.index
-    assert [a.tolist() for a in idx.same_year_pairs] == [[0, 5], [2, 6]]
+    # Corpus positions (0, 2) and (5, 6); the 1980 group precedes the 1990 one.
+    pos = idx.corpus_order
+    assert [a.tolist() for a in idx.same_year_pairs] == [pos[[5, 0]].tolist(),
+                                                          pos[[6, 2]].tolist()]
     assert idx.duplicate_pub_rows(idx.c_tokens).tolist() == [0]
     assert idx._duplicates_by_sorting(idx.c_tokens).tolist() == [0]
     for s in range(4):
         tokens = _permuted_tokens(plan, 2, s)
         expected = [r for rr in repcs_oracle(corpus, pool, 2, s) for r in rr]
-        assert [idx.ref_ids[t] for t in tokens.tolist()] == expected
+        assert [idx.ref_ids[t] for t in tokens[pos].tolist()] == expected
         assert np.array_equal(tokens, repcs_shuffle(plan, 2, sim_index=s)._assignment)
-        assert tokens[7] == idx.c_tokens[7]
+        assert tokens[pos[7]] == idx.c_tokens[pos[7]]
 
 
-def test_read_back_data_is_built_on_first_use():
-    plan = build_groups(generate(SynthConfig(n_disciplines=2, pubs_per_discipline=20,
-                                             ref_pool_per_discipline=50, seed=4)).pool)
-    lazy = ("_buckets", "group_readback", "same_year_pairs")
-    assert not any(name in vars(plan.index) for name in lazy)
+def test_global_index_refuses_a_publication_listed_twice(make_corpus):
+    refs = {"a": (1990, "JA", "s"), "b": (1991, "JB", "s")}
+    pubs = [("p1", "J", ["a", "b"], 0), ("p2", "J", ["b", "a"], 0)]
+    pool = make_corpus(pubs=pubs, refs=refs)
+    with pytest.raises(ValueError, match="more than once"):
+        CorpusIndex(make_corpus(pubs=[pubs[0], pubs[1], pubs[0]], refs=refs), pool)
+
+
+LAZY = ("corpus_order", "_buckets", "_pub_key", "same_year_pairs")
+
+
+def built(idx):
+    return [name for name in LAZY if name in vars(idx)]
+
+
+def test_read_back_data_is_built_on_first_use(monkeypatch):
+    import cocite.simulate as simulate
+
+    result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=20,
+                                  ref_pool_per_discipline=50, seed=4))
+    plan = build_groups(result.pool)
+    assert built(plan.index) == []
     _permuted_tokens(plan, 1, 0)
-    assert "group_readback" in vars(plan.index)
+    assert built(plan.index) == []
+    repcs_shuffle(plan, 1).corpus
+    assert built(plan.index) == ["corpus_order", "same_year_pairs"]
+
+    # simulate_plan builds all of it in the parent before forking, so the
+    # workers share one copy.
+    fork_pool = simulate.ProcessPoolExecutor
+    for corpus, pool, background in ((result.pool, None, "local"),
+                                     (result.by_discipline["D01"], result.pool, "global")):
+        plan = build_groups(corpus, pool)
+        at_fork = []
+
+        def spy(*args, **kwargs):
+            at_fork.append(built(plan.index))
+            return fork_pool(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", spy)
+        simulate.simulate_plan(plan, simulate.SimConfig(n_simulations=4, background=background,
+                                                        workers=2))
+        assert at_fork == [list(LAZY)]
+        assert built(plan.index) == list(LAZY)

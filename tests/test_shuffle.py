@@ -219,8 +219,9 @@ def test_both_algorithms_preserve_group_token_multisets():
     idx = plan.index
     for outcome in (repcs_shuffle(plan, 5), umsj_shuffle(plan, 5)):
         for slots in idx.group_slots:
+            # A local index's corpus positions are its pool slots.
             before = np.sort(idx.slot_ref[slots])
-            after = np.sort(outcome._assignment[slots])
+            after = np.sort(outcome._assignment[idx.corpus_order[slots]])
             assert np.array_equal(before, after)
 
 

@@ -267,8 +267,13 @@ def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_
     one_row = idx.c_pub_ids.index("one-ref")
     same_bucket = np.flatnonzero(idx.c_counts == idx.c_counts[same_row])
     ref_index = {r: i for i, r in enumerate(idx.ref_ids)}
-    shuffled = [np.array([ref_index[r] for rr in repcs_oracle(corpus, pool, 9, s) for r in rr])
-                for s in range(5)]
+    shuffled = []
+    for s in range(5):
+        # The oracle lists references in corpus order; read-back vectors are group-major.
+        tokens = np.empty_like(idx.c_tokens)
+        tokens[idx.corpus_order] = [ref_index[r] for rr in repcs_oracle(corpus, pool, 9, s)
+                                    for r in rr]
+        shuffled.append(tokens)
     cases = []
     for tokens in [idx.c_tokens] + shuffled:
         deleted = idx.duplicate_pub_rows(tokens)
@@ -280,15 +285,21 @@ def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_
     with monkeypatch.context() as m:
         m.setattr(indexing.CorpusIndex, "bucket_pair_keys", refuse_expansion)
         product = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
+        # C built n_journals rows at a time: several blocks and a partial last
+        # one, each gathering its publications' slots from the group-major vector.
+        m.setattr(indexing, "DENSE_PAIR_LIMIT", idx.n_journals * idx.n_journals)
+        assert len(idx.c_pub_ids) > 2 * idx.n_journals
+        assert len(idx.c_pub_ids) % idx.n_journals
+        blocks = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
     expanded = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
-    for (pk, pc), (ek, ec) in zip(product, expanded):
-        assert pk.dtype == ek.dtype == pc.dtype == ec.dtype == np.int64
-        assert np.array_equal(pk, ek)
-        assert np.array_equal(pc, ec)
+    for (pk, pc), (bk, bc), (ek, ec) in zip(product, blocks, expanded):
+        assert pk.dtype == bk.dtype == ek.dtype == pc.dtype == bc.dtype == ec.dtype == np.int64
+        assert np.array_equal(pk, ek) and np.array_equal(bk, ek)
+        assert np.array_equal(pc, ec) and np.array_equal(bc, ec)
     # Unshuffled, the same-journal publication alone adds C(7, 2) = 21 self-pairs.
     monkeypatch.undo()
-    j = idx.ref_journal[idx.c_tokens[idx.c_pub_ptr[same_row]]]
+    j = idx.ref_journal[idx.c_tokens[idx.corpus_order[idx.c_pub_ptr[same_row]]]]
     without = idx.pair_key_counts(idx.c_tokens, exclude_rows=np.array([same_row]))
     delta = dict(zip(*(a.tolist() for a in product[0])))
     for k, c in zip(*(a.tolist() for a in without)):
@@ -316,12 +327,12 @@ def test_journal_product_refuses_squared_counts_past_2_53(make_corpus):
         refs={"a": (1990, "JA", "s"), "b": (1991, "JB", "s"), "c": (1992, "JC", "s")},
     )
     idx = CorpusIndex(corpus)
-    keys, counts = idx.pair_key_counts(idx.slot_ref)
+    keys, counts = idx.pair_key_counts(idx.c_tokens)
     assert counts.tolist() == [1, 1]
     # Two publications of 2^26 references: the squares sum to exactly 2^53.
     idx.c_counts = np.array([1 << 26, 1 << 26], np.int64)
     with pytest.raises(ValueError, match="2\\^53"):
-        idx.pair_key_counts(idx.slot_ref)
+        idx.pair_key_counts(idx.c_tokens)
 
 
 def test_pair_stats_csv_round_trips(tmp_path):
