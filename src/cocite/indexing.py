@@ -82,9 +82,8 @@ class CorpusIndex:
         self.group_years = [int(y) for y in yvals]
         self.group_ptr = np.append(starts, len(order))
         self.pool_tokens = self.slot_ref[order]
-        spans = list(zip(self.group_ptr[:-1].tolist(), self.group_ptr[1:].tolist()))
-        self.group_slots = [order[lo:hi] for lo, hi in spans]
-        self.group_tokens = [self.pool_tokens[lo:hi] for lo, hi in spans]
+        ptr = self.group_ptr.tolist()
+        self.group_slots = [order[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
         if n_refs:
             self._year_min = int(self.ref_year.min())
             self._n_year_bins = int(self.ref_year.max()) - self._year_min + 1
@@ -141,12 +140,15 @@ class CorpusIndex:
     # The read-back data below is built on first use, so that building an
     # index costs no more than the groups need.
 
-    @cached_property
-    def corpus_order(self) -> np.ndarray:
-        """Position in a read-back vector of each analyzed slot, in corpus order."""
+    def _corpus_positions(self) -> np.ndarray:
         where = np.empty(len(self.slot_ref), np.intp)
         where[self.c_slot_index] = np.arange(len(self.c_slot_index))
         return where[self._corpus_slots()]
+
+    @cached_property
+    def corpus_order(self) -> np.ndarray:
+        """Position in a read-back vector of each analyzed slot, in corpus order."""
+        return self._corpus_positions()
 
     @cached_property
     def _buckets(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -155,12 +157,14 @@ class CorpusIndex:
         the publication's reference order.
 
         Rectangular matrices let duplicate detection and pair extraction
-        vectorize.
+        vectorize. The positions come from the corpus-order map without
+        keeping it, since these paths read only the matrices.
         """
+        where = self._corpus_positions()
         buckets = []
         for n in np.unique(self.c_counts).tolist():
             rows = np.flatnonzero(self.c_counts == n)
-            mat = self.corpus_order[self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]]
+            mat = where[self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]]
             buckets.append((n, rows, mat))
         return buckets
 
@@ -266,30 +270,36 @@ class CorpusIndex:
             keys += np.maximum(a, b)
             yield rows, keys
 
+    def counts_by_product(self) -> bool:
+        """Whether ``pair_key_counts`` takes the journal-product path: the
+        dense J*J table fits ``DENSE_PAIR_LIMIT`` and the publication x
+        journal count matrix has fewer cells than there are pair instances
+        to expand."""
+        J = self.n_journals
+        n_pairs = int((self.c_counts * (self.c_counts - 1) // 2).sum())
+        return J * J <= DENSE_PAIR_LIMIT and len(self.c_pub_ids) * J < n_pairs
+
     def pair_key_counts(
         self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Unique canonical pair keys and counts of a read-back vector.
 
         Keys are those of ``bucket_pair_keys``, returned in ascending order.
-        When the dense J*J table fits ``DENSE_PAIR_LIMIT`` and the
-        publication x journal count matrix C has fewer cells than there
-        are pair instances to expand, the table is C^T C: a publication
-        with journal counts c adds c_a*c_b to each cross pair and
-        c_a*(c_a-1)/2 to each self-pair. C is built in row blocks of at
-        most ``DENSE_PAIR_LIMIT`` cells, each from its publications' slots
-        (read through ``corpus_order`` when there are several blocks).
-        Each block's product and column sums run in float64, which is
-        exact because no cell or partial sum can exceed the sum of squared
-        reference counts; ValueError is raised when that sum reaches 2^53.
+        On the ``counts_by_product`` path the table is C^T C, where C is
+        the publication x journal count matrix: a publication with journal
+        counts c adds c_a*c_b to each cross pair and c_a*(c_a-1)/2 to each
+        self-pair. C is counted from the vector in one pass, whatever its
+        order, and has fewer cells than the keys the other path would
+        expand. Its product and column sums run in float64, in row blocks
+        of at most ``DENSE_PAIR_LIMIT`` cells; float64 is exact because no
+        cell or partial sum can exceed the sum of squared reference
+        counts, and ValueError is raised when that sum reaches 2^53.
         Otherwise the expanded keys are counted, in the dense table or,
         past ``DENSE_PAIR_LIMIT``, sorted.
         """
         J = self.n_journals
         n_pubs = len(self.c_pub_ids)
-        square_sum = int(np.dot(self.c_counts, self.c_counts))
-        n_pairs = (square_sum - int(self.c_counts.sum())) // 2
-        if J * J > DENSE_PAIR_LIMIT or n_pubs * J >= n_pairs:
+        if not self.counts_by_product():
             parts = [keys.reshape(-1) for _, keys in self.bucket_pair_keys(tokens, exclude_rows)]
             if not parts:
                 return np.zeros(0, np.int64), np.zeros(0, np.int64)
@@ -301,37 +311,39 @@ class CorpusIndex:
             uk, counts = np.unique(keys, return_counts=True)
             return uk, counts.astype(np.int64)
 
+        square_sum = int(np.dot(self.c_counts, self.c_counts))
         if square_sum >= 1 << 53:
             raise ValueError(
                 f"the squared reference counts sum to {square_sum}, past 2^53, where "
                 "float64 journal-pair products stop being exact"
             )
-        journals = self.ref_journal[tokens]
-        excluded = np.zeros(n_pubs, bool)
+        key = self._pub_key + self.ref_journal[tokens]
+        C = np.bincount(key, minlength=n_pubs * J).reshape(n_pubs, J)
         if exclude_rows is not None:
-            excluded[exclude_rows] = True
+            C[exclude_rows] = 0
         table = np.zeros((J, J), np.int64)
         col_sums = np.zeros(J, np.int64)
         block = DENSE_PAIR_LIMIT // J
         for r0 in range(0, n_pubs, block):
-            r1 = min(r0 + block, n_pubs)
-            if r1 - r0 == n_pubs:
-                key = self._pub_key + journals
-            else:
-                # This block's slots, gathered through the corpus-order map.
-                pos = self.corpus_order[self.c_pub_ptr[r0]:self.c_pub_ptr[r1]]
-                key = self._pub_key[pos] + journals[pos]
-                key -= r0 * J
-            C = np.bincount(key, minlength=(r1 - r0) * J).reshape(r1 - r0, J)
-            C[excluded[r0:r1]] = 0
-            Cf = C.astype(np.float64)
+            Cf = C[r0:r0 + block].astype(np.float64)
             table += (Cf.T @ Cf).astype(np.int64)
-            col_sums += (np.ones(r1 - r0) @ Cf).astype(np.int64)
+            col_sums += (np.ones(len(Cf)) @ Cf).astype(np.int64)
         diag = np.arange(J)
         table[diag, diag] = (table[diag, diag] - col_sums) // 2
         flat = np.triu(table).reshape(-1)
         nz = np.flatnonzero(flat)
         return nz, flat[nz]
+
+    def prepare_simulations(self, dedupe: bool) -> None:
+        """Build the lazy read-back data that ``pair_key_counts`` and, with
+        ``dedupe``, ``duplicate_pub_rows`` will read, and nothing else, so
+        that forked workers share one copy."""
+        if self.counts_by_product():
+            self._pub_key
+        else:
+            self._buckets
+        if dedupe and self.same_year_pairs is None:
+            self._buckets
 
     def key_to_pair(self, key: int) -> tuple[str, str]:
         i, j = divmod(int(key), self.n_journals)

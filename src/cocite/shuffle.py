@@ -34,9 +34,10 @@ _UMSJ_DRAW_CHUNK = 4096
 class GroupPlan:
     """A corpus index and the background its year groups permute over.
 
-    The groups live on the index (``group_years``, ``group_slots`` and
-    ``group_tokens``, the slices of ``pool_tokens`` that ``group_ptr``
-    bounds), in the order that fixes each group's random stream.
+    The groups live on the index, in the order that fixes each group's
+    random stream: group g holds reference year ``group_years[g]``, pool
+    slots ``group_slots[g]`` and the tokens
+    ``pool_tokens[group_ptr[g]:group_ptr[g + 1]]``.
     """
 
     def __init__(self, index: CorpusIndex):

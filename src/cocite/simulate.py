@@ -276,11 +276,8 @@ def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
             f"{n} simulations of up to {pairs_bound} pairs each could overflow the int64 "
             "sum-of-squares accumulator; use fewer simulations"
         )
-    # Build the read-back data here, before any worker forks, so that
-    # every worker shares one copy.
-    idx.corpus_order, idx._buckets, idx._pub_key
-    if cfg.algorithm == "repcs":
-        idx.same_year_pairs
+    # Before any worker forks, so that every worker shares one copy.
+    idx.prepare_simulations(dedupe=cfg.algorithm == "repcs")
     workers = min(cfg.workers, n)
     if workers > 1:
         bounds = []

@@ -138,6 +138,7 @@ def built(idx):
 
 
 def test_read_back_data_is_built_on_first_use(monkeypatch):
+    import cocite.indexing as indexing
     import cocite.simulate as simulate
 
     result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=20,
@@ -149,20 +150,40 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
     repcs_shuffle(plan, 1).corpus
     assert built(plan.index) == ["corpus_order", "same_year_pairs"]
 
-    # simulate_plan builds all of it in the parent before forking, so the
-    # workers share one copy.
+    # simulate_plan builds, in the parent before forking, what its pair-count
+    # and dedupe paths read and nothing else, so the workers share one copy.
     fork_pool = simulate.ProcessPoolExecutor
-    for corpus, pool, background in ((result.pool, None, "local"),
-                                     (result.by_discipline["D01"], result.pool, "global")):
-        plan = build_groups(corpus, pool)
-        at_fork = []
+    cases = [(background, algorithm, product, sorting)
+             for background in ("local", "global")
+             for product in (True, False)
+             for algorithm, sorting in (("repcs", False), ("repcs", True), ("umsj", False))]
+    for background, algorithm, product, sorting in cases:
+        with monkeypatch.context() as m:
+            if not product:
+                m.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
+            if sorting:
+                m.setattr(indexing, "PAIRS_PER_SORTED_SLOT", -1)
+            if background == "local":
+                plan = build_groups(result.pool)
+            else:
+                plan = build_groups(result.by_discipline["D01"], result.pool)
+            assert plan.index.counts_by_product() == product
+            want = {"_pub_key"} if product else {"_buckets"}
+            if algorithm == "repcs":
+                want.add("same_year_pairs")
+                if sorting:
+                    want.add("_buckets")
+            want = [name for name in LAZY if name in want]
+            at_fork = []
 
-        def spy(*args, **kwargs):
-            at_fork.append(built(plan.index))
-            return fork_pool(*args, **kwargs)
+            def spy(*args, **kwargs):
+                at_fork.append(built(plan.index))
+                return fork_pool(*args, **kwargs)
 
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", spy)
-        simulate.simulate_plan(plan, simulate.SimConfig(n_simulations=4, background=background,
-                                                        workers=2))
-        assert at_fork == [list(LAZY)]
-        assert built(plan.index) == list(LAZY)
+            m.setattr(simulate, "ProcessPoolExecutor", spy)
+            simulate.simulate_plan(plan, simulate.SimConfig(
+                n_simulations=4, background=background, algorithm=algorithm, workers=2))
+            assert at_fork == [want]
+            assert built(plan.index) == want
+            if algorithm == "repcs":
+                assert (plan.index.same_year_pairs is None) == sorting

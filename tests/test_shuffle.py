@@ -35,15 +35,16 @@ def test_groups_partition_by_reference_year(yeared_corpus):
     idx = build_groups(yeared_corpus).index
     sizes = [(year, len(slots)) for year, slots in zip(idx.group_years, idx.group_slots)]
     assert sizes == [(1980, 3), (1982, 2)]
-    for slots, group_tokens in zip(idx.group_slots, idx.group_tokens):
+    for g, slots in enumerate(idx.group_slots):
+        group_tokens = idx.pool_tokens[idx.group_ptr[g]:idx.group_ptr[g + 1]]
         assert len(slots) == len(group_tokens)
 
 
 def test_local_groups_partition_citation_multiset(yeared_corpus):
     idx = build_groups(yeared_corpus).index
     tokens = Counter()
-    for group_tokens in idx.group_tokens:
-        tokens.update(idx.ref_ids[t] for t in group_tokens.tolist())
+    for lo, hi in zip(idx.group_ptr[:-1], idx.group_ptr[1:]):
+        tokens.update(idx.ref_ids[t] for t in idx.pool_tokens[lo:hi].tolist())
     cited = Counter(rid for p in yeared_corpus.publications for rid in p.refs)
     assert tokens == cited
 
@@ -70,7 +71,8 @@ def test_global_pool_token_can_enter_groups(make_corpus):
     plan = build_groups(corpus, pool)
     assert plan.background == "global"
     idx = plan.index
-    group_1980 = idx.group_tokens[idx.group_years.index(1980)]
+    g = idx.group_years.index(1980)
+    group_1980 = idx.pool_tokens[idx.group_ptr[g]:idx.group_ptr[g + 1]]
     assert "extra80" in [idx.ref_ids[t] for t in group_1980.tolist()]
     # Some seed hands the pool-only token to an analyzed publication.
     seen = False

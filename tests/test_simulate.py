@@ -285,8 +285,8 @@ def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_
     with monkeypatch.context() as m:
         m.setattr(indexing.CorpusIndex, "bucket_pair_keys", refuse_expansion)
         product = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
-        # C built n_journals rows at a time: several blocks and a partial last
-        # one, each gathering its publications' slots from the group-major vector.
+        # C^T C taken n_journals rows at a time: several blocks and a partial
+        # last one.
         m.setattr(indexing, "DENSE_PAIR_LIMIT", idx.n_journals * idx.n_journals)
         assert len(idx.c_pub_ids) > 2 * idx.n_journals
         assert len(idx.c_pub_ids) % idx.n_journals
