@@ -71,7 +71,7 @@ class CorpusIndex:
         except KeyError as exc:
             raise ValueError(f"citation to unknown reference {exc.args[0]!r}") from None
         self.slot_ref = np.asarray(flat, dtype=np.int64)
-        self.slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)
+        slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)
 
         # Permutation groups: pool slots keyed by reference year, slot order
         # preserved within each group. ``pool_tokens`` holds the groups'
@@ -129,7 +129,7 @@ class CorpusIndex:
             self.c_tokens = self.pool_tokens[self.readback_pos]
         row_of_pool = np.empty(n_pool, np.int64)
         row_of_pool[self._pool_rows] = np.arange(n_cpubs)
-        self.c_slot_pub = row_of_pool[self.slot_pub[self.c_slot_index]]
+        self.c_slot_pub = row_of_pool[slot_pub[self.c_slot_index]]
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _corpus_slots(self) -> np.ndarray:

@@ -154,7 +154,7 @@ def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
     idx = plan.index
     tokens = idx.slot_ref.tolist()
     orig = idx.slot_ref.tolist()
-    slot_pub = idx.slot_pub.tolist()
+    slot_pub = np.repeat(np.arange(len(idx.pool_pub_ids)), np.diff(idx.pool_pub_ptr)).tolist()
     held: list[set[int]] = [set() for _ in idx.pool_pub_ids]
     for t, p in zip(tokens, slot_pub):
         held[p].add(t)

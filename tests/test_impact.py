@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaincc, gammaln
+from scipy.special._ufuncs import _lanczos_sum_expg_scaled, _lgam1p
 
 import cocite
 from cocite import HitConfig, designate_hits, hit_report
 from cocite.classify import PubSummary
 from cocite.corpus import Publication
-from cocite.impact import chi2_sf, chi_square_gof
+from cocite.impact import CEPHES_GAMMA_CONSTANTS, chi2_sf, chi_square_gof
 
 
 def pub(pid, cites):
@@ -112,6 +114,48 @@ def test_sf_matches_quadrature_oracle_across_df():
         assert chi2_sf(x, df) == pytest.approx(chi2_sf_quadrature(x, df), rel=1e-8, abs=1e-12)
 
 
+@pytest.mark.parametrize("df", [1, 3])
+def test_sf_equals_scipy_gammaincc_bit_for_bit(df):
+    a = df / 2
+    rng = np.random.default_rng(100 + df)
+    x = np.concatenate([
+        [0.0],
+        rng.uniform(0.0, 0.449, 10_000),        # 1 - power series (df 1: -0.4/log(x) < a)
+        rng.uniform(0.449, 1.1, 10_000),        # complement series with Cephes' expm1
+        rng.uniform(0.6 * a, 1.4 * a, 10_000),  # Lanczos form of x**a e**-x / gamma(a)
+        rng.uniform(1.1, 50.0, 10_000),         # continued fraction
+        np.exp(rng.uniform(-700.0, 7.0, 10_000)),
+    ])
+    stats = 2.0 * x
+    expected = gammaincc(a, x)
+    got = np.array([chi2_sf(s, df) for s in stats.tolist()])
+    mismatched = stats[got != expected]
+    assert mismatched.size == 0, mismatched[:5]
+
+
+def test_pinned_gamma_constants_are_scipy_bits():
+    for df, (lgam, lgam1p, lanczos) in CEPHES_GAMMA_CONSTANTS.items():
+        a = df / 2
+        assert lgam == float(gammaln(a))
+        assert lgam1p == float(_lgam1p(a))
+        assert lanczos == float(_lanczos_sum_expg_scaled(a))
+
+
+@pytest.mark.parametrize("df", [2, 5, 6, 49, 200, 1000, 5000])
+def test_sf_tracks_scipy_at_unpinned_df(df):
+    a = df / 2
+    x = np.concatenate([np.linspace(0.0, 3.0 * a + 10.0, 2001)[1:],
+                        np.exp(np.linspace(-30.0, 0.0, 200))])
+    got = np.array([chi2_sf(s, df) for s in (2.0 * x).tolist()])
+    np.testing.assert_allclose(got, gammaincc(a, x), rtol=1e-12, atol=0.0)
+
+
+def test_sf_domain_edges_follow_scipy():
+    for stat in (-1.0, math.nan, math.inf, 0.0, 5.0):
+        for df in (0, 1, 3):
+            np.testing.assert_equal(chi2_sf(stat, df), float(gammaincc(df / 2, stat / 2)))
+
+
 def make_summaries(counts_by_cat):
     out = []
     i = 0
@@ -144,10 +188,33 @@ def test_hit_report_requires_categories():
         hit_report([PubSummary("p0", 0.0, 0.0, 0.0, 1, None)], set())
 
 
-def test_importing_cocite_leaves_scipy_unloaded():
+def test_importing_cocite_leaves_scipy_unloaded(tmp_path):
+    """Neither the import nor a `pipeline` and `hits` run loads scipy."""
     src = str(Path(cocite.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, cocite, cocite.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    code = """
+import sys
+from pathlib import Path
+import cocite, cocite.cli
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+print(scipy_modules())
+out = Path(sys.argv[1])
+corpus = []
+for flag, name in (("--pubs", "publications"), ("--refs", "references"), ("--cites", "citations")):
+    corpus += [flag, str(out / "synth" / "D00" / f"{name}.tsv")]
+assert cocite.cli.main(["synth", "--disciplines", "2", "--pubs-per-discipline", "40",
+                        "--ref-pool", "140", "--seed", "7", "--out", str(out / "synth")]) == 0
+assert cocite.cli.main(["pipeline", *corpus, "--sims", "10", "--workers", "1",
+                        "--out", str(out / "pipeline")]) == 0
+assert cocite.cli.main(["hits", *corpus,
+                        "--classification", str(out / "pipeline" / "classification.csv"),
+                        "--out", str(out / "hits")]) == 0
+print(scipy_modules())
+"""
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True)
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    for name in ("pipeline", "hits"):
+        assert (tmp_path / name / "hit_tests.json").exists()
