@@ -26,7 +26,6 @@ DROP_PUB_YEAR = "publication_outside_slice_year"
 DROP_PUB_NO_JOURNAL = "publication_missing_journal"
 DROP_REF_NO_JOURNAL = "reference_missing_journal"
 DROP_REF_NO_SUBJECT = "reference_missing_subject"
-DROP_REF_YEAR_RANGE = "reference_year_out_of_range"
 DROP_CITE_UNKNOWN_PUB = "citation_unresolved_pub"
 DROP_CITE_UNKNOWN_REF = "citation_unresolved_ref"
 DROP_CITE_DUPLICATE = "citation_duplicate_row"
@@ -99,8 +98,6 @@ class Corpus:
 class IngestConfig:
     slice_year: int | None = None
     background_tag: str = "local"
-    ref_year_min: int | None = None
-    ref_year_max: int | None = None
 
 
 @dataclass(frozen=True)
@@ -182,68 +179,65 @@ def _canonical_journal_map(raw_counts: Counter) -> tuple[dict[str, str], int]:
     return mapping, collapsed
 
 
+def _unique_id_rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """``read_rows`` of a TSV keyed by its first column, which must be unique.
+
+    A repeated id raises IngestError against the line it was first seen
+    at, whether or not that earlier row was kept.
+    """
+    first_line: dict[str, int] = {}
+    for lineno, row in read_rows(path, columns, "\t"):
+        first = first_line.setdefault(row[0], lineno)
+        if first != lineno:
+            raise IngestError(
+                f"{path}:{lineno}: duplicate {columns[0]} {row[0]!r} (first seen at line {first})"
+            )
+        yield lineno, row
+
+
 def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
            config: IngestConfig = IngestConfig()) -> Corpus:
     """Read and validate a corpus from its three TSV files.
 
-    Recoverable defects (incomplete references, citations that do not
-    resolve, publications left with fewer than two references) drop the
-    affected rows and are tallied in the returned corpus's diagnostics.
-    Structural defects (malformed rows, duplicate identifiers) raise
-    IngestError naming the file and line.
+    Recoverable defects (incomplete records, citations that do not
+    resolve or repeat an earlier row, publications left with fewer than
+    two references) drop the affected rows and are tallied in the
+    returned corpus's diagnostics. Structural defects (malformed rows,
+    duplicate identifiers) raise IngestError naming the file and line.
     """
     pub_path, ref_path, cite_path = Path(pub_file), Path(ref_file), Path(cite_file)
     diags = IngestDiagnostics()
 
     raw_refs: dict[str, tuple[int, str, str]] = {}
-    ref_lines: dict[str, int] = {}
     journal_counts: Counter = Counter()
-    for lineno, (ref_id, year_s, journal_id, subject) in read_rows(ref_path, REF_COLUMNS, "\t"):
+    for lineno, (ref_id, year_s, journal_id, subject) in _unique_id_rows(ref_path, REF_COLUMNS):
         year = _parse_int(year_s, ref_path, lineno, "year")
-        if ref_id in raw_refs:
-            raise IngestError(
-                f"{ref_path}:{lineno}: duplicate ref_id {ref_id!r} "
-                f"(first seen at line {ref_lines[ref_id]})"
-            )
-        ref_lines[ref_id] = lineno
         if not journal_id:
             diags.dropped[DROP_REF_NO_JOURNAL] += 1
             continue
         if not subject:
             diags.dropped[DROP_REF_NO_SUBJECT] += 1
             continue
-        if (config.ref_year_min is not None and year < config.ref_year_min) or (
-            config.ref_year_max is not None and year > config.ref_year_max
-        ):
-            diags.dropped[DROP_REF_YEAR_RANGE] += 1
-            continue
         raw_refs[ref_id] = (year, journal_id, subject)
         journal_counts[journal_id] += 1
 
-    raw_pubs: dict[str, tuple[int, str, int]] = {}
-    pub_order: list[str] = []
-    pub_lines: dict[str, int] = {}
-    for lineno, (pub_id, year_s, journal_id, cites_s) in read_rows(pub_path, PUB_COLUMNS, "\t"):
+    # Each publication's references are the keys of its own dict, in
+    # citation-row order; a repeated citation row is one membership test.
+    raw_pubs: dict[str, tuple[int, str, int, dict[str, None]]] = {}
+    for lineno, (pub_id, year_s, journal_id, cites_s) in _unique_id_rows(pub_path, PUB_COLUMNS):
         year = _parse_int(year_s, pub_path, lineno, "year")
         cites = _parse_int(cites_s, pub_path, lineno, "citations_8yr")
         if cites < 0:
             raise IngestError(f"{pub_path}:{lineno}: negative citations_8yr: {cites}")
-        if pub_id in raw_pubs:
-            raise IngestError(
-                f"{pub_path}:{lineno}: duplicate pub_id {pub_id!r} "
-                f"(first seen at line {pub_lines[pub_id]})"
-            )
-        pub_lines[pub_id] = lineno
         if not journal_id:
             diags.dropped[DROP_PUB_NO_JOURNAL] += 1
             continue
-        raw_pubs[pub_id] = (year, journal_id, cites)
-        pub_order.append(pub_id)
+        raw_pubs[pub_id] = (year, journal_id, cites, {})
         journal_counts[journal_id] += 1
 
     slice_year = config.slice_year
     if slice_year is None:
-        years = {raw_pubs[p][0] for p in pub_order}
+        years = {raw[0] for raw in raw_pubs.values()}
         if len(years) > 1:
             raise IngestError(
                 f"{pub_path}: publications span years {sorted(years)}; "
@@ -259,32 +253,26 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
         for rid, (year, journal, subject) in raw_refs.items()
     }
 
-    pub_refs: dict[str, list[str]] = {p: [] for p in pub_order}
-    seen_cites: set[tuple[str, str]] = set()
-    for lineno, (pub_id, ref_id) in read_rows(cite_path, CITE_COLUMNS, "\t"):
-        if pub_id not in pub_refs:
+    for _, (pub_id, ref_id) in read_rows(cite_path, CITE_COLUMNS, "\t"):
+        raw = raw_pubs.get(pub_id)
+        if raw is None:
             diags.dropped[DROP_CITE_UNKNOWN_PUB] += 1
-            continue
-        if ref_id not in references:
+        elif ref_id not in references:
             diags.dropped[DROP_CITE_UNKNOWN_REF] += 1
-            continue
-        if (pub_id, ref_id) in seen_cites:
+        elif ref_id in raw[3]:
             diags.dropped[DROP_CITE_DUPLICATE] += 1
-            continue
-        seen_cites.add((pub_id, ref_id))
-        pub_refs[pub_id].append(ref_id)
+        else:
+            raw[3][ref_id] = None
 
     publications: list[Publication] = []
-    for pub_id in pub_order:
-        year, journal, cites = raw_pubs[pub_id]
+    for pub_id, (year, journal, cites, refs) in raw_pubs.items():
         if year != slice_year:
             diags.dropped[DROP_PUB_YEAR] += 1
             continue
-        refs = tuple(pub_refs[pub_id])
         if len(refs) < 2:
             diags.dropped[DROP_TOO_FEW_REFS] += 1
             continue
-        publications.append(Publication(pub_id, year, journal_map[journal], refs, cites))
+        publications.append(Publication(pub_id, year, journal_map[journal], tuple(refs), cites))
 
     return Corpus(
         slice_year=slice_year,

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from cocite import (
@@ -10,9 +12,12 @@ from cocite import (
 )
 from cocite.corpus import (
     DROP_CITE_DUPLICATE,
+    DROP_CITE_UNKNOWN_PUB,
     DROP_CITE_UNKNOWN_REF,
+    DROP_PUB_NO_JOURNAL,
     DROP_PUB_YEAR,
     DROP_REF_NO_JOURNAL,
+    DROP_REF_NO_SUBJECT,
     DROP_TOO_FEW_REFS,
 )
 from cocite.synth import SynthConfig, generate
@@ -138,6 +143,40 @@ def test_duplicate_ref_id_is_an_error(write_tsvs):
     paths = write_tsvs([("p1", 1995, "J-A", 0)], refs, [])
     with pytest.raises(IngestError, match="duplicate ref_id"):
         ingest(*paths)
+
+
+@pytest.mark.parametrize("column, pubs, refs", [
+    ("pub_id", [("p1", 1995, "", 0), ("p1", 1995, "J-A", 0)], REFS_BASIC),
+    ("ref_id", [("p1", 1995, "J-A", 0)], [("r1", 1990, "", "phys")] + REFS_BASIC),
+], ids=["pub_id", "ref_id"])
+def test_duplicate_id_of_a_dropped_row_is_an_error(write_tsvs, column, pubs, refs):
+    # Line 2 is dropped for its empty journal; its id is still taken.
+    paths = write_tsvs(pubs, refs, [("p1", "r1"), ("p1", "r2")])
+    name = "publications" if column == "pub_id" else "references"
+    with pytest.raises(IngestError, match=rf"{name}\.tsv:3: duplicate {column} '[pr]1' "
+                                          r"\(first seen at line 2\)"):
+        ingest(*paths)
+
+
+def test_incomplete_records_and_unknown_pubs_dropped_and_counted(write_tsvs):
+    refs = REFS_BASIC + [("r4", 1990, "J-A", "")]
+    pubs = [("p1", 1995, "J-A", 0), ("p2", 1995, "", 0), ("p3", 1995, "J-B", 2)]
+    cites = [
+        ("p1", "r3"), ("p1", "r4"), ("p1", "r1"),
+        ("p2", "r1"), ("p2", "r2"),
+        ("p3", "r2"), ("p9", "r1"), ("p3", "r1"),
+    ]
+    corpus = ingest(*write_tsvs(pubs, refs, cites))
+    assert corpus.diagnostics.dropped == Counter({
+        DROP_PUB_NO_JOURNAL: 1,
+        DROP_REF_NO_SUBJECT: 1,
+        DROP_CITE_UNKNOWN_PUB: 3,
+        DROP_CITE_UNKNOWN_REF: 1,
+    })
+    assert [(p.pub_id, p.refs) for p in corpus.publications] == [
+        ("p1", ("r3", "r1")),
+        ("p3", ("r2", "r1")),
+    ]
 
 
 def test_reference_without_journal_dropped_and_counted(write_tsvs):
