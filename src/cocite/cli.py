@@ -167,6 +167,8 @@ class Run:
             corpus = self._ingest((a.pubs, a.refs, a.cites), "local")
             pool = self._ingest(pool_paths, "global") if any(pool_paths) else None
         self.diagnostics["dropped"] = dict(corpus.diagnostics.dropped)
+        if pool is not None:
+            self.diagnostics["pool_dropped"] = dict(pool.diagnostics.dropped)
         return corpus, pool
 
     @property

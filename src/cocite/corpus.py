@@ -29,6 +29,7 @@ DROP_REF_NO_SUBJECT = "reference_missing_subject"
 DROP_CITE_UNKNOWN_PUB = "citation_unresolved_pub"
 DROP_CITE_UNKNOWN_REF = "citation_unresolved_ref"
 DROP_CITE_DUPLICATE = "citation_duplicate_row"
+DROP_CITE_OF_DROPPED_PUB = "citation_of_dropped_publication"
 
 _ISSN_SHAPE = re.compile(r"^\d{4}-?\d{3}[\dXx]$")
 
@@ -200,9 +201,10 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     """Read and validate a corpus from its three TSV files.
 
     Recoverable defects (incomplete records, citations that do not
-    resolve or repeat an earlier row, publications left with fewer than
-    two references) drop the affected rows and are tallied in the
-    returned corpus's diagnostics. Structural defects (malformed rows,
+    resolve or repeat an earlier row, publications outside the slice year
+    or left with fewer than two references, and those publications'
+    citations) drop the affected rows and are tallied in the returned
+    corpus's diagnostics. Structural defects (malformed rows,
     duplicate identifiers) raise IngestError naming the file and line.
     """
     pub_path, ref_path, cite_path = Path(pub_file), Path(ref_file), Path(cite_file)
@@ -266,11 +268,10 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
 
     publications: list[Publication] = []
     for pub_id, (year, journal, cites, refs) in raw_pubs.items():
-        if year != slice_year:
-            diags.dropped[DROP_PUB_YEAR] += 1
-            continue
-        if len(refs) < 2:
-            diags.dropped[DROP_TOO_FEW_REFS] += 1
+        if year != slice_year or len(refs) < 2:
+            diags.dropped[DROP_PUB_YEAR if year != slice_year else DROP_TOO_FEW_REFS] += 1
+            if refs:
+                diags.dropped[DROP_CITE_OF_DROPPED_PUB] += len(refs)
             continue
         publications.append(Publication(pub_id, year, journal_map[journal], tuple(refs), cites))
 

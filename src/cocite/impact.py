@@ -278,6 +278,15 @@ class HitReport:
     total_hits: int
 
 
+def _margin(counts: dict[str, int], part: slice) -> dict[str, int]:
+    """Counts summed over the categories whose codes share ``code[part]``
+    (LN/HN or LC/HC), in the order ``CATEGORIES`` first lists them."""
+    out: dict[str, int] = {}
+    for c in CATEGORIES:
+        out[c[part]] = out.get(c[part], 0) + counts[c]
+    return out
+
+
 def hit_report(summaries: Sequence[PubSummary], hits: set[str]) -> HitReport:
     """Hit rates per category plus the three goodness-of-fit tests."""
     n_articles = {c: 0 for c in CATEGORIES}
@@ -297,27 +306,13 @@ def hit_report(summaries: Sequence[PubSummary], hits: set[str]) -> HitReport:
         )
         for c in CATEGORIES
     )
-    novelty_obs = {
-        "LN": n_hits["LNLC"] + n_hits["LNHC"],
-        "HN": n_hits["HNLC"] + n_hits["HNHC"],
-    }
-    novelty_sizes = {
-        "LN": n_articles["LNLC"] + n_articles["LNHC"],
-        "HN": n_articles["HNLC"] + n_articles["HNHC"],
-    }
-    conv_obs = {
-        "LC": n_hits["LNLC"] + n_hits["HNLC"],
-        "HC": n_hits["LNHC"] + n_hits["HNHC"],
-    }
-    conv_sizes = {
-        "LC": n_articles["LNLC"] + n_articles["HNLC"],
-        "HC": n_articles["LNHC"] + n_articles["HNHC"],
-    }
+    novelty, conventionality = slice(0, 2), slice(2, 4)
     return HitReport(
         categories=rows,
         chi2_4cat=chi_square_gof(n_hits, n_articles),
-        chi2_novelty=chi_square_gof(novelty_obs, novelty_sizes),
-        chi2_conventionality=chi_square_gof(conv_obs, conv_sizes),
+        chi2_novelty=chi_square_gof(_margin(n_hits, novelty), _margin(n_articles, novelty)),
+        chi2_conventionality=chi_square_gof(_margin(n_hits, conventionality),
+                                            _margin(n_articles, conventionality)),
         total_articles=sum(n_articles.values()),
         total_hits=sum(n_hits.values()),
     )

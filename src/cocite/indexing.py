@@ -10,14 +10,14 @@ import numpy as np
 from .corpus import Corpus
 
 # Dense journal-pair tables are used up to this many cells (n_journals
-# squared), and publication x journal count blocks hold at most this many
-# cells; larger journal sets fall back to sorted sparse counting.
+# squared); larger journal sets fall back to sorted sparse counting.
 DENSE_PAIR_LIMIT = 1 << 22
 
 # Duplicate deletion compares same-year slot pairs while there are at most
-# this many per analyzed slot, and sorts each publication's tokens beyond:
-# checking one pair was measured to cost as much as sorting 1.6 slots at 40
-# references per publication and 2.7 slots at 10.
+# this many per analyzed slot, and sorts the tokens by publication beyond.
+# Checking one pair was measured to cost as much as sorting 0.9-1.05 slots
+# on corpus S, 0.37-0.53 on L8 and 0.33-0.45 on Y1 (README, "How a
+# simulation is computed"), so the two break even at 1 to 3 pairs per slot.
 PAIRS_PER_SORTED_SLOT = 2
 
 
@@ -130,6 +130,8 @@ class CorpusIndex:
         row_of_pool = np.empty(n_pool, np.int64)
         row_of_pool[self._pool_rows] = np.arange(n_cpubs)
         self.c_slot_pub = row_of_pool[slot_pub[self.c_slot_index]]
+        # Journal pairs of the analyzed corpus, sum of n_i * (n_i - 1) / 2.
+        self.n_pairs = int((self.c_counts * (self.c_counts - 1) // 2).sum())
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def _corpus_slots(self) -> np.ndarray:
@@ -156,9 +158,9 @@ class CorpusIndex:
         rows x n matrix of their slots' read-back positions, each row in
         the publication's reference order.
 
-        Rectangular matrices let duplicate detection and pair extraction
-        vectorize. The positions come from the corpus-order map without
-        keeping it, since these paths read only the matrices.
+        Rectangular matrices let pair extraction vectorize. The positions
+        come from the corpus-order map without keeping it, since pair
+        extraction reads only the matrices.
         """
         where = self._corpus_positions()
         buckets = []
@@ -178,7 +180,7 @@ class CorpusIndex:
     def same_year_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Read-back positions (a, b) of every pair of one publication's
         slots whose references share a year, or None where checking them
-        would cost more than sorting each publication's references.
+        would cost more than sorting the tokens by publication.
 
         A repeated reference has one year, and repcs moves a token only
         within its year group, so a shuffled publication holds a duplicate
@@ -217,9 +219,9 @@ class CorpusIndex:
         """Analyzed publication rows whose read-back tokens repeat a reference.
 
         Compares the ``same_year_pairs`` where there are few of them and
-        sorts each publication's tokens otherwise. The pair check is exact
+        sorts the tokens by publication otherwise. The pair check is exact
         only for assignments that keep every slot's reference year, which
-        every shuffle here does.
+        every shuffle here does; the sort is exact for any vector.
         """
         if self.same_year_pairs is None:
             return self._duplicates_by_sorting(tokens)
@@ -230,15 +232,13 @@ class CorpusIndex:
         return np.unique(self.c_slot_pub[a[tokens[a] == tokens[b]]])
 
     def _duplicates_by_sorting(self, tokens: np.ndarray) -> np.ndarray:
-        hit = []
-        for n, rows, mat in self._buckets:
-            t = np.sort(tokens[mat], axis=1)
-            dup = (t[:, 1:] == t[:, :-1]).any(axis=1)
-            if dup.any():
-                hit.append(rows[dup])
-        if not hit:
-            return np.zeros(0, np.int64)
-        return np.sort(np.concatenate(hit))
+        # One key per (publication, reference): equal neighbours after the
+        # sort are a reference that its publication cites twice.
+        n_refs = len(self.ref_ids)
+        key = self.c_slot_pub * n_refs
+        key += tokens
+        key.sort()
+        return np.unique(key[1:][key[1:] == key[:-1]] // n_refs)
 
     def bucket_pair_keys(
         self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
@@ -276,8 +276,7 @@ class CorpusIndex:
         journal count matrix has fewer cells than there are pair instances
         to expand."""
         J = self.n_journals
-        n_pairs = int((self.c_counts * (self.c_counts - 1) // 2).sum())
-        return J * J <= DENSE_PAIR_LIMIT and len(self.c_pub_ids) * J < n_pairs
+        return J * J <= DENSE_PAIR_LIMIT and len(self.c_pub_ids) * J < self.n_pairs
 
     def pair_key_counts(
         self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
@@ -289,13 +288,12 @@ class CorpusIndex:
         the publication x journal count matrix: a publication with journal
         counts c adds c_a*c_b to each cross pair and c_a*(c_a-1)/2 to each
         self-pair. C is counted from the vector in one pass, whatever its
-        order, and has fewer cells than the keys the other path would
-        expand. Its product and column sums run in float64, in row blocks
-        of at most ``DENSE_PAIR_LIMIT`` cells; float64 is exact because no
-        cell or partial sum can exceed the sum of squared reference
-        counts, and ValueError is raised when that sum reaches 2^53.
-        Otherwise the expanded keys are counted, in the dense table or,
-        past ``DENSE_PAIR_LIMIT``, sorted.
+        order, straight into float64, and has fewer cells than the keys the
+        other path would expand. float64 is exact because no cell or
+        partial sum of the product or the column sums can exceed the sum of
+        squared reference counts, and ValueError is raised when that sum
+        reaches 2^53. Otherwise the expanded keys are counted, in the dense
+        table or, past ``DENSE_PAIR_LIMIT``, sorted.
         """
         J = self.n_journals
         n_pubs = len(self.c_pub_ids)
@@ -311,39 +309,23 @@ class CorpusIndex:
             uk, counts = np.unique(keys, return_counts=True)
             return uk, counts.astype(np.int64)
 
-        square_sum = int(np.dot(self.c_counts, self.c_counts))
+        square_sum = 2 * self.n_pairs + len(self.c_tokens)
         if square_sum >= 1 << 53:
             raise ValueError(
                 f"the squared reference counts sum to {square_sum}, past 2^53, where "
                 "float64 journal-pair products stop being exact"
             )
         key = self._pub_key + self.ref_journal[tokens]
-        C = np.bincount(key, minlength=n_pubs * J).reshape(n_pubs, J)
+        C = np.bincount(key, np.ones(len(key)), n_pubs * J).reshape(n_pubs, J)
         if exclude_rows is not None:
             C[exclude_rows] = 0
-        table = np.zeros((J, J), np.int64)
-        col_sums = np.zeros(J, np.int64)
-        block = DENSE_PAIR_LIMIT // J
-        for r0 in range(0, n_pubs, block):
-            Cf = C[r0:r0 + block].astype(np.float64)
-            table += (Cf.T @ Cf).astype(np.int64)
-            col_sums += (np.ones(len(Cf)) @ Cf).astype(np.int64)
+        table = (C.T @ C).astype(np.int64)
+        col_sums = (np.ones(n_pubs) @ C).astype(np.int64)
         diag = np.arange(J)
         table[diag, diag] = (table[diag, diag] - col_sums) // 2
         flat = np.triu(table).reshape(-1)
         nz = np.flatnonzero(flat)
         return nz, flat[nz]
-
-    def prepare_simulations(self, dedupe: bool) -> None:
-        """Build the lazy read-back data that ``pair_key_counts`` and, with
-        ``dedupe``, ``duplicate_pub_rows`` will read, and nothing else, so
-        that forked workers share one copy."""
-        if self.counts_by_product():
-            self._pub_key
-        else:
-            self._buckets
-        if dedupe and self.same_year_pairs is None:
-            self._buckets
 
     def key_to_pair(self, key: int) -> tuple[str, str]:
         i, j = divmod(int(key), self.n_journals)

@@ -270,16 +270,18 @@ def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
     cfg.validate()
     idx = plan.index
     n = cfg.n_simulations
-    pairs_bound = int((idx.c_counts * (idx.c_counts - 1) // 2).sum())
-    if n * pairs_bound * pairs_bound >= 1 << 63:
+    if n * idx.n_pairs * idx.n_pairs >= 1 << 63:
         raise ValueError(
-            f"{n} simulations of up to {pairs_bound} pairs each could overflow the int64 "
+            f"{n} simulations of up to {idx.n_pairs} pairs each could overflow the int64 "
             "sum-of-squares accumulator; use fewer simulations"
         )
-    # Before any worker forks, so that every worker shares one copy.
-    idx.prepare_simulations(dedupe=cfg.algorithm == "repcs")
     workers = min(cfg.workers, n)
     if workers > 1:
+        # Run the kernels once before forking, so that every worker shares
+        # one copy of the read-back data they build on first use.
+        idx.pair_key_counts(idx.c_tokens)
+        if cfg.algorithm == "repcs":
+            idx.duplicate_pub_rows(idx.c_tokens)
         bounds = []
         step = (n + workers - 1) // workers
         for lo in range(0, n, step):

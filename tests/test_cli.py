@@ -360,6 +360,25 @@ def test_pool_flags_with_local_background_exit_1(synth_dir, tmp_path, capsys, co
     assert not (tmp_path / "o" / "run.manifest").exists()
 
 
+def test_manifest_records_the_pools_dropped_rows(synth_dir, tmp_path):
+    # The pool is D00 plus one reference without a journal and two citation
+    # rows whose pub_id is on no publication row.
+    d00, pool = synth_dir / "D00", tmp_path / "pool"
+    pool.mkdir()
+    extra = {"publications.tsv": "", "references.tsv": "r-extra\t1990\t\tphys\n",
+             "citations.tsv": "p-missing\tr-extra\np-missing\tr-other\n"}
+    for name, rows in extra.items():
+        (pool / name).write_text((d00 / name).read_text(encoding="utf-8") + rows,
+                                 encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["compose", *corpus_flags(d00), *pool_flags(pool), "--background", "global",
+                 "--out", str(out)]) == 0
+    diagnostics = RunManifest.load(out / "run.manifest").diagnostics
+    assert diagnostics["dropped"] == {}
+    assert diagnostics["pool_dropped"] == {"reference_missing_journal": 1,
+                                           "citation_unresolved_pub": 2}
+
+
 def test_rerun_workers_override_skips_commands_without_workers(synth_dir, tmp_path):
     first = tmp_path / "first"
     assert main(["observe", *corpus_flags(synth_dir / "D00"), "--out", str(first)]) == 0

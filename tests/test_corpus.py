@@ -12,6 +12,7 @@ from cocite import (
 )
 from cocite.corpus import (
     DROP_CITE_DUPLICATE,
+    DROP_CITE_OF_DROPPED_PUB,
     DROP_CITE_UNKNOWN_PUB,
     DROP_CITE_UNKNOWN_REF,
     DROP_PUB_NO_JOURNAL,
@@ -187,6 +188,27 @@ def test_reference_without_journal_dropped_and_counted(write_tsvs):
     assert corpus.diagnostics.dropped[DROP_REF_NO_JOURNAL] == 1
     assert corpus.diagnostics.dropped[DROP_CITE_UNKNOWN_REF] == 1
     assert corpus.publications[0].refs == ("r1", "r2")
+
+
+def test_every_citation_row_is_kept_or_tallied_once(write_tsvs):
+    refs = REFS_BASIC + [("r4", 1990, "", "phys")]
+    pubs = [("p1", 1995, "J-A", 0), ("p2", 1996, "J-A", 0), ("p3", 1995, "J-B", 0),
+            ("p4", 1995, "", 0), ("p5", 1995, "J-C", 0)]
+    cites = [
+        ("p1", "r1"), ("p1", "r2"), ("p1", "r1"), ("p1", "r4"),
+        ("p2", "r1"), ("p2", "r2"), ("p2", "r3"),
+        ("p3", "r3"), ("p3", "r9"), ("p3", "r3"),
+        ("p4", "r1"), ("p9", "r2"),
+    ]
+    corpus = ingest(*write_tsvs(pubs, refs, cites), IngestConfig(slice_year=1995))
+    dropped = corpus.diagnostics.dropped
+    assert [p.pub_id for p in corpus.publications] == ["p1"]
+    assert dropped[DROP_PUB_YEAR] == 1
+    assert dropped[DROP_TOO_FEW_REFS] == 2
+    # p2's three rows and p3's one resolved row; p5 cites nothing.
+    assert dropped[DROP_CITE_OF_DROPPED_PUB] == 4
+    cite_tallies = sum(n for key, n in dropped.items() if key.startswith("citation_"))
+    assert corpus.n_citations() + cite_tallies == len(cites)
 
 
 def test_mixed_years_require_slice_year(write_tsvs):

@@ -3,7 +3,7 @@
 A repcs simulation shuffles each year group's slice of a group-major
 token vector in place and reads back only the analyzed slots, group by
 group. It deletes duplicates either by comparing same-year slot pairs or
-by sorting each publication's tokens. The oracles here and the
+by sorting the tokens keyed by publication. The oracles here and the
 ``repcs_oracle`` fixture walk publications and their reference lists in
 Python instead, in corpus order, and draw each group's permutation with
 ``permutation(n)``; the tests compare the two through the index's
@@ -150,8 +150,9 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
     repcs_shuffle(plan, 1).corpus
     assert built(plan.index) == ["corpus_order", "same_year_pairs"]
 
-    # simulate_plan builds, in the parent before forking, what its pair-count
-    # and dedupe paths read and nothing else, so the workers share one copy.
+    # simulate_plan runs the pair-count and dedupe kernels once in the parent
+    # before forking, which builds what they read and nothing else, so the
+    # workers share one copy. Sorting duplicates reads no bucket matrices.
     fork_pool = simulate.ProcessPoolExecutor
     cases = [(background, algorithm, product, sorting)
              for background in ("local", "global")
@@ -171,8 +172,6 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
             want = {"_pub_key"} if product else {"_buckets"}
             if algorithm == "repcs":
                 want.add("same_year_pairs")
-                if sorting:
-                    want.add("_buckets")
             want = [name for name in LAZY if name in want]
             at_fork = []
 
@@ -187,3 +186,28 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
             assert built(plan.index) == want
             if algorithm == "repcs":
                 assert (plan.index.same_year_pairs is None) == sorting
+
+
+def test_sorting_dedupe_is_exact_for_any_vector():
+    # Random tokens from the whole reference universe move across years and
+    # repeat within publications and across them; only a repeat within one
+    # publication deletes it.
+    result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=60,
+                                  ref_pool_per_discipline=60, n_ref_years=5, seed=29))
+    idx = CorpusIndex(result.pool)
+    rng = np.random.default_rng(31)
+    pos = idx.corpus_order
+    ptr = idx.c_pub_ptr.tolist()
+    for n_tokens in (len(idx.ref_ids), 60):
+        tokens = rng.integers(0, n_tokens, len(idx.c_tokens))
+        in_order = tokens[pos].tolist()
+        per_pub = [in_order[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+        expected = [row for row, t in enumerate(per_pub) if len(set(t)) != len(t)]
+        assert 0 < len(expected) < len(per_pub)
+        kept = [t for row, t in enumerate(per_pub) if row not in expected]
+        assert len(set().union(*kept)) < sum(map(len, kept))
+        assert not np.array_equal(idx.ref_year[tokens], idx.ref_year[idx.c_tokens])
+        deleted = idx._duplicates_by_sorting(tokens)
+        assert deleted.dtype == np.int64
+        assert deleted.tolist() == expected
+    assert "_buckets" not in vars(idx)

@@ -285,18 +285,11 @@ def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_
     with monkeypatch.context() as m:
         m.setattr(indexing.CorpusIndex, "bucket_pair_keys", refuse_expansion)
         product = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
-        # C^T C taken n_journals rows at a time: several blocks and a partial
-        # last one.
-        m.setattr(indexing, "DENSE_PAIR_LIMIT", idx.n_journals * idx.n_journals)
-        assert len(idx.c_pub_ids) > 2 * idx.n_journals
-        assert len(idx.c_pub_ids) % idx.n_journals
-        blocks = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
     expanded = [idx.pair_key_counts(a, exclude_rows=ex) for a, ex in cases]
-    for (pk, pc), (bk, bc), (ek, ec) in zip(product, blocks, expanded):
-        assert pk.dtype == bk.dtype == ek.dtype == pc.dtype == bc.dtype == ec.dtype == np.int64
-        assert np.array_equal(pk, ek) and np.array_equal(bk, ek)
-        assert np.array_equal(pc, ec) and np.array_equal(bc, ec)
+    for (pk, pc), (ek, ec) in zip(product, expanded):
+        assert pk.dtype == ek.dtype == pc.dtype == ec.dtype == np.int64
+        assert np.array_equal(pk, ek) and np.array_equal(pc, ec)
     # Unshuffled, the same-journal publication alone adds C(7, 2) = 21 self-pairs.
     monkeypatch.undo()
     j = idx.ref_journal[idx.c_tokens[idx.corpus_order[idx.c_pub_ptr[same_row]]]]
@@ -329,10 +322,14 @@ def test_journal_product_refuses_squared_counts_past_2_53(make_corpus):
     idx = CorpusIndex(corpus)
     keys, counts = idx.pair_key_counts(idx.c_tokens)
     assert counts.tolist() == [1, 1]
-    # Two publications of 2^26 references: the squares sum to exactly 2^53.
-    idx.c_counts = np.array([1 << 26, 1 << 26], np.int64)
+    # The squared reference counts sum to 2 * n_pairs + 4, here 2^53 + 4,
+    # without building a token vector that large.
+    idx.n_pairs = 1 << 52
     with pytest.raises(ValueError, match="2\\^53"):
         idx.pair_key_counts(idx.c_tokens)
+    # 2^52 - 3 pairs bring the sum to 2^53 - 2, the largest one allowed.
+    idx.n_pairs = (1 << 52) - 3
+    assert idx.pair_key_counts(idx.c_tokens)[1].tolist() == [1, 1]
 
 
 def test_pair_stats_csv_round_trips(tmp_path):
