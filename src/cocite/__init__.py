@@ -13,7 +13,7 @@ from .corpus import (
     summarize,
     validate_corpus,
 )
-from .pairs import JournalPair, JournalPairTable, observed_frequencies
+from .pairs import JournalPair, PairStats, PairTable, observed_frequencies
 from .shuffle import (
     GroupPlan,
     PreservationReport,
@@ -24,7 +24,6 @@ from .shuffle import (
     umsj_shuffle,
 )
 from .simulate import (
-    PairStats,
     SimConfig,
     SimResult,
     benchmark_algorithms,
@@ -38,7 +37,6 @@ from .classify import (
     PubSummary,
     classify_corpus,
     corpus_summaries,
-    index_pair_stats,
     pub_zstats,
 )
 from .impact import (

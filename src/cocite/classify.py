@@ -10,8 +10,7 @@ import numpy as np
 
 from .corpus import Corpus, IngestError, Publication, ReferenceRecord, read_rows, write_rows
 from .indexing import CorpusIndex
-from .pairs import JournalPair
-from .simulate import PairStats
+from .pairs import PairStats, PairTable, rekey
 
 CATEGORIES = ("LNLC", "LNHC", "HNLC", "HNHC")
 NOVELTY_PERCENTILES = (10, 1)
@@ -43,16 +42,21 @@ class PubSummary:
     category: str | None = None
 
 
-def index_pair_stats(stats: Iterable[PairStats]) -> dict[JournalPair, PairStats]:
-    return {ps.pair: ps for ps in stats}
+def index_pair_stats(stats: PairTable) -> PairTable:
+    """``stats`` itself: a pair table is already indexed by its keys. Kept
+    for perfbench/probe.py."""
+    return stats
 
 
 def pub_zstats(pub: Publication, references: Mapping[str, ReferenceRecord],
-               stats: Mapping[JournalPair, PairStats]) -> PubSummary:
-    """``corpus_summaries`` of a corpus holding only ``pub``.
+               stats: PairTable | Iterable[PairStats]) -> PubSummary:
+    """``corpus_summaries`` of a corpus holding only ``pub``, given a pair
+    table or its rows.
 
     Raises ValueError when none of the publication's pairs has a defined z.
     """
+    if not isinstance(stats, PairTable):
+        stats = PairTable.from_rows(stats)
     refs = {r: references[r] for r in pub.refs if r in references}
     summaries, _ = corpus_summaries(Corpus(pub.year, [pub], refs), stats)
     if not summaries:
@@ -60,8 +64,7 @@ def pub_zstats(pub: Publication, references: Mapping[str, ReferenceRecord],
     return summaries[0]
 
 
-def corpus_summaries(corpus: Corpus, stats: Mapping[JournalPair, PairStats]
-                     ) -> tuple[list[PubSummary], int]:
+def corpus_summaries(corpus: Corpus, stats: PairTable) -> tuple[list[PubSummary], int]:
     """Median, 10th and 1st percentile of each publication's pair z-scores.
 
     Every pair instance counts with its multiplicity; pairs with an
@@ -73,18 +76,15 @@ def corpus_summaries(corpus: Corpus, stats: Mapping[JournalPair, PairStats]
     return index_summaries(CorpusIndex(corpus), stats)
 
 
-def index_summaries(idx: CorpusIndex, stats: Mapping[JournalPair, PairStats]
-                    ) -> tuple[list[PubSummary], int]:
+def index_summaries(idx: CorpusIndex, stats: PairTable) -> tuple[list[PubSummary], int]:
     """``corpus_summaries`` of the analyzed corpus of an index built before."""
-    rank = {j: i for i, j in enumerate(idx.journal_ids)}
-    # Defined z-scores sorted by pair key, ending in a sentinel key above
-    # every pair key so that searchsorted always lands inside the array.
-    defined = sorted(
-        (rank[a] * idx.n_journals + rank[b], ps.z)
-        for (a, b), ps in stats.items()
-        if ps.z is not None and a in rank and b in rank
-    ) + [(idx.n_journals ** 2, np.nan)]
-    keys, zs = (np.array(column) for column in zip(*defined))
+    rows, keys = rekey(stats, idx.journal_ids)
+    zs = stats.z[rows]
+    defined = ~np.isnan(zs)
+    # Defined z-scores in key order, ending in a sentinel key above every
+    # pair key so that searchsorted always lands inside the array.
+    keys = np.append(keys[defined], idx.n_journals ** 2)
+    zs = np.append(zs[defined], np.nan)
     n_pubs = len(idx.c_pub_ids)
     q = np.zeros((3, n_pubs))
     n_defined = np.zeros(n_pubs, np.int64)

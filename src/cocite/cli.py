@@ -31,7 +31,6 @@ from .classify import (
     ClassifyConfig,
     PubSummary,
     classify_corpus,
-    index_pair_stats,
     index_summaries,
     read_summaries_csv,
     write_summaries_csv,
@@ -66,12 +65,11 @@ from .impact import (
 )
 from .manifest import RunManifest, file_digest
 from .indexing import CorpusIndex
-from .pairs import JournalPairTable, index_frequencies, write_pair_csv
+from .pairs import PairTable, index_frequencies, write_pair_csv
 from .shuffle import GroupPlan, ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
 from .simulate import (
     ALGORITHMS,
     BACKGROUNDS,
-    PairStats,
     SimConfig,
     SimResult,
     WorkerError,
@@ -79,7 +77,6 @@ from .simulate import (
     check_algorithms,
     read_pair_stats_csv,
     simulate_plan,
-    undefined_pair_count,
     write_pair_means_csv,
     write_pair_stats_csv,
     zscores,
@@ -188,7 +185,7 @@ class Run:
         return self.plan(getattr(self.args, "background", "local")).index
 
     @cached_property
-    def observed(self) -> JournalPairTable:
+    def observed(self) -> PairTable:
         """Observe stage: the corpus's journal-pair frequencies."""
         self.inputs  # loaded outside this stage's timing
         with self.timed("observe"):
@@ -218,9 +215,9 @@ class Run:
         deleted = sims.per_sim_deleted
         p50, p99 = np.percentile(deleted, [50, 99])  # SimConfig requires n_simulations >= 2
         self.diagnostics.update(
-            algorithm=sims.algorithm,
+            algorithm=sims.cfg.algorithm,
             background=sims.background,
-            n_simulations=sims.n_simulations,
+            n_simulations=sims.cfg.n_simulations,
             support_pairs=len(sims),
             deleted_pubs_total=sum(deleted),
             deleted_pubs_max=max(deleted),
@@ -233,12 +230,12 @@ class Run:
         return sims
 
     @cached_property
-    def stats(self) -> list[PairStats]:
+    def stats(self) -> PairTable:
         """Zscore stage: observed against simulated frequency, pair by pair."""
         observed, sims = self.observed, self.sims
         with self.timed("zscore"):
             stats = zscores(observed, sims)
-        self.diagnostics["sigma_zero_pairs"] = undefined_pair_count(stats)
+        self.diagnostics["sigma_zero_pairs"] = int(np.isnan(stats.z).sum())
         return stats
 
     @cached_property
@@ -247,7 +244,7 @@ class Run:
         stats = self.stats
         self.inputs  # loaded outside this stage's timing
         with self.timed("classify"):
-            summaries, excluded = index_summaries(self.index, index_pair_stats(stats))
+            summaries, excluded = index_summaries(self.index, stats)
             labeled, threshold = classify_corpus(summaries, ClassifyConfig(self.args.novelty_pct))
         self.diagnostics.update(threshold=threshold, classified=len(labeled),
                                 excluded_no_defined_pairs=excluded)
@@ -319,7 +316,7 @@ def cmd_observe(run: Run) -> None:
 def cmd_simulate(run: Run) -> None:
     sims = run.sims
     write_pair_means_csv(sims, run.out / "pair_means.csv")
-    print(f"simulated {sims.n_simulations} shuffles, {len(sims)} pairs in support")
+    print(f"simulated {sims.cfg.n_simulations} shuffles, {len(sims)} pairs in support")
 
 
 def cmd_zscore(run: Run) -> None:

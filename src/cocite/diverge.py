@@ -11,11 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .corpus import Corpus, write_rows
-from .pairs import JournalPairTable
+from .pairs import PairTable, union_support
 from .shuffle import ShuffleOutcome
+from .simulate import SimResult
 
 DEFAULT_EPSILON = 1e-12
 
@@ -30,48 +33,39 @@ class DivergenceResult:
     year: int | None = None
 
 
-def _mean_of(value) -> float:
-    if isinstance(value, tuple):
-        return float(value[0])
-    return float(value)
-
-
-def kl_divergence(obs: JournalPairTable, sim_mean: Mapping,
+def kl_divergence(obs: PairTable, sim_mean: SimResult | PairTable,
                   journal_filter: Iterable[str] | None = None,
                   epsilon: float = DEFAULT_EPSILON, *,
                   corpus_tag: str = "", background: str = "",
                   year: int | None = None) -> DivergenceResult:
     """D(observed || simulated) in bits over the filtered union support.
 
-    Both tables are restricted to pairs whose journals are both in
-    ``journal_filter``, padded with ``epsilon`` on every union-support
-    bin, and normalized to probability distributions. ``sim_mean`` may
-    map pairs to means or to (mean, sigma) tuples.
+    The observed ``f_obs`` and simulated ``f_exp`` are restricted to pairs
+    whose journals are both in ``journal_filter``, padded with ``epsilon``
+    on every union-support bin, and normalized to probability
+    distributions. Totals and terms are summed one bin at a time in key
+    order, so the result does not depend on numpy's summation order.
     """
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
-    keep = None if journal_filter is None else set(journal_filter)
-
-    def admitted(pair) -> bool:
-        return keep is None or (pair[0] in keep and pair[1] in keep)
-
-    p_raw = {pair: float(c) for pair, c in obs.counts.items() if admitted(pair)}
-    q_raw = {pair: _mean_of(v) for pair, v in sim_mean.items() if admitted(pair)}
-    support = sorted(set(p_raw) | set(q_raw))
-    if not support:
+    sim = sim_mean.table if isinstance(sim_mean, SimResult) else sim_mean
+    journal_ids = None if journal_filter is None else sorted(set(journal_filter))
+    _, keys, (obs_rows, obs_at), (sim_rows, sim_at) = union_support(obs, sim, journal_ids)
+    if not len(keys):
         raise ValueError("no journal pairs survive the filter; cannot compute divergence")
-    p = [p_raw.get(pair, 0.0) + epsilon for pair in support]
-    q = [q_raw.get(pair, 0.0) + epsilon for pair in support]
-    p_total = sum(p)
-    q_total = sum(q)
+    p, q = np.zeros(len(keys)), np.zeros(len(keys))
+    p[obs_at] = obs.f_obs[obs_rows]
+    q[sim_at] = sim.f_exp[sim_rows]
+    p += epsilon
+    q += epsilon
+    p /= sum(p.tolist())
+    q /= sum(q.tolist())
     kld = 0.0
-    for pi, qi in zip(p, q):
-        pn = pi / p_total
-        qn = qi / q_total
+    for pn, qn in zip(p.tolist(), q.tolist()):
         if pn != qn:
             kld += pn * math.log2(pn / qn)
     # Rounding can leave a tiny negative residue on near-identical inputs.
-    return DivergenceResult(corpus_tag, background, max(kld, 0.0), len(support), epsilon, year)
+    return DivergenceResult(corpus_tag, background, max(kld, 0.0), len(keys), epsilon, year)
 
 
 @dataclass(frozen=True)

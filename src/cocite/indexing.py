@@ -70,18 +70,18 @@ class CorpusIndex:
             flat = [ref_index[r] for p in pool.publications for r in p.refs]
         except KeyError as exc:
             raise ValueError(f"citation to unknown reference {exc.args[0]!r}") from None
-        self.slot_ref = np.asarray(flat, dtype=np.int64)
+        slot_ref = np.asarray(flat, dtype=np.int64)
         slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)
 
         # Permutation groups: pool slots keyed by reference year, slot order
         # preserved within each group. ``pool_tokens`` holds the groups'
         # tokens one group after another, group g in [group_ptr[g], group_ptr[g + 1]).
-        slot_year = self.ref_year[self.slot_ref]
+        slot_year = self.ref_year[slot_ref]
         order = np.argsort(slot_year, kind="stable")
         yvals, starts = np.unique(slot_year[order], return_index=True)
         self.group_years = [int(y) for y in yvals]
         self.group_ptr = np.append(starts, len(order))
-        self.pool_tokens = self.slot_ref[order]
+        self.pool_tokens = slot_ref[order]
         ptr = self.group_ptr.tolist()
         self.group_slots = [order[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
         if n_refs:
@@ -143,7 +143,7 @@ class CorpusIndex:
     # index costs no more than the groups need.
 
     def _corpus_positions(self) -> np.ndarray:
-        where = np.empty(len(self.slot_ref), np.intp)
+        where = np.empty(int(self.pool_pub_ptr[-1]), np.intp)
         where[self.c_slot_index] = np.arange(len(self.c_slot_index))
         return where[self._corpus_slots()]
 
@@ -326,10 +326,6 @@ class CorpusIndex:
         flat = np.triu(table).reshape(-1)
         nz = np.flatnonzero(flat)
         return nz, flat[nz]
-
-    def key_to_pair(self, key: int) -> tuple[str, str]:
-        i, j = divmod(int(key), self.n_journals)
-        return self.journal_ids[i], self.journal_ids[j]
 
     def fixed_points(self, tokens: np.ndarray) -> int:
         """Analyzed-corpus citations that landed back on their original reference."""

@@ -152,8 +152,13 @@ def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
     idx = plan.index
-    tokens = idx.slot_ref.tolist()
-    orig = idx.slot_ref.tolist()
+    # Tokens in pool-slot order: each group's tokens back at its slots.
+    slot_ref = np.empty(len(idx.pool_tokens), np.int64)
+    ptr = idx.group_ptr.tolist()
+    for slots, lo, hi in zip(idx.group_slots, ptr[:-1], ptr[1:]):
+        slot_ref[slots] = idx.pool_tokens[lo:hi]
+    tokens = slot_ref.tolist()
+    orig = list(tokens)
     slot_pub = np.repeat(np.arange(len(idx.pool_pub_ids)), np.diff(idx.pool_pub_ptr)).tolist()
     held: list[set[int]] = [set() for _ in idx.pool_pub_ids]
     for t, p in zip(tokens, slot_pub):

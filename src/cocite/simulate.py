@@ -13,18 +13,17 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
-from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .corpus import Corpus, IngestError, read_rows, write_rows
 from .indexing import DENSE_PAIR_LIMIT
-from .pairs import JournalPair, JournalPairTable
+from .pairs import JournalPair, PairRowError, PairStats, PairTable, union_support
 from .shuffle import GroupPlan, build_groups, umsj_shuffle, _permuted_tokens
 
 ALGORITHMS = ("repcs", "umsj")
@@ -61,21 +60,6 @@ class SimConfig:
             raise ValueError("master_seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class PairStats:
-    """Observed frequency, simulated mean/sigma, and z-score of one pair.
-
-    ``z`` is None when sigma is zero; such pairs are excluded from
-    per-publication statistics downstream.
-    """
-
-    pair: JournalPair
-    f_obs: int
-    f_exp: float
-    sigma: float
-    z: float | None
-
-
 class _DenseAccumulator:
     def __init__(self, n_cells: int):
         self.s1 = np.zeros(n_cells, np.int64)
@@ -95,53 +79,40 @@ class _DenseAccumulator:
 
 
 class _SparseAccumulator:
-    """Sorted-key accumulator for journal sets too large for dense tables."""
+    """Sorted-key accumulator for journal sets too large for dense tables.
+
+    ``_parts`` holds (keys, s1, s2) arrays; compacting sums them by key
+    into one part of unique ascending keys.
+    """
 
     _COMPACT_AT = 1 << 22
 
     def __init__(self):
-        self.keys = np.zeros(0, np.int64)
-        self.s1 = np.zeros(0, np.int64)
-        self.s2 = np.zeros(0, np.int64)
-        self._pend_keys: list[np.ndarray] = []
-        self._pend_s1: list[np.ndarray] = []
-        self._pend_s2: list[np.ndarray] = []
+        self._parts = [(np.zeros(0, np.int64),) * 3]
         self._pending = 0
 
     def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        self._pend_keys.append(keys)
-        self._pend_s1.append(counts)
-        self._pend_s2.append(counts * counts)
+        self._parts.append((keys, counts, counts * counts))
         self._pending += len(keys)
         if self._pending >= self._COMPACT_AT:
             self._compact()
 
     def _compact(self) -> None:
-        if not self._pending:
-            return
-        all_keys = np.concatenate([self.keys] + self._pend_keys)
-        all_s1 = np.concatenate([self.s1] + self._pend_s1)
-        all_s2 = np.concatenate([self.s2] + self._pend_s2)
-        uk, inv = np.unique(all_keys, return_inverse=True)
-        s1 = np.zeros(len(uk), np.int64)
-        s2 = np.zeros(len(uk), np.int64)
-        np.add.at(s1, inv, all_s1)
-        np.add.at(s2, inv, all_s2)
-        self.keys, self.s1, self.s2 = uk, s1, s2
-        self._pend_keys, self._pend_s1, self._pend_s2 = [], [], []
+        keys, s1, s2 = (np.concatenate(column) for column in zip(*self._parts))
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        self._parts = [(keys[starts], np.add.reduceat(s1[order], starts),
+                        np.add.reduceat(s2[order], starts))]
         self._pending = 0
 
     def merge(self, other: "_SparseAccumulator") -> None:
-        other._compact()
-        self._pend_keys.append(other.keys)
-        self._pend_s1.append(other.s1)
-        self._pend_s2.append(other.s2)
-        self._pending += len(other.keys)
+        self._parts += other._parts
         self._compact()
 
     def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         self._compact()
-        return self.keys, self.s1, self.s2
+        return self._parts[0]
 
 
 def _make_accumulator(n_journals: int):
@@ -151,16 +122,21 @@ def _make_accumulator(n_journals: int):
     return _SparseAccumulator()
 
 
-def pair_mean_sigma(freq_sum: int, freq_sq_sum: int, n_simulations: int) -> tuple[float, float]:
-    """Mean and population sigma from exact integer accumulators.
+def pair_mean_sigma(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair's mean and population sigma from exact integer sums.
 
-    Absent-in-simulation frequencies count as zero, which the sums encode
-    already. n*s2 - s1^2 is computed in Python integers, so it is exact
-    and never negative.
+    ``s1`` and ``s2`` are int64 sums and sums of squares of a pair's
+    frequency over ``n`` simulations, absences counting as zero. The
+    result equals ``s1 / n`` and ``sqrt(n*s2 - s1**2) / n`` in Python
+    integers bit for bit: int64 holds n*s2 - s1^2 exactly while n*s2 stays
+    below 2^63 (s1^2 <= n*s2, so s1 < 2^32 and n < 2^53 convert to float
+    exactly), and Python integers take over past that.
     """
-    mean = freq_sum / n_simulations
-    sigma = math.sqrt(n_simulations * freq_sq_sum - freq_sum * freq_sum) / n_simulations
-    return mean, sigma
+    if n < 1 << 53 and n * int(s2.max(initial=0)) < 1 << 63:
+        return s1 / n, np.sqrt(n * s2 - s1 * s1) / n
+    s1, s2 = s1.tolist(), s2.tolist()
+    return (np.array([a / n for a in s1], np.float64),
+            np.array([math.sqrt(n * b - a * a) / n for a, b in zip(s1, s2)], np.float64))
 
 
 def _run_sim_range(plan: GroupPlan, cfg: SimConfig, lo: int, hi: int):
@@ -207,35 +183,26 @@ def _forked_range(bounds: tuple[int, int]):
     return _run_sim_range(plan, cfg, bounds[0], bounds[1])
 
 
-class SimResult(Mapping):
-    """Mapping from journal pair to (mean, sigma) over all simulations.
+@dataclass
+class SimResult:
+    """Mean (``f_exp``) and population sigma of every pair's frequency over
+    all simulations, absences counting as zero, with the run's
+    configuration and per-simulation diagnostics."""
 
-    Pairs absent from a simulation count as frequency zero. Extra
-    attributes carry run provenance and per-simulation diagnostics.
-    """
+    table: PairTable
+    cfg: SimConfig
+    per_sim_deleted: list[int]
+    per_sim_total_pairs: list[int]
+    retry_exhausted_total: int
+    # Seconds spent in each of SIM_LAYERS, summed over simulations and workers.
+    layer_s: dict[str, float]
 
-    def __init__(self, stats: dict[JournalPair, tuple[float, float]], cfg: SimConfig,
-                 per_sim_deleted: list[int], per_sim_total_pairs: list[int],
-                 retry_exhausted_total: int = 0, layer_s: dict[str, float] | None = None):
-        self._stats = stats
-        self.n_simulations = cfg.n_simulations
-        self.algorithm = cfg.algorithm
-        self.background = cfg.background
-        self.master_seed = cfg.master_seed
-        self.per_sim_deleted = per_sim_deleted
-        self.per_sim_total_pairs = per_sim_total_pairs
-        self.retry_exhausted_total = retry_exhausted_total
-        # Seconds spent in each of SIM_LAYERS, summed over simulations and workers.
-        self.layer_s = layer_s or {}
+    def __len__(self) -> int:
+        return len(self.table)
 
-    def __getitem__(self, pair):
-        return self._stats[pair]
-
-    def __iter__(self):
-        return iter(self._stats)
-
-    def __len__(self):
-        return len(self._stats)
+    @property
+    def background(self) -> str:
+        return self.cfg.background
 
 
 def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimResult:
@@ -314,47 +281,44 @@ def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
         acc, deleted_per_sim, pairs_per_sim, exhausted, layer_s = _run_sim_range(plan, cfg, 0, n)
 
     keys, s1, s2 = acc.support()
-    stats: dict[JournalPair, tuple[float, float]] = {}
-    for key, a, b in zip(keys.tolist(), s1.tolist(), s2.tolist()):
-        stats[JournalPair(*idx.key_to_pair(key))] = pair_mean_sigma(a, b, n)
-    return SimResult(stats, cfg, deleted_per_sim, pairs_per_sim, exhausted,
-                     dict(zip(SIM_LAYERS, layer_s)))
+    f_exp, sigma = pair_mean_sigma(s1, s2, n)
+    return SimResult(PairTable(idx.journal_ids, keys, f_exp=f_exp, sigma=sigma), cfg,
+                     deleted_per_sim, pairs_per_sim, exhausted, dict(zip(SIM_LAYERS, layer_s)))
 
 
-def zscores(f_obs: JournalPairTable, sims: Mapping) -> list[PairStats]:
-    """One PairStats per pair in the union of observed and simulated support."""
-    out: list[PairStats] = []
-    support = set(f_obs.counts) | set(sims)
-    for pair in sorted(support):
-        obs = f_obs.counts.get(pair, 0)
-        mean, sigma = sims.get(pair, (0.0, 0.0))
-        z = (obs - mean) / sigma if sigma > 0.0 else None
-        out.append(PairStats(pair=pair, f_obs=obs, f_exp=mean, sigma=sigma, z=z))
-    return out
+def zscores(f_obs: PairTable, sims: SimResult | PairTable) -> PairTable:
+    """Observed frequency, simulated mean and sigma, and z-score of every
+    pair in the union of observed and simulated support; z is undefined
+    (NaN) where sigma is zero."""
+    sims = sims.table if isinstance(sims, SimResult) else sims
+    journal_ids, keys, (obs_rows, obs_at), (sim_rows, sim_at) = union_support(f_obs, sims)
+    table = PairTable(journal_ids, keys, np.zeros(len(keys), np.int64), np.zeros(len(keys)),
+                      np.zeros(len(keys)), np.full(len(keys), np.nan))
+    table.f_obs[obs_at] = f_obs.f_obs[obs_rows]
+    table.f_exp[sim_at] = sims.f_exp[sim_rows]
+    table.sigma[sim_at] = sims.sigma[sim_rows]
+    defined = table.sigma > 0.0
+    table.z[defined] = (table.f_obs[defined] - table.f_exp[defined]) / table.sigma[defined]
+    return table
 
 
-def undefined_pair_count(stats: Iterable[PairStats]) -> int:
-    return sum(1 for ps in stats if ps.z is None)
+def undefined_pair_count(stats: PairTable) -> int:
+    """Pairs of ``stats`` with an undefined z. Kept for perfbench/probe.py."""
+    return int(np.isnan(stats.z).sum())
 
 
-def sign_change_report(stats_a: Sequence[PairStats], stats_b: Sequence[PairStats]) -> float:
+def sign_change_report(stats_a: PairTable, stats_b: PairTable) -> float:
     """Fraction of pairs whose z-scores have strictly opposite signs.
 
     Only pairs with a defined z in both inputs count; a zero z-score has
     no sign and never contributes a change.
     """
-    zb = {ps.pair: ps.z for ps in stats_b if ps.z is not None}
-    common = 0
-    changed = 0
-    for ps in stats_a:
-        if ps.z is None:
-            continue
-        other = zb.get(ps.pair)
-        if other is None:
-            continue
-        common += 1
-        if (ps.z > 0 and other < 0) or (ps.z < 0 and other > 0):
-            changed += 1
+    _, keys, (rows_a, at_a), (rows_b, at_b) = union_support(stats_a, stats_b)
+    za, zb = np.full(len(keys), np.nan), np.full(len(keys), np.nan)
+    za[at_a] = stats_a.z[rows_a]
+    zb[at_b] = stats_b.z[rows_b]
+    common = int((~np.isnan(za) & ~np.isnan(zb)).sum())
+    changed = int((((za > 0) & (zb < 0)) | ((za < 0) & (zb > 0))).sum())
     return changed / common if common else 0.0
 
 
@@ -395,25 +359,33 @@ def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
     return timings
 
 
-def write_pair_stats_csv(stats: Sequence[PairStats], path: str | Path) -> None:
+def write_pair_stats_csv(stats: PairTable, path: str | Path) -> None:
     write_rows(path, PAIR_STATS_COLUMNS,
-               ((*ps.pair, ps.f_obs, ps.f_exp, ps.sigma, ps.z, int(ps.z is not None))
-                for ps in stats))
+               ((*row, int(row[-1] is not None))
+                for row in stats.row_values("f_obs", "f_exp", "sigma", "z")))
 
 
-def read_pair_stats_csv(path: str | Path) -> list[PairStats]:
-    out: list[PairStats] = []
+def read_pair_stats_csv(path: str | Path) -> PairTable:
+    """The table of a pair_stats.csv. Raises IngestError naming the line of
+    a malformed row, of a z that does not fit its defined_flag, and of a
+    pair out of journal order or given twice."""
+    rows: list[PairStats] = []
+    lines: list[int] = []
     for lineno, (a, b, f_obs, f_exp, sigma, z, defined) in read_rows(path, PAIR_STATS_COLUMNS):
-        if defined not in ("0", "1"):
-            raise IngestError(f"{path}:{lineno}: defined_flag must be 0 or 1, got {defined!r}")
+        if defined not in ("0", "1") or (defined == "1") != bool(z):
+            raise IngestError(f"{path}:{lineno}: defined_flag {defined!r} does not fit z {z!r}")
         try:
-            out.append(PairStats(JournalPair(a, b), int(f_obs), float(f_exp), float(sigma),
-                                 float(z) if defined == "1" else None))
+            rows.append(PairStats(JournalPair(a, b), int(f_obs), float(f_exp), float(sigma),
+                                  float(z) if z else None))
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
-    return out
+        lines.append(lineno)
+    try:
+        return PairTable.from_rows(rows)
+    except PairRowError as exc:
+        raise IngestError(f"{path}:{lines[exc.row]}: {exc}") from None
 
 
-def write_pair_means_csv(sims: Mapping, path: str | Path) -> None:
+def write_pair_means_csv(sims: SimResult, path: str | Path) -> None:
     write_rows(path, ("journal_a", "journal_b", "f_exp", "sigma"),
-               ((*pair, *sims[pair]) for pair in sorted(sims)))
+               sims.table.row_values("f_exp", "sigma"))

@@ -34,7 +34,7 @@ from cocite import (
 from cocite.classify import PubSummary
 from cocite.cli import main
 from cocite.impact import chi_square_gof
-from cocite.pairs import JournalPair, JournalPairTable
+from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.rng import group_stream
 from cocite.simulate import benchmark_algorithms
 
@@ -229,10 +229,10 @@ def test_classification_percentile_example(make_corpus):
     def ps(a, b, z):
         return PairStats(JournalPair.of(a, b), 0, 0.0, 1.0 if z is not None else 0.0, z)
 
-    stats = {p.pair: p for p in [
+    stats = [
         ps("A", "B", -3.0), ps("A", "C", -1.0), ps("A", "D", 0.0),
         ps("B", "C", 2.0), ps("B", "D", 5.0), ps("C", "D", None),
-    ]}
+    ]
     got = pub_zstats(corpus.publications[0], corpus.references, stats)
     assert got.z_median == 0.0
     assert got.z_p10 == -2.2
@@ -374,17 +374,19 @@ def test_cli_determinism_across_worker_counts(tmp_path):
 
 @pytest.mark.acceptance("10", "K-L units: self-divergence zero, two-bin example 0.20752 bits")
 def test_kl_unit_values():
-    table = JournalPairTable(Counter({
+    table = PairTable.from_rows(PairStats(pair, c, None, None, None) for pair, c in {
         JournalPair.of("A", "B"): 7, JournalPair.of("A", "C"): 3,
         JournalPair.of("B", "B"): 11,
-    }))
-    self_sim = {pair: float(c) for pair, c in table.counts.items()}
+    }.items())
+    self_sim = PairTable.from_rows(PairStats(ps.pair, 0, float(ps.f_obs), 0.0, None)
+                                   for ps in table)
     assert kl_divergence(table, self_sim, None, 1e-12).kld == 0.0
     assert kl_divergence(table, self_sim, None, 0.5).kld == 0.0
 
-    two_bin = JournalPairTable(Counter({
+    two_bin = PairTable.from_rows(PairStats(pair, c, None, None, None) for pair, c in {
         JournalPair.of("A", "A"): 1, JournalPair.of("A", "B"): 1,
-    }))
-    sim = {JournalPair.of("A", "A"): 0.5, JournalPair.of("A", "B"): 1.5}
+    }.items())
+    sim = PairTable.from_rows(PairStats(pair, 0, m, 0.0, None) for pair, m in {
+        JournalPair.of("A", "A"): 0.5, JournalPair.of("A", "B"): 1.5}.items())
     got = kl_divergence(two_bin, sim, None, 1e-12).kld
     assert abs(got - 0.20752) < 1e-4

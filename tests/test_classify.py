@@ -8,7 +8,6 @@ from cocite import (
     SimConfig,
     classify_corpus,
     corpus_summaries,
-    index_pair_stats,
     observed_frequencies,
     pub_zstats,
     run_simulations,
@@ -16,8 +15,7 @@ from cocite import (
 )
 from cocite.classify import PubSummary, read_summaries_csv, write_summaries_csv
 from cocite.corpus import Corpus, Publication, ReferenceRecord
-from cocite.pairs import JournalPair
-from cocite.simulate import PairStats
+from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.synth import SynthConfig, generate
 
 
@@ -26,7 +24,7 @@ def ps(a, b, z):
 
 
 def stats_map(entries):
-    return index_pair_stats([ps(a, b, z) for a, b, z in entries])
+    return PairTable.from_rows(ps(a, b, z) for a, b, z in entries)
 
 
 def test_percentiles_interpolate_linearly(make_corpus):
@@ -126,12 +124,13 @@ def test_corpus_summaries_excludes_a_publication_with_one_reference(make_corpus)
 
 def per_publication_summaries(corpus, stats):
     """Independent oracle: each publication's pairs, looked up and summarized one by one."""
+    by_pair = {row.pair: row for row in stats}
     out, excluded = [], 0
     for pub in corpus.publications:
         journals = [corpus.references[r].journal_id for r in pub.refs]
         zs = []
         for x, y in combinations(journals, 2):
-            got = stats.get(JournalPair.of(x, y))
+            got = by_pair.get(JournalPair.of(x, y))
             if got is not None and got.z is not None:
                 zs.append(got.z)
         if not zs:
@@ -278,7 +277,7 @@ def test_consistent_journal_relabeling_keeps_categories():
     def categories(c):
         sims = run_simulations(c, None, SimConfig(n_simulations=40, master_seed=13))
         stats = zscores(observed_frequencies(c), sims)
-        summaries, _ = corpus_summaries(c, index_pair_stats(stats))
+        summaries, _ = corpus_summaries(c, stats)
         labeled, _ = classify_corpus(summaries)
         return {s.pub_id: s.category for s in labeled}
 

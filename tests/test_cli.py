@@ -276,9 +276,14 @@ def _corrupt(src, dst, lineno, edit):
     ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:-1]),
     ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:3] + ["many"] + f[4:]),
     ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:-1] + ["yes"]),
+    # Line 2 holds the pair (J00-00, J00-00) and line 3 (J00-00, J00-01).
+    ("classify", "--pair-stats", "pair_stats.csv", lambda f: [f[1], f[0]] + f[2:]),
+    ("classify", "--pair-stats", "pair_stats.csv", lambda f: [f[0], f[0]] + f[2:]),
+    ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:-1] + ["0"]),
     ("hits", "--classification", "classification.csv", lambda f: f[:-1]),
     ("hits", "--classification", "classification.csv", lambda f: f[:4] + ["XX"] + f[5:]),
 ], ids=["truncated-pair-stats", "non-numeric-f_exp", "non-binary-defined_flag",
+        "reversed-pair", "repeated-pair", "z-with-defined_flag-0",
         "truncated-classification", "unknown-category"])
 def test_bad_table_row_exits_1_with_its_line(synth_dir, pipeline_dir, tmp_path, capsys,
                                              command, flag, name, edit):
@@ -407,7 +412,7 @@ def per_stage_outputs(synth_dir, out, command, background, seed, sims):
     """The run's CSVs from the library functions that take a corpus, each
     of which builds its own index."""
     from cocite import (ClassifyConfig, SimConfig, build_groups, classify_corpus,
-                        composition_fold, corpus_summaries, index_pair_stats, kl_divergence,
+                        composition_fold, corpus_summaries, kl_divergence,
                         observed_frequencies, repcs_shuffle, run_simulations, zscores)
     from cocite.classify import write_summaries_csv
     from cocite.corpus import IngestConfig, ingest
@@ -439,7 +444,7 @@ def per_stage_outputs(synth_dir, out, command, background, seed, sims):
     sims_result = simulate(background)
     stats = zscores(observed, sims_result)
     write_pair_stats_csv(stats, out / "pair_stats.csv")
-    summaries, _ = corpus_summaries(corpus, index_pair_stats(stats))
+    summaries, _ = corpus_summaries(corpus, stats)
     write_summaries_csv(classify_corpus(summaries, ClassifyConfig())[0],
                         out / "classification.csv")
     write_divergence_csv([divergence(sims_result)], out / "kld.csv")

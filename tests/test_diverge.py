@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from cocite import (
@@ -12,52 +10,70 @@ from cocite import (
     run_simulations,
 )
 from cocite.diverge import _fold
-from cocite.pairs import JournalPair, JournalPairTable
+from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.synth import SynthConfig, generate
 
 
 def table_of(counts):
-    return JournalPairTable(Counter({JournalPair.of(*k): v for k, v in counts.items()}))
+    """An observed table: {(a, b): f_obs}."""
+    return PairTable.from_rows(PairStats(JournalPair.of(*k), v, None, None, None)
+                               for k, v in counts.items())
+
+
+def sims_of(means, sigma=0.0):
+    """A simulated table: {(a, b): f_exp}, every sigma ``sigma``."""
+    return PairTable.from_rows(PairStats(JournalPair.of(*k), 0, m, sigma, None)
+                               for k, m in means.items())
 
 
 def test_divergence_of_identical_distributions_is_zero():
-    table = table_of({("A", "B"): 5, ("A", "C"): 2, ("C", "C"): 9})
-    sim = {pair: float(c) for pair, c in table.counts.items()}
-    result = kl_divergence(table, sim, None, 1e-12)
+    counts = {("A", "B"): 5, ("A", "C"): 2, ("C", "C"): 9}
+    result = kl_divergence(table_of(counts), sims_of(counts), None, 1e-12)
     assert result.kld == 0.0
     assert result.n_support == 3
 
 
 def test_two_bin_hand_example():
     obs = table_of({("A", "A"): 1, ("A", "B"): 1})
-    sim = {JournalPair.of("A", "A"): 0.5, JournalPair.of("A", "B"): 1.5}
+    sim = sims_of({("A", "A"): 0.5, ("A", "B"): 1.5})
     result = kl_divergence(obs, sim, None, 1e-12)
     assert result.kld == pytest.approx(0.20752, abs=1e-4)
 
 
-def test_sim_means_may_be_tuples():
+def test_divergence_reads_only_the_simulated_mean():
     obs = table_of({("A", "A"): 1, ("A", "B"): 1})
-    sim = {JournalPair.of("A", "A"): (0.5, 0.1), JournalPair.of("A", "B"): (1.5, 0.2)}
+    sim = sims_of({("A", "A"): 0.5, ("A", "B"): 1.5}, sigma=0.2)
     assert kl_divergence(obs, sim, None, 1e-12).kld == pytest.approx(0.20752, abs=1e-4)
 
 
 def test_journal_filter_restricts_support():
     obs = table_of({("A", "B"): 5, ("A", "Z"): 50})
-    sim = {JournalPair.of("A", "B"): 5.0, JournalPair.of("A", "Z"): 1.0}
+    sim = sims_of({("A", "B"): 5.0, ("A", "Z"): 1.0})
     result = kl_divergence(obs, sim, {"A", "B"}, 1e-12)
     assert result.n_support == 1
     assert result.kld == 0.0
 
 
+def test_tables_over_different_journal_lists_meet_on_their_union():
+    # Key 1 is (A, B) over [A, B] but (A, C) over [A, C]; joining raw keys
+    # would pair them.
+    obs = table_of({("A", "B"): 3, ("A", "A"): 1})
+    sim = sims_of({("A", "C"): 3.0, ("A", "A"): 1.0})
+    result = kl_divergence(obs, sim, None, 1e-12)
+    assert result.n_support == 3
+    assert result.kld > 1.0
+    assert kl_divergence(obs, sim, {"A"}, 1e-12).kld == 0.0
+
+
 def test_empty_filtered_support_is_an_error():
     obs = table_of({("A", "B"): 5})
     with pytest.raises(ValueError, match="filter"):
-        kl_divergence(obs, {}, {"Q"}, 1e-12)
+        kl_divergence(obs, sims_of({}), {"Q"}, 1e-12)
 
 
 def test_epsilon_must_be_positive():
     with pytest.raises(ValueError, match="epsilon"):
-        kl_divergence(table_of({("A", "B"): 1}), {}, None, 0.0)
+        kl_divergence(table_of({("A", "B"): 1}), sims_of({}), None, 0.0)
 
 
 def test_fold_rules():

@@ -53,23 +53,30 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_case(case, base, workers):
-    synth_flags, analyzed, background = CASES[case]
+def input_flags(case, base):
+    """The case's corpus flags, and its pool flags for a global background,
+    synthesizing the corpus under ``base`` on first use."""
+    synth_flags, analyzed, background = case
     pool_dir = base / "corpus"
     if not pool_dir.exists():
         assert main(["synth", *synth_flags, "--out", str(pool_dir)]) == 0
     corpus_dir = pool_dir if analyzed is None else pool_dir / analyzed
-    args = ["pipeline"]
+    args = []
     files = {"pubs": "publications.tsv", "refs": "references.tsv", "cites": "citations.tsv"}
     for flag, name in files.items():
         args += [f"--{flag}", str(corpus_dir / name)]
     if background == "global":
         for flag, name in files.items():
             args += [f"--pool-{flag}", str(pool_dir / name)]
+    return args
+
+
+def run_case(case, base, workers):
+    background = CASES[case][2]
     out = base / f"w{workers}"
-    args += ["--background", background, "--sims", "40", "--seed", "5",
-             "--workers", str(workers), "--out", str(out)]
-    assert main(args) == 0
+    assert main(["pipeline", *input_flags(CASES[case], base), "--background", background,
+                 "--sims", "40", "--seed", "5", "--workers", str(workers),
+                 "--out", str(out)]) == 0
     return {name: sha256(out / name) for name in OUTPUTS}
 
 
@@ -77,3 +84,49 @@ def run_case(case, base, workers):
 def test_pipeline_outputs_match_recorded_digests(tmp_path, case):
     for workers in (1, 2):
         assert run_case(case, tmp_path, workers) == GOLDEN[case]
+
+
+
+
+def test_sparse_pair_path_matches_recorded_digests(tmp_path, monkeypatch):
+    # A dense limit of 0 sends observed and simulated counts down the sorted
+    # key path and the simulations into _SparseAccumulator, which compacts
+    # many times per worker at this threshold.
+    import cocite.indexing as indexing
+    import cocite.simulate as simulate
+
+    monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
+    monkeypatch.setattr(simulate, "DENSE_PAIR_LIMIT", 0)
+    monkeypatch.setattr(simulate._SparseAccumulator, "_COMPACT_AT", 64)
+    for workers in (1, 2):
+        assert run_case("local", tmp_path, workers) == GOLDEN["local"]
+
+
+# Outputs the pipeline does not write: simulate's pair means, kld against
+# both backgrounds (two rows and their ratio), and classify reading the
+# pair_stats.csv that zscore wrote. Every D00 publication cites its own
+# discipline only, so the pool has journals the corpus lacks: the global
+# pair tables hold pairs that kld filters out and that classify cannot match.
+SUBCOMMAND_CASE = (["--disciplines", "3", "--pubs-per-discipline", "50", "--ref-pool", "80",
+                    "--ref-years", "4", "--p-intra", "1", "--seed", "33"], "D00", "global")
+SUBCOMMAND_GOLDEN = {
+    "pair_means.csv": "8113fe57e34b7ac860d4f62179007d72af08f2827e31ba8b523769a68c850572",
+    "kld.csv": "6d2b144b9d85a3abba6b2b62e54947cb323bdd4e395262714c57c87cb387d825",
+    "classification.csv": "57e471083ca80aa497d35359aaf34311fa1763c3241dfd711bdbdf3ce389ae3f",
+}
+
+
+def test_subcommand_outputs_match_recorded_digests(tmp_path):
+    flags = input_flags(SUBCOMMAND_CASE, tmp_path)
+    corpus = flags[:6]
+    run = ["--sims", "40", "--seed", "5", "--workers", "1"]
+    assert main(["simulate", *flags, "--background", "global", *run,
+                 "--out", str(tmp_path / "simulate")]) == 0
+    assert main(["kld", *flags, *run, "--out", str(tmp_path / "kld")]) == 0
+    assert main(["zscore", *flags, "--background", "global", *run,
+                 "--out", str(tmp_path / "zscore")]) == 0
+    assert main(["classify", *corpus, "--pair-stats", str(tmp_path / "zscore" / "pair_stats.csv"),
+                 "--out", str(tmp_path / "classify")]) == 0
+    got = {name: sha256(tmp_path / stage / name) for stage, name in (
+        ("simulate", "pair_means.csv"), ("kld", "kld.csv"), ("classify", "classification.csv"))}
+    assert got == SUBCOMMAND_GOLDEN

@@ -78,7 +78,8 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
         any_deleted |= bool(expected)
 
         keys, counts = idx.pair_key_counts(tokens, exclude_rows=deleted)
-        got = {idx.key_to_pair(k): c for k, c in zip(keys.tolist(), counts.tolist())}
+        got = {(idx.journal_ids[k // idx.n_journals], idx.journal_ids[k % idx.n_journals]): c
+               for k, c in zip(keys.tolist(), counts.tolist())}
         assert got == brute_force_pairs(idx.pool.references, refs, set(expected))
 
         # The shuffle outcome holds the same read-back vector and deletions.

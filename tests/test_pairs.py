@@ -2,8 +2,9 @@ from collections import Counter
 
 import pytest
 
-from cocite import JournalPair, indexing, observed_frequencies
+from cocite import JournalPair, PairStats, PairTable, indexing, observed_frequencies
 from cocite.corpus import Corpus
+from cocite.pairs import PairRowError, rekey
 from cocite.synth import SynthConfig, generate
 
 
@@ -19,6 +20,11 @@ def brute_force_table(corpus):
     return counts
 
 
+def counts_of(table):
+    """The table's rows as {(journal_a, journal_b): f_obs}."""
+    return {ps.pair: ps.f_obs for ps in table}
+
+
 def refuse_expansion(*args, **kwargs):
     raise AssertionError("journal pairs were expanded")
 
@@ -28,13 +34,46 @@ def test_pair_canonical_order():
     assert JournalPair.of("J-A", "J-A") == ("J-A", "J-A")
 
 
+def row(a, b, f_obs=1, z=None):
+    return PairStats(JournalPair(a, b), f_obs, 2.0, 0.0 if z is None else 1.0, z)
+
+
+def test_table_rows_come_back_in_key_order():
+    rows = [row("B", "C", 1, -2.0), row("A", "A", 0), row("A", "C", 4, 0.0)]
+    table = PairTable.from_rows(rows)
+    assert table.journal_ids == ["A", "B", "C"]
+    # Key lo * 3 + hi over the journal ranks.
+    assert table.keys.tolist() == [0, 2, 5]
+    assert table.z[1:].tolist() == [0.0, -2.0]
+    assert list(table) == [rows[1], rows[2], rows[0]]
+    assert table.total_pairs == 5
+
+
+def test_table_refuses_reversed_and_repeated_pairs():
+    with pytest.raises(PairRowError, match="journal_a <= journal_b") as exc:
+        PairTable.from_rows([row("A", "B"), row("C", "B")])
+    assert exc.value.row == 1
+    with pytest.raises(PairRowError, match="given twice") as exc:
+        PairTable.from_rows([row("A", "B"), row("B", "B"), row("A", "B"), row("B", "B")])
+    assert exc.value.row == 2
+
+
+def test_rekey_keeps_the_pairs_of_shared_journals_in_key_order():
+    table = PairTable.from_rows([row("A", "B"), row("A", "D"), row("B", "D"), row("D", "D")])
+    rows, keys = rekey(table, ["A", "C", "D", "E"])
+    assert rows.tolist() == [1, 3]
+    assert keys.tolist() == [0 * 4 + 2, 2 * 4 + 2]
+    rows, keys = rekey(table, table.journal_ids)
+    assert rows.tolist() == [0, 1, 2, 3] and keys is table.keys
+
+
 def test_observed_frequencies_three_journals(make_corpus):
     corpus = make_corpus(
         pubs=[("p1", "J-X", ["a", "b", "c"], 0)],
         refs={"a": (1990, "A", "s"), "b": (1990, "B", "s"), "c": (1990, "C", "s")},
     )
     table = observed_frequencies(corpus)
-    assert sorted(table.counts.elements()) == [("A", "B"), ("A", "C"), ("B", "C")]
+    assert counts_of(table) == {("A", "B"): 1, ("A", "C"): 1, ("B", "C"): 1}
 
 
 def test_observed_frequencies_self_pair_multiset(make_corpus):
@@ -43,7 +82,7 @@ def test_observed_frequencies_self_pair_multiset(make_corpus):
         refs={"a1": (1990, "A", "s"), "a2": (1990, "A", "s"), "b": (1990, "B", "s")},
     )
     table = observed_frequencies(corpus)
-    assert table.counts == Counter({("A", "A"): 1, ("A", "B"): 2})
+    assert counts_of(table) == {("A", "A"): 1, ("A", "B"): 2}
 
 
 def test_observed_frequencies_total_is_n_choose_2(make_corpus):
@@ -79,7 +118,7 @@ def test_observed_frequencies_two_pubs(make_corpus):
         },
     )
     table = observed_frequencies(corpus)
-    assert table.counts == Counter({("A", "B"): 2})
+    assert counts_of(table) == {("A", "B"): 2}
     assert table.total_pairs == 2
 
 
@@ -95,7 +134,7 @@ def test_observed_matches_brute_force_oracle():
     corpus = result.pool
     assert len(corpus.publications) >= 100
     table = observed_frequencies(corpus)
-    assert table.counts == brute_force_table(corpus)
+    assert counts_of(table) == brute_force_table(corpus)
     expected_total = sum(
         len(p.refs) * (len(p.refs) - 1) // 2 for p in corpus.publications
     )
@@ -108,7 +147,7 @@ def test_observed_sparse_counting_matches_brute_force_oracle(monkeypatch):
     result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=34,
                                   ref_pool_per_discipline=150, seed=13))
     corpus = result.pool
-    assert observed_frequencies(corpus).counts == brute_force_table(corpus)
+    assert counts_of(observed_frequencies(corpus)) == brute_force_table(corpus)
 
 
 def test_observed_journal_product_at_the_dense_limit_matches_brute_force_oracle(
@@ -121,7 +160,7 @@ def test_observed_journal_product_at_the_dense_limit_matches_brute_force_oracle(
     # journal counts, without expanding a pair.
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", n_journals * n_journals)
     monkeypatch.setattr(indexing.CorpusIndex, "bucket_pair_keys", refuse_expansion)
-    assert observed_frequencies(corpus).counts == brute_force_table(corpus)
+    assert counts_of(observed_frequencies(corpus)) == brute_force_table(corpus)
 
 
 def test_observed_dense_key_counting_matches_brute_force_oracle(monkeypatch):
@@ -142,7 +181,7 @@ def test_observed_dense_key_counting_matches_brute_force_oracle(monkeypatch):
         return expand(self, *args, **kwargs)
 
     monkeypatch.setattr(indexing.CorpusIndex, "bucket_pair_keys", spy)
-    assert observed_frequencies(corpus).counts == brute_force_table(corpus)
+    assert counts_of(observed_frequencies(corpus)) == brute_force_table(corpus)
     assert calls
 
 
@@ -158,4 +197,4 @@ def test_table_invariant_under_reordering():
         ],
         references=corpus.references,
     )
-    assert observed_frequencies(corpus).counts == observed_frequencies(reordered).counts
+    assert counts_of(observed_frequencies(corpus)) == counts_of(observed_frequencies(reordered))

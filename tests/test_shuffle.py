@@ -219,10 +219,12 @@ def test_both_algorithms_preserve_group_token_multisets():
     assert corpus.n_citations() >= 9000
     plan = build_groups(corpus)
     idx = plan.index
+    ref_index = {r: i for i, r in enumerate(idx.ref_ids)}
+    cited = np.array([ref_index[r] for p in corpus.publications for r in p.refs])
     for outcome in (repcs_shuffle(plan, 5), umsj_shuffle(plan, 5)):
         for slots in idx.group_slots:
             # A local index's corpus positions are its pool slots.
-            before = np.sort(idx.slot_ref[slots])
+            before = np.sort(cited[slots])
             after = np.sort(outcome._assignment[idx.corpus_order[slots]])
             assert np.array_equal(before, after)
 

@@ -13,9 +13,8 @@ from cocite import (
     sign_change_report,
     zscores,
 )
-from cocite.pairs import JournalPair, JournalPairTable
+from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.simulate import (
-    PairStats,
     benchmark_algorithms,
     pair_mean_sigma,
     read_pair_stats_csv,
@@ -25,19 +24,46 @@ from cocite.synth import SynthConfig, generate
 
 
 def table_of(counts):
-    return JournalPairTable(Counter({JournalPair.of(*k): v for k, v in counts.items()}))
+    """An observed table: {(a, b): f_obs}."""
+    return PairTable.from_rows(PairStats(JournalPair.of(*k), v, None, None, None)
+                               for k, v in counts.items())
+
+
+def sims_of(moments):
+    """A simulated table: {(a, b): (f_exp, sigma)}."""
+    return PairTable.from_rows(PairStats(JournalPair.of(*k), 0, m, s, None)
+                               for k, (m, s) in moments.items())
+
+
+def moments(s1, s2, n):
+    mean, sigma = pair_mean_sigma(np.array(s1, np.int64), np.array(s2, np.int64), n)
+    return mean.tolist(), sigma.tolist()
 
 
 def test_mean_sigma_two_point():
     # Frequencies 4 and 6 over two simulations.
-    assert pair_mean_sigma(10, 52, 2) == (5.0, 1.0)
+    assert moments([10], [52], 2) == ([5.0], [1.0])
 
 
 def test_mean_sigma_with_zero_filled_absences():
     # Present once with frequency 8, absent in the other three simulations.
-    mean, sigma = pair_mean_sigma(8, 64, 4)
+    (mean,), (sigma,) = moments([8], [64], 4)
     assert mean == 2.0
     assert sigma == pytest.approx(math.sqrt(12), abs=1e-12)
+
+
+@pytest.mark.parametrize("s1,s2,n", [
+    ([10], [52], 2),
+    ([8], [64], 4),
+    # n * s2 = 2^64 passes int64 while s2 = 2^44 does not; n * s2 - s1^2 fits
+    # int64 again in the first pair and not in the second.
+    ([(1 << 32) - 5, 1 << 22, 3], [1 << 44, 1 << 44, 5], 1 << 20),
+])
+def test_mean_sigma_equals_the_python_integer_formula(s1, s2, n):
+    assert moments(s1, s2, n) == (
+        [a / n for a in s1],
+        [math.sqrt(n * b - a * a) / n for a, b in zip(s1, s2)],
+    )
 
 
 def test_degenerate_corpus_has_zero_sigma(make_corpus):
@@ -47,25 +73,36 @@ def test_degenerate_corpus_has_zero_sigma(make_corpus):
         refs={"a": (1990, "JA", "s"), "b": (1991, "JB", "s")},
     )
     sims = run_simulations(corpus, None, SimConfig(n_simulations=10, master_seed=1))
-    assert len(sims) == 1
-    mean, sigma = sims[JournalPair.of("JA", "JB")]
-    assert (mean, sigma) == (1.0, 0.0)
+    assert [(ps.pair, ps.f_exp, ps.sigma) for ps in sims.table] == [(("JA", "JB"), 1.0, 0.0)]
 
 
 def test_zscore_formula():
-    stats = zscores(table_of({("A", "B"): 12}), {JournalPair.of("A", "B"): (9.5, 2.5)})
+    stats = list(zscores(table_of({("A", "B"): 12}), sims_of({("A", "B"): (9.5, 2.5)})))
     assert stats[0].z == pytest.approx(1.0)
-    stats = zscores(table_of({("A", "B"): 7}), {JournalPair.of("A", "B"): (7.0, 2.0)})
+    stats = list(zscores(table_of({("A", "B"): 7}), sims_of({("A", "B"): (7.0, 2.0)})))
     assert stats[0].z == 0.0
 
 
 def test_zscore_sigma_zero_is_undefined():
-    stats = zscores(table_of({("A", "B"): 3}), {JournalPair.of("A", "B"): (3.0, 0.0)})
+    stats = list(zscores(table_of({("A", "B"): 3}), sims_of({("A", "B"): (3.0, 0.0)})))
     assert stats[0].z is None
     # Union support includes pairs only seen in simulations.
-    stats = zscores(table_of({}), {JournalPair.of("C", "D"): (2.0, 1.0)})
+    stats = list(zscores(table_of({}), sims_of({("C", "D"): (2.0, 1.0)})))
     assert stats[0].f_obs == 0
     assert stats[0].z == pytest.approx(-2.0)
+
+
+def test_zscores_join_tables_over_different_journal_lists():
+    # The simulated table knows journal C, the observed one does not: pair
+    # keys differ between the two lists and are joined on the union of them.
+    obs = table_of({("A", "B"): 4, ("B", "B"): 1})
+    sims = sims_of({("A", "B"): (2.0, 1.0), ("A", "C"): (1.0, 0.5), ("C", "C"): (3.0, 1.0)})
+    stats = zscores(obs, sims)
+    assert stats.journal_ids == ["A", "B", "C"]
+    assert [(ps.pair, ps.f_obs, ps.f_exp, ps.z) for ps in stats] == [
+        (("A", "B"), 4, 2.0, 2.0), (("A", "C"), 0, 1.0, -2.0),
+        (("B", "B"), 1, 0.0, None), (("C", "C"), 0, 3.0, -3.0),
+    ]
 
 
 def test_simconfig_validation():
@@ -92,15 +129,16 @@ def test_worker_count_does_not_change_results(small_world):
         run_simulations(corpus, None, SimConfig(n_simulations=30, master_seed=3, workers=w))
         for w in (1, 2, 3)
     ]
-    assert dict(runs[0]) == dict(runs[1]) == dict(runs[2])
+    assert list(runs[0].table) == list(runs[1].table) == list(runs[2].table)
 
 
 def test_simulations_are_deterministic_given_seed(small_world):
     corpus = small_world.by_discipline["D00"]
     cfg = SimConfig(n_simulations=20, master_seed=5)
-    assert dict(run_simulations(corpus, None, cfg)) == dict(run_simulations(corpus, None, cfg))
+    first = list(run_simulations(corpus, None, cfg).table)
+    assert list(run_simulations(corpus, None, cfg).table) == first
     other = run_simulations(corpus, None, SimConfig(n_simulations=20, master_seed=6))
-    assert dict(other) != dict(run_simulations(corpus, None, cfg))
+    assert list(other.table) != first
 
 
 def test_per_sim_totals_match_shuffle_outcomes(small_world):
@@ -125,15 +163,16 @@ def test_global_background_requires_superset(small_world):
     cfg = SimConfig(n_simulations=5, master_seed=1, background="global")
     sims = run_simulations(corpus, small_world.pool, cfg)
     assert len(sims) >= 1
-    foreign = [pair for pair in sims if pair.a.startswith("J01") and pair.b.startswith("J01")]
+    foreign = [ps for ps in sims.table
+               if ps.pair.a.startswith("J01") and ps.pair.b.startswith("J01")]
     assert foreign, "global shuffling should produce pairs outside the local journal set"
 
 
 def test_sign_change_identical_inputs_is_zero():
-    stats = [
+    stats = PairTable.from_rows([
         PairStats(JournalPair.of("A", "B"), 3, 2.0, 1.0, 1.0),
         PairStats(JournalPair.of("A", "C"), 1, 2.0, 1.0, -1.0),
-    ]
+    ])
     assert sign_change_report(stats, stats) == 0.0
 
 
@@ -141,8 +180,10 @@ def test_sign_change_hand_count():
     def ps(a, b, z):
         return PairStats(JournalPair.of(a, b), 0, 0.0, 1.0, z)
 
-    left = [ps("A", "B", 1.0), ps("A", "C", -2.0), ps("A", "D", 0.5), ps("A", "E", 0.0)]
-    right = [ps("A", "B", -1.0), ps("A", "C", 3.0), ps("A", "D", 0.5), ps("A", "E", -4.0)]
+    left = PairTable.from_rows([ps("A", "B", 1.0), ps("A", "C", -2.0), ps("A", "D", 0.5),
+                                ps("A", "E", 0.0), ps("A", "F", None), ps("A", "G", 1.0)])
+    right = PairTable.from_rows([ps("A", "B", -1.0), ps("A", "C", 3.0), ps("A", "D", 0.5),
+                                 ps("A", "E", -4.0), ps("A", "F", -1.0), ps("B", "B", 1.0)])
     # Four pairs defined in both; two flip sign; the zero has no sign.
     assert sign_change_report(left, right) == 0.5
 
@@ -181,11 +222,11 @@ def test_sparse_accumulator_path_matches_dense(monkeypatch, small_world):
     monkeypatch.setattr(simulate, "DENSE_PAIR_LIMIT", 0)
     monkeypatch.setattr(simulate._SparseAccumulator, "_COMPACT_AT", 64)
     sparse = run_simulations(corpus, None, cfg)
-    assert dict(dense) == dict(sparse)
+    assert list(dense.table) == list(sparse.table)
     sparse_workers = run_simulations(
         corpus, None, SimConfig(n_simulations=15, master_seed=4, workers=3)
     )
-    assert dict(dense) == dict(sparse_workers)
+    assert list(dense.table) == list(sparse_workers.table)
 
 
 def test_empty_corpus_simulates_to_empty_support(make_corpus):
@@ -304,12 +345,12 @@ def test_dense_counting_does_not_expand_pairs(monkeypatch, small_world):
     from cocite.indexing import CorpusIndex
 
     corpus = small_world.by_discipline["D00"]
-    expected = dict(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2)))
-    observed = observed_frequencies(corpus)
+    expected = list(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2)).table)
+    observed = list(observed_frequencies(corpus))
     monkeypatch.setattr(CorpusIndex, "bucket_pair_keys", refuse_expansion)
-    assert dict(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2))) \
+    assert list(run_simulations(corpus, None, SimConfig(n_simulations=4, master_seed=2)).table) \
         == expected
-    assert observed_frequencies(corpus) == observed
+    assert list(observed_frequencies(corpus)) == observed
 
 
 def test_journal_product_refuses_squared_counts_past_2_53(make_corpus):
@@ -333,12 +374,12 @@ def test_journal_product_refuses_squared_counts_past_2_53(make_corpus):
 
 
 def test_pair_stats_csv_round_trips(tmp_path):
-    quoted = 'J,"1"'
+    quoted = 'J,"1"'  # sorts before J-A: "," < "-"
     stats = [
-        PairStats(JournalPair("J-A", quoted), 3, 0.1 + 0.2, 1 / 3, (3 - 0.3) / (1 / 3)),
         PairStats(JournalPair(quoted, quoted), 0, 0.0, 0.0, None),
+        PairStats(JournalPair(quoted, "J-A"), 3, 0.1 + 0.2, 1 / 3, (3 - 0.3) / (1 / 3)),
         PairStats(JournalPair("J-B", "J-C"), 7, 7.0, 1e-300, 0.0),
     ]
     path = tmp_path / "pair_stats.csv"
-    write_pair_stats_csv(stats, path)
-    assert read_pair_stats_csv(path) == stats
+    write_pair_stats_csv(PairTable.from_rows(stats), path)
+    assert list(read_pair_stats_csv(path)) == stats
