@@ -16,14 +16,18 @@ from cocite.cli import main
 OUTPUTS = ("observed_pairs.csv", "pair_stats.csv", "classification.csv", "hit_report.csv",
            "hit_tests.json", "kld.csv", "composition.csv")
 
-# case: (synth flags, analyzed corpus, background)
+# case: (synth flags, analyzed corpus, background, algorithm)
 CASES = {
     # Twenty reference years: duplicates are found by same-year slot pairs.
     "local": (["--disciplines", "2", "--pubs-per-discipline", "60", "--ref-pool", "90",
-               "--ref-years", "20", "--seed", "31"], None, "local"),
+               "--ref-years", "20", "--seed", "31"], None, "local", "repcs"),
     # One reference year: duplicates are found by sorting each publication.
     "D00-global": (["--disciplines", "3", "--pubs-per-discipline", "50", "--ref-pool", "80",
-                    "--ref-years", "1", "--seed", "32"], "D00", "global"),
+                    "--ref-years", "1", "--seed", "32"], "D00", "global", "repcs"),
+    # umsj walks the pool's slots group by group, five reference years
+    # making five groups with a stream each, and reads back D01's slots.
+    "D01-global-umsj": (["--disciplines", "3", "--pubs-per-discipline", "50", "--ref-pool", "80",
+                         "--ref-years", "5", "--seed", "34"], "D01", "global", "umsj"),
 }
 
 # sha256 of each output, identical at 1 and 2 workers.
@@ -46,6 +50,21 @@ GOLDEN = {
         "kld.csv": "ede894cfde704ca77c7bcb79392423160601f90c9ff78d56f4e728e0fa4d3371",
         "composition.csv": "b92129424acae85a63ae7dbd75ea8aef0b0a52b7c9b91923ed57608c2339543c",
     },
+    "D01-global-umsj": {
+        "observed_pairs.csv": "e1c7ea8d245d8563993aad22c795ae8efa2f5b224f4ff632553ae533fb9796ef",
+        "pair_stats.csv": "1b39b0659c703cc1e80f77db275051dd50a0af726d6500278f187a52e15b7af4",
+        "classification.csv": "882ffb83b2623ba53b95dd88908bac7285eeb0138f75d00ec124867f8f8eb74d",
+        "hit_report.csv": "8e76ea2f79f584d1869d6a9ae51654c5babd0daa37c5d96fbf7970e7cd19eb66",
+        "hit_tests.json": "6e0b12e53aab767047d5d3e733e5b26f4615e4961f27795ce9d64675de227c31",
+        "kld.csv": "dc3f5770ff55b13e58c6b823c93e2a049eb21d3415dcf40b187db1c36a93f0e8",
+        "composition.csv": "9d261f7a94928304803d4418b549413a3dcae88503c608639422e719fcdccc43",
+    },
+}
+
+# compose --algorithm umsj --dump-shuffled on the D01-global-umsj case.
+COMPOSE_GOLDEN = {
+    "composition.csv": "9d261f7a94928304803d4418b549413a3dcae88503c608639422e719fcdccc43",
+    "shuffled/citations.tsv": "4c15811121ee28b1b582abe78b987116e451d6f1dd387a7cd82b20adb4893f7f",
 }
 
 
@@ -56,7 +75,7 @@ def sha256(path):
 def input_flags(case, base):
     """The case's corpus flags, and its pool flags for a global background,
     synthesizing the corpus under ``base`` on first use."""
-    synth_flags, analyzed, background = case
+    synth_flags, analyzed, background = case[:3]
     pool_dir = base / "corpus"
     if not pool_dir.exists():
         assert main(["synth", *synth_flags, "--out", str(pool_dir)]) == 0
@@ -72,9 +91,10 @@ def input_flags(case, base):
 
 
 def run_case(case, base, workers):
-    background = CASES[case][2]
+    background, algorithm = CASES[case][2:]
     out = base / f"w{workers}"
     assert main(["pipeline", *input_flags(CASES[case], base), "--background", background,
+                 "--algorithm", algorithm,
                  "--sims", "40", "--seed", "5", "--workers", str(workers),
                  "--out", str(out)]) == 0
     return {name: sha256(out / name) for name in OUTPUTS}
@@ -86,6 +106,13 @@ def test_pipeline_outputs_match_recorded_digests(tmp_path, case):
         assert run_case(case, tmp_path, workers) == GOLDEN[case]
 
 
+def test_umsj_compose_dump_matches_recorded_digests(tmp_path):
+    out = tmp_path / "compose"
+    assert main(["compose", *input_flags(CASES["D01-global-umsj"], tmp_path),
+                 "--background", "global", "--algorithm", "umsj", "--seed", "5",
+                 "--dump-shuffled", str(out / "shuffled"), "--out", str(out)]) == 0
+    got = {name: sha256(out / name) for name in ("composition.csv", "shuffled/citations.tsv")}
+    assert got == COMPOSE_GOLDEN
 
 
 def test_sparse_pair_path_matches_recorded_digests(tmp_path, monkeypatch):
