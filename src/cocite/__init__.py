@@ -15,7 +15,6 @@ from .corpus import (
 )
 from .pairs import JournalPair, PairStats, PairTable, observed_frequencies
 from .shuffle import (
-    GroupPlan,
     PreservationReport,
     ShuffleOutcome,
     build_groups,

@@ -66,7 +66,7 @@ from .impact import (
 from .manifest import RunManifest, file_digest
 from .indexing import CorpusIndex
 from .pairs import PairTable, index_frequencies, write_pair_csv
-from .shuffle import GroupPlan, ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
+from .shuffle import ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
 from .simulate import (
     ALGORITHMS,
     BACKGROUNDS,
@@ -102,8 +102,10 @@ class Run:
     under its own name, and adds its counters to ``diagnostics``.
     Assigning a stage's attribute stands in for computing it, which is
     how ``classify`` and ``hits`` start from their input CSVs. The corpus
-    index and permutation groups are built once per background, by the
-    first stage that reads them.
+    index, which holds the permutation groups, is built once per
+    background, by the first stage that reads it. Reading an input table
+    and writing the outputs are timed apart from the stages, in
+    ``diagnostics["read_s"]`` and ``diagnostics["write_s"]``.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
@@ -115,7 +117,7 @@ class Run:
         self.timings: dict[str, float] = {}
         self.peak_rss_mb: dict[str, float] = {}
         self.diagnostics: dict = {}
-        self.plans: dict[str, GroupPlan] = {}
+        self.indexes: dict[str, CorpusIndex] = {}
 
     @contextmanager
     def timed(self, stage: str):
@@ -125,10 +127,24 @@ class Run:
         self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - t0
         self.peak_rss_mb[stage] = rss_hwm_mb()
 
+    @contextmanager
+    def io_timed(self, key: str):
+        """Add the seconds the block takes to ``diagnostics[key]``."""
+        t0 = time.perf_counter()
+        yield
+        self.diagnostics[key] = round(self.diagnostics.get(key, 0.0) + time.perf_counter() - t0, 6)
+
     def read(self, path: str, reader):
         """``reader(path)``, with the file's digest recorded as a run input."""
-        self.digests[str(path)] = file_digest(path)
-        return reader(path)
+        with self.io_timed("read_s"):
+            self.digests[str(path)] = file_digest(path)
+            return reader(path)
+
+    def write(self, writer, *args, **kwargs) -> None:
+        """``writer(*args, **kwargs)``, timed as ``write_s``. The arguments,
+        and so the stages they read, are computed before the timer starts."""
+        with self.io_timed("write_s"):
+            writer(*args, **kwargs)
 
     def save(self) -> None:
         RunManifest(
@@ -172,17 +188,17 @@ class Run:
     def corpus(self) -> Corpus:
         return self.inputs[0]
 
-    def plan(self, background: str) -> GroupPlan:
+    def index_of(self, background: str) -> CorpusIndex:
         """The corpus's index and permutation groups against a background."""
-        if background not in self.plans:
-            corpus, pool = self.inputs
-            self.plans[background] = build_groups(corpus, pool if background == "global" else None)
-        return self.plans[background]
+        if background not in self.indexes:
+            self.indexes[background] = (build_groups(*self.inputs) if background == "global"
+                                        else build_groups(self.corpus))
+        return self.indexes[background]
 
     @property
     def index(self) -> CorpusIndex:
         """The index observe and classify read: that of ``--background``, else local."""
-        return self.plan(getattr(self.args, "background", "local")).index
+        return self.index_of(getattr(self.args, "background", "local"))
 
     @cached_property
     def observed(self) -> PairTable:
@@ -206,7 +222,7 @@ class Run:
             umsj_max_retries=a.max_retries,
         )
         with self.timed("simulate"):
-            return simulate_plan(self.plan(background), cfg)
+            return simulate_plan(self.index_of(background), cfg)
 
     @cached_property
     def sims(self) -> SimResult:
@@ -273,11 +289,11 @@ class Run:
         corpus = self.corpus
         a = self.args
         with self.timed("compose"):
-            plan = self.plan(a.background)
+            idx = self.index_of(a.background)
             if a.algorithm == "repcs":
-                outcome = repcs_shuffle(plan, a.seed)
+                outcome = repcs_shuffle(idx, a.seed)
             else:
-                outcome = umsj_shuffle(plan, a.seed, a.max_retries)
+                outcome = umsj_shuffle(idx, a.seed, a.max_retries)
             rows = composition_fold(corpus, outcome, include_deleted=include_deleted)
         self.diagnostics.update(deleted_pubs=len(outcome.deleted_pubs),
                                 fixed_points=outcome.fixed_points,
@@ -288,7 +304,7 @@ class Run:
 
 def cmd_ingest(run: Run) -> None:
     corpus = run.corpus
-    export_corpus(corpus, run.out)
+    run.write(export_corpus, corpus, run.out)
     diags = corpus.diagnostics
     run.diagnostics.update(journal_aliases_collapsed=diags.journal_aliases_collapsed,
                            publications=len(corpus.publications),
@@ -300,34 +316,34 @@ def cmd_ingest(run: Run) -> None:
 def cmd_summarize(run: Run) -> None:
     s = summarize(run.corpus)
     tag = run.args.tag
-    write_rows(run.out / "summary.csv",
-               ("corpus", "unique_publications", "unique_references", "total_references", "ratio"),
-               [(tag, *astuple(s))])
+    run.write(write_rows, run.out / "summary.csv",
+              ("corpus", "unique_publications", "unique_references", "total_references", "ratio"),
+              [(tag, *astuple(s))])
     print(f"{tag}: pubs={s.unique_publications} ur={s.unique_references} "
           f"tr={s.total_references} tr/ur={s.ratio:.2f}")
 
 
 def cmd_observe(run: Run) -> None:
     table = run.observed
-    write_pair_csv(table, run.out / "observed_pairs.csv")
+    run.write(write_pair_csv, table, run.out / "observed_pairs.csv")
     print(f"observed {len(table)} distinct journal pairs, {table.total_pairs} total")
 
 
 def cmd_simulate(run: Run) -> None:
     sims = run.sims
-    write_pair_means_csv(sims, run.out / "pair_means.csv")
+    run.write(write_pair_means_csv, sims, run.out / "pair_means.csv")
     print(f"simulated {sims.cfg.n_simulations} shuffles, {len(sims)} pairs in support")
 
 
 def cmd_zscore(run: Run) -> None:
-    write_pair_stats_csv(run.stats, run.out / "pair_stats.csv")
+    run.write(write_pair_stats_csv, run.stats, run.out / "pair_stats.csv")
     print(f"z-scores for {len(run.stats)} pairs "
           f"({run.diagnostics['sigma_zero_pairs']} undefined)")
 
 
 def cmd_classify(run: Run) -> None:
     run.stats = run.read(run.args.pair_stats, read_pair_stats_csv)
-    write_summaries_csv(run.labeled, run.out / "classification.csv")
+    run.write(write_summaries_csv, run.labeled, run.out / "classification.csv")
     d = run.diagnostics
     print(f"classified {d['classified']} publications (threshold {d['threshold']!r}, "
           f"{d['excluded_no_defined_pairs']} excluded)")
@@ -335,8 +351,8 @@ def cmd_classify(run: Run) -> None:
 
 def cmd_hits(run: Run) -> None:
     run.labeled = run.read(run.args.classification, read_summaries_csv)
-    write_hit_report_csv(run.report, run.out / "hit_report.csv")
-    write_hit_tests_json(run.report, run.out / "hit_tests.json")
+    run.write(write_hit_report_csv, run.report, run.out / "hit_report.csv")
+    run.write(write_hit_tests_json, run.report, run.out / "hit_tests.json")
     print(f"hit rates at top {run.args.hit_pct}% ({run.report.total_hits} hits):")
     print(format_hit_grid(run.report))
 
@@ -348,7 +364,7 @@ def cmd_kld(run: Run) -> None:
     if run.inputs[1] is not None:
         rows.append(run.divergence(run.simulate("global")))
         ratio = rows[1].kld / rows[0].kld if rows[0].kld > 0 else float("inf")
-    write_divergence_csv(rows, run.out / "kld.csv", ratio=ratio)
+    run.write(write_divergence_csv, rows, run.out / "kld.csv", ratio=ratio)
     run.diagnostics.update(kld_local=rows[0].kld,
                            kld_global=rows[1].kld if len(rows) > 1 else None,
                            ratio=ratio)
@@ -361,9 +377,9 @@ def cmd_kld(run: Run) -> None:
 
 def cmd_compose(run: Run) -> None:
     outcome, rows = run.compose(include_deleted=not run.args.survivors_only)
-    write_composition_csv(rows, run.out / "composition.csv")
+    run.write(write_composition_csv, rows, run.out / "composition.csv")
     if run.args.dump_shuffled:
-        export_corpus(outcome.corpus, run.args.dump_shuffled)
+        run.write(export_corpus, outcome.corpus, run.args.dump_shuffled)
     print(f"composition over {len(rows)} subjects, max fold {run.diagnostics['max_fold']}")
 
 
@@ -393,9 +409,10 @@ def cmd_bench(run: Run) -> None:
     timings = benchmark_algorithms(corpus, pool, algorithms=algorithms, n_simulations=a.sims,
                                    master_seed=a.seed, umsj_max_retries=a.max_retries)
     run.timings.update(timings)
-    write_rows(run.out / "bench.csv", ("algorithm", "n_simulations", "seconds", "sims_per_second"),
-               ((alg, a.sims, secs, a.sims / secs if secs > 0 else float("inf"))
-                for alg, secs in zip(algorithms, map(timings.get, algorithms))))
+    run.write(write_rows, run.out / "bench.csv",
+              ("algorithm", "n_simulations", "seconds", "sims_per_second"),
+              [(alg, a.sims, secs, a.sims / secs if secs > 0 else float("inf"))
+               for alg, secs in zip(algorithms, map(timings.get, algorithms))])
     run.diagnostics["n_simulations"] = a.sims
     print(f"{'algorithm':>10} {'sims':>6} {'seconds':>12}")
     for alg in algorithms:
@@ -404,15 +421,15 @@ def cmd_bench(run: Run) -> None:
 
 def cmd_pipeline(run: Run) -> None:
     """The outputs of observe, zscore, classify, hits, kld and compose, in that order."""
-    write_pair_csv(run.observed, run.out / "observed_pairs.csv")
-    write_pair_stats_csv(run.stats, run.out / "pair_stats.csv")
-    write_summaries_csv(run.labeled, run.out / "classification.csv")
-    write_hit_report_csv(run.report, run.out / "hit_report.csv")
-    write_hit_tests_json(run.report, run.out / "hit_tests.json")
+    run.write(write_pair_csv, run.observed, run.out / "observed_pairs.csv")
+    run.write(write_pair_stats_csv, run.stats, run.out / "pair_stats.csv")
+    run.write(write_summaries_csv, run.labeled, run.out / "classification.csv")
+    run.write(write_hit_report_csv, run.report, run.out / "hit_report.csv")
+    run.write(write_hit_tests_json, run.report, run.out / "hit_tests.json")
     row = run.divergence(run.sims)
-    write_divergence_csv([row], run.out / "kld.csv")
+    run.write(write_divergence_csv, [row], run.out / "kld.csv")
     run.diagnostics["kld"] = row.kld
-    write_composition_csv(run.compose()[1], run.out / "composition.csv")
+    run.write(write_composition_csv, run.compose()[1], run.out / "composition.csv")
     print(f"pipeline complete: {len(run.labeled)} publications classified, "
           f"threshold {run.diagnostics['threshold']:.4f}, "
           f"kld({row.background}) {row.kld:.4f} bits")

@@ -95,7 +95,7 @@ def composition_fold(before: Corpus, after: ShuffleOutcome,
     composition the shuffle itself produced. Pass include_deleted=False
     to count only surviving publications.
     """
-    idx = after._plan.index
+    idx = after.index
     if before is not idx.corpus and [p.pub_id for p in before.publications] != idx.c_pub_ids:
         raise ValueError("shuffle outcome was not produced from this corpus")
     o_counts = idx.subject_counts(idx.c_tokens)

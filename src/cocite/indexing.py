@@ -29,13 +29,15 @@ class CorpusIndex:
     whose statistics are read back out. For a local background the two
     coincide. Pool slots are numbered publication-major in pool order.
 
-    Read-back vectors are group-major: year group 0's analyzed slots come
-    first, then group 1's, each group's in pool-slot order. A shuffle
-    then rewrites each group's slice of the vector in place.
-    ``c_slot_index`` holds the pool slot of each position, ``c_tokens``
-    the tokens before any shuffle and ``c_slot_pub`` the analyzed
-    publication row; ``tokens[corpus_order]`` lists the same slots in
-    corpus order, publication by publication, bounded by ``c_pub_ptr``.
+    Every per-slot array is group-major: year group 0's slots come first,
+    then group 1's, each group's in pool-slot order. ``pool_tokens`` holds
+    the pool's tokens and ``pool_slot_pub`` the pool publication row of
+    each slot; a shuffle rewrites each group's slice of a copy of
+    ``pool_tokens`` in place. ``read_back`` keeps the analyzed slots of
+    such a vector: ``c_tokens`` (the tokens before any shuffle) and
+    ``c_slot_pub`` (each slot's analyzed publication row) are read back
+    this way. ``tokens[corpus_order]`` lists the same slots in corpus
+    order, publication by publication, bounded by ``c_pub_ptr``.
     """
 
     def __init__(self, corpus: Corpus, pool: Corpus | None = None):
@@ -62,28 +64,24 @@ class CorpusIndex:
             (sindex[refs[r].subject] for r in self.ref_ids), np.int64, n_refs
         )
 
-        self.pool_pub_ids = [p.pub_id for p in pool.publications]
-        n_pool = len(self.pool_pub_ids)
+        n_pool = len(pool.publications)
         counts = np.fromiter((len(p.refs) for p in pool.publications), np.int64, n_pool)
-        self.pool_pub_ptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
         try:
             flat = [ref_index[r] for p in pool.publications for r in p.refs]
         except KeyError as exc:
             raise ValueError(f"citation to unknown reference {exc.args[0]!r}") from None
         slot_ref = np.asarray(flat, dtype=np.int64)
-        slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)
 
         # Permutation groups: pool slots keyed by reference year, slot order
-        # preserved within each group. ``pool_tokens`` holds the groups'
-        # tokens one group after another, group g in [group_ptr[g], group_ptr[g + 1]).
+        # preserved within each group; group g holds the slots in
+        # [group_ptr[g], group_ptr[g + 1]).
         slot_year = self.ref_year[slot_ref]
-        order = np.argsort(slot_year, kind="stable")
-        yvals, starts = np.unique(slot_year[order], return_index=True)
+        self._pool_slot = np.argsort(slot_year, kind="stable")
+        yvals, starts = np.unique(slot_year[self._pool_slot], return_index=True)
         self.group_years = [int(y) for y in yvals]
-        self.group_ptr = np.append(starts, len(order))
-        self.pool_tokens = slot_ref[order]
-        ptr = self.group_ptr.tolist()
-        self.group_slots = [order[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
+        self.group_ptr = np.append(starts, len(slot_ref))
+        self.pool_tokens = slot_ref[self._pool_slot]
+        self.pool_slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)[self._pool_slot]
         if n_refs:
             self._year_min = int(self.ref_year.min())
             self._n_year_bins = int(self.ref_year.max()) - self._year_min + 1
@@ -91,16 +89,16 @@ class CorpusIndex:
             self._year_min = 0
             self._n_year_bins = 1
 
-        # Analyzed-corpus read-back. ``readback_pos`` holds the positions in
-        # ``pool_tokens`` of the analyzed slots, or None for a local index,
-        # whose read-back vector is ``pool_tokens`` itself.
+        # Analyzed-corpus read-back. ``readback_pos`` holds the positions of
+        # the analyzed slots, or None for a local index, which reads back
+        # every slot.
         self.c_pub_ids = [p.pub_id for p in corpus.publications]
-        n_cpubs = len(self.c_pub_ids)
         if self.local:
-            self._pool_rows = np.arange(n_pool)
+            self.readback_pos = None
+            self.c_slot_pub = self.pool_slot_pub
         else:
-            pub_row = {pid: i for i, pid in enumerate(self.pool_pub_ids)}
-            self._pool_rows = np.empty(n_cpubs, np.intp)
+            pub_row = {p.pub_id: i for i, p in enumerate(pool.publications)}
+            row_of_pool = [-1] * n_pool
             for i, p in enumerate(corpus.publications):
                 r = pub_row.get(p.pub_id)
                 if r is None:
@@ -111,41 +109,40 @@ class CorpusIndex:
                     raise ValueError(
                         f"publication {p.pub_id!r} cites different references in the pool"
                     )
-                self._pool_rows[i] = r
-        self.c_counts = counts[self._pool_rows]
+                if row_of_pool[r] >= 0:
+                    raise ValueError("the corpus lists a publication more than once")
+                row_of_pool[r] = i
+            row_of_pool = np.asarray(row_of_pool, np.int64)
+            self.readback_pos = np.flatnonzero(row_of_pool[self.pool_slot_pub] >= 0)
+            self.c_slot_pub = row_of_pool[self.read_back(self.pool_slot_pub)]
+        self.c_tokens = self.read_back(self.pool_tokens)
+        self.c_counts = np.bincount(self.c_slot_pub, minlength=len(self.c_pub_ids))
         self.c_pub_ptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(self.c_counts)])
-        if self.local:
-            self.readback_pos = None
-            self.c_slot_index = order
-            self.c_tokens = self.pool_tokens
-        else:
-            analyzed = np.zeros(len(order), bool)
-            corpus_slots = self._corpus_slots()
-            analyzed[corpus_slots] = True
-            self.readback_pos = np.flatnonzero(analyzed[order])
-            if len(self.readback_pos) != len(corpus_slots):
-                raise ValueError("the corpus lists a publication more than once")
-            self.c_slot_index = order[self.readback_pos]
-            self.c_tokens = self.pool_tokens[self.readback_pos]
-        row_of_pool = np.empty(n_pool, np.int64)
-        row_of_pool[self._pool_rows] = np.arange(n_cpubs)
-        self.c_slot_pub = row_of_pool[slot_pub[self.c_slot_index]]
         # Journal pairs of the analyzed corpus, sum of n_i * (n_i - 1) / 2.
         self.n_pairs = int((self.c_counts * (self.c_counts - 1) // 2).sum())
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _corpus_slots(self) -> np.ndarray:
-        """Pool slots of the analyzed corpus, in corpus order."""
-        shift = self.pool_pub_ptr[self._pool_rows] - self.c_pub_ptr[:-1]
-        return np.repeat(shift, self.c_counts) + np.arange(self.c_pub_ptr[-1])
+    @property
+    def background(self) -> str:
+        return "local" if self.local else "global"
+
+    @property
+    def index(self) -> "CorpusIndex":
+        """The index itself. Kept for perfbench/probe.py, which reads
+        ``build_groups(...).index``."""
+        return self
+
+    def read_back(self, pool_vector: np.ndarray) -> np.ndarray:
+        """The analyzed slots of a group-major per-slot vector, in its order."""
+        return pool_vector if self.readback_pos is None else pool_vector[self.readback_pos]
 
     # The read-back data below is built on first use, so that building an
     # index costs no more than the groups need.
 
     def _corpus_positions(self) -> np.ndarray:
-        where = np.empty(int(self.pool_pub_ptr[-1]), np.intp)
-        where[self.c_slot_index] = np.arange(len(self.c_slot_index))
-        return where[self._corpus_slots()]
+        # Corpus order is publication row, then pool slot, which within a
+        # publication is its reference order.
+        return np.lexsort((self.read_back(self._pool_slot), self.c_slot_pub))
 
     @cached_property
     def corpus_order(self) -> np.ndarray:
@@ -270,13 +267,17 @@ class CorpusIndex:
             keys += np.maximum(a, b)
             yield rows, keys
 
+    def dense_pairs(self) -> bool:
+        """Whether a dense J*J journal-pair table fits ``DENSE_PAIR_LIMIT``;
+        pair counts and simulation accumulators are sorted sparse otherwise."""
+        return self.n_journals * self.n_journals <= DENSE_PAIR_LIMIT
+
     def counts_by_product(self) -> bool:
         """Whether ``pair_key_counts`` takes the journal-product path: the
         dense J*J table fits ``DENSE_PAIR_LIMIT`` and the publication x
         journal count matrix has fewer cells than there are pair instances
         to expand."""
-        J = self.n_journals
-        return J * J <= DENSE_PAIR_LIMIT and len(self.c_pub_ids) * J < self.n_pairs
+        return self.dense_pairs() and len(self.c_pub_ids) * self.n_journals < self.n_pairs
 
     def pair_key_counts(
         self, tokens: np.ndarray, exclude_rows: np.ndarray | None = None
@@ -302,7 +303,7 @@ class CorpusIndex:
             if not parts:
                 return np.zeros(0, np.int64), np.zeros(0, np.int64)
             keys = np.concatenate(parts)
-            if J * J <= DENSE_PAIR_LIMIT:
+            if self.dense_pairs():
                 table = np.bincount(keys, minlength=J * J)
                 nz = np.flatnonzero(table)
                 return nz, table[nz]

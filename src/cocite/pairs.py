@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ class PairStats:
 
 
 class PairRowError(ValueError):
-    """A row ``PairTable.from_rows`` refuses; ``row`` is its input position."""
+    """A row ``PairTable.from_columns`` refuses; ``row`` is its input position."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -92,27 +92,36 @@ class PairTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[PairStats]) -> "PairTable":
-        """The table of ``rows``, in any order, over the journals they name;
-        a None float reads NaN. Raises PairRowError on a pair whose journals
-        are out of order or that an earlier row already gave."""
+        """The table of ``rows``, in any order, as ``from_columns`` builds it."""
         rows = list(rows)
-        pairs = [ps.pair for ps in rows]
-        journal_ids = sorted({j for pair in pairs for j in pair})
+        return cls.from_columns([ps.pair.a for ps in rows], [ps.pair.b for ps in rows],
+                                *([getattr(ps, name) for ps in rows] for name in COLUMNS))
+
+    @classmethod
+    def from_columns(cls, a: Sequence[str], b: Sequence[str], *columns: Sequence) -> "PairTable":
+        """The table whose row i is the pair (a[i], b[i]) with the i-th value
+        of each of ``COLUMNS``, rows in any order, over the journals they
+        name; a None float reads NaN. Raises PairRowError on a pair whose
+        journals are out of order or that an earlier row already gave."""
+        journal_ids = sorted(set(a).union(b))
         rank = {j: i for i, j in enumerate(journal_ids)}
-        for i, (a, b) in enumerate(pairs):
-            if a > b:
-                raise PairRowError(i, f"journal pair {(a, b)} is not in journal_a <= journal_b "
-                                      "order")
-        keys = np.array([rank[a] * len(rank) + rank[b] for a, b in pairs], np.int64)
+        lo = np.fromiter(map(rank.__getitem__, a), np.int64, len(a))
+        hi = np.fromiter(map(rank.__getitem__, b), np.int64, len(b))
+        reversed_rows = np.flatnonzero(lo > hi)
+        if len(reversed_rows):
+            i = int(reversed_rows[0])
+            raise PairRowError(i, f"journal pair {(a[i], b[i])} is not in journal_a <= journal_b "
+                                  "order")
+        keys = lo * len(rank) + hi
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if len(repeated):
             i = int(order[repeated[0] + 1])
-            raise PairRowError(i, f"journal pair {tuple(pairs[i])} is given twice")
+            raise PairRowError(i, f"journal pair {(a[i], b[i])} is given twice")
         return cls(journal_ids, keys, *(
-            np.array([getattr(ps, name) for ps in rows], dtype)[order]
-            for name, dtype in zip(COLUMNS, (np.int64, np.float64, np.float64, np.float64))))
+            np.asarray(values, dtype)[order]
+            for values, dtype in zip(columns, (np.int64, np.float64, np.float64, np.float64))))
 
 
 def rekey(table: PairTable, journal_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:

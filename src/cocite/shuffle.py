@@ -31,38 +31,23 @@ from .rng import group_stream
 _UMSJ_DRAW_CHUNK = 4096
 
 
-class GroupPlan:
-    """A corpus index and the background its year groups permute over.
-
-    The groups live on the index, in the order that fixes each group's
-    random stream: group g holds reference year ``group_years[g]``, pool
-    slots ``group_slots[g]`` and the tokens
-    ``pool_tokens[group_ptr[g]:group_ptr[g + 1]]``.
-    """
-
-    def __init__(self, index: CorpusIndex):
-        self.index = index
-
-    @property
-    def background(self) -> str:
-        return "local" if self.index.local else "global"
-
-
-def build_groups(corpus: Corpus, pool: Corpus | None = None) -> GroupPlan:
-    """Group citation slots by reference publication year.
+def build_groups(corpus: Corpus, pool: Corpus | None = None) -> CorpusIndex:
+    """The corpus's index, its citation slots grouped by reference year.
 
     With ``pool=None`` (local background) the groups partition the
     corpus's own citations, which is what preserves its disciplinary
     composition under shuffling. With a pool that is a superset of the
     corpus (global background), groups hold the pool's full citation
     multiset per year; a shuffle permutes the pool's tokens and only the
-    corpus's slots are read back.
+    corpus's slots are read back. Group g holds reference year
+    ``group_years[g]`` and the slots ``group_ptr[g]`` to
+    ``group_ptr[g + 1]``, in the order that fixes its random stream.
     """
     if pool is not None and pool is not corpus and pool.slice_year != corpus.slice_year:
         raise ValueError(
             f"pool slice year {pool.slice_year} differs from corpus slice year {corpus.slice_year}"
         )
-    return GroupPlan(CorpusIndex(corpus, pool))
+    return CorpusIndex(corpus, pool)
 
 
 class ShuffleOutcome:
@@ -76,23 +61,23 @@ class ShuffleOutcome:
     be inspected before the duplicate-deletion step.
     """
 
-    def __init__(self, plan: GroupPlan, assignment: np.ndarray, deleted_rows: np.ndarray,
+    def __init__(self, index: CorpusIndex, assignment: np.ndarray, deleted_rows: np.ndarray,
                  fixed_points: int, retry_exhausted: int = 0):
-        self._plan = plan
+        self.index = index
         self._assignment = assignment
         self._deleted_rows = deleted_rows
         self.fixed_points = int(fixed_points)
         self.retry_exhausted = int(retry_exhausted)
-        self.deleted_pubs = [plan.index.c_pub_ids[r] for r in deleted_rows.tolist()]
+        self.deleted_pubs = [index.c_pub_ids[r] for r in deleted_rows.tolist()]
 
     @property
     def background(self) -> str:
-        return self._plan.background
+        return self.index.background
 
     @cached_property
     def corpus(self) -> Corpus:
         """Shuffled corpus with duplicate-holding publications removed."""
-        idx = self._plan.index
+        idx = self.index
         deleted = set(self._deleted_rows.tolist())
         tokens = self._assignment[idx.corpus_order].tolist()
         pubs = []
@@ -112,7 +97,7 @@ class ShuffleOutcome:
         )
 
 
-def _permuted_tokens(plan: GroupPlan, master_seed: int, sim_index: int) -> np.ndarray:
+def _permuted_tokens(idx: CorpusIndex, master_seed: int, sim_index: int) -> np.ndarray:
     """The read-back vector after one repcs permutation.
 
     Each group of two or more pool slots shuffles its slice of the pool's
@@ -120,27 +105,25 @@ def _permuted_tokens(plan: GroupPlan, master_seed: int, sim_index: int) -> np.nd
     ``permutation(n)`` and leaves the slice equal to ``tokens[perm]``. A
     global background then gathers its analyzed slots once.
     """
-    idx = plan.index
     out = idx.pool_tokens.copy()
     ptr = idx.group_ptr.tolist()
     for gi, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
         if hi - lo > 1:  # identity is the only permutation of fewer slots
             group_stream(master_seed, sim_index, gi).shuffle(out[lo:hi])
-    return out if idx.readback_pos is None else out[idx.readback_pos]
+    return idx.read_back(out)
 
 
-def repcs_shuffle(plan: GroupPlan, rng_seed: int, *, sim_index: int = 0) -> ShuffleOutcome:
+def repcs_shuffle(idx: CorpusIndex, rng_seed: int, *, sim_index: int = 0) -> ShuffleOutcome:
     """Permute tokens within every group, then delete duplicate-holding pubs.
 
     Deterministic for a given (seed, sim_index); the error-correction
     step only removes publications from the simulated corpus.
     """
-    idx = plan.index
-    tokens = _permuted_tokens(plan, rng_seed, sim_index)
-    return ShuffleOutcome(plan, tokens, idx.duplicate_pub_rows(tokens), idx.fixed_points(tokens))
+    tokens = _permuted_tokens(idx, rng_seed, sim_index)
+    return ShuffleOutcome(idx, tokens, idx.duplicate_pub_rows(tokens), idx.fixed_points(tokens))
 
 
-def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
+def umsj_shuffle(idx: CorpusIndex, rng_seed: int, max_retries: int = 10, *,
                  sim_index: int = 0) -> ShuffleOutcome:
     """Slot-by-slot switching baseline with rejection and bounded retries.
 
@@ -151,37 +134,32 @@ def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
-    idx = plan.index
-    # Tokens in pool-slot order: each group's tokens back at its slots.
-    slot_ref = np.empty(len(idx.pool_tokens), np.int64)
-    ptr = idx.group_ptr.tolist()
-    for slots, lo, hi in zip(idx.group_slots, ptr[:-1], ptr[1:]):
-        slot_ref[slots] = idx.pool_tokens[lo:hi]
-    tokens = slot_ref.tolist()
+    tokens = idx.pool_tokens.tolist()
     orig = list(tokens)
-    slot_pub = np.repeat(np.arange(len(idx.pool_pub_ids)), np.diff(idx.pool_pub_ptr)).tolist()
-    held: list[set[int]] = [set() for _ in idx.pool_pub_ids]
+    slot_pub = idx.pool_slot_pub.tolist()
+    held: list[set[int]] = [set() for _ in idx.pool.publications]
     for t, p in zip(tokens, slot_pub):
         held[p].add(t)
     exhausted = 0
-    for gi, group in enumerate(idx.group_slots):
-        slots = group.tolist()
-        n = len(slots)
+    ptr = idx.group_ptr.tolist()
+    for gi, (lo, hi) in enumerate(zip(ptr[:-1], ptr[1:])):
+        n = hi - lo
         if n < 2:
             exhausted += n  # no partner slot exists
             continue
         rng = group_stream(rng_seed, sim_index, gi)
         buf: list[int] = []
         bpos = 0
-        for i, si in enumerate(slots):
+        for si in range(lo, hi):
             for _ in range(max_retries):
                 if bpos == len(buf):
                     buf = rng.integers(0, n - 1, size=_UMSJ_DRAW_CHUNK).tolist()
                     bpos = 0
                 r = buf[bpos]
                 bpos += 1
-                j = r if r < i else r + 1
-                sj = slots[j]
+                sj = lo + r
+                if sj >= si:
+                    sj += 1  # the draw skips slot si itself
                 ti = tokens[si]
                 tj = tokens[sj]
                 if tj == orig[si] or ti == orig[sj]:
@@ -200,9 +178,9 @@ def umsj_shuffle(plan: GroupPlan, rng_seed: int, max_retries: int = 10, *,
                 break
             else:
                 exhausted += 1
-    assignment = np.asarray(tokens, dtype=np.int64)[idx.c_slot_index]
+    assignment = idx.read_back(np.asarray(tokens, dtype=np.int64))
     return ShuffleOutcome(
-        plan,
+        idx,
         assignment,
         np.zeros(0, np.int64),
         idx.fixed_points(assignment),
@@ -237,7 +215,7 @@ def preservation_report(before: Corpus, after: ShuffleOutcome) -> PreservationRe
     reference-year histogram must be unchanged; the publication count may
     only drop by the number of deleted publications.
     """
-    idx = after._plan.index
+    idx = after.index
     if before is not idx.corpus and [p.pub_id for p in before.publications] != idx.c_pub_ids:
         raise ValueError("shuffle outcome was not produced from this corpus")
     n_pubs = len(idx.c_pub_ids)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -22,9 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, IngestError, read_rows, write_rows
-from .indexing import DENSE_PAIR_LIMIT
-from .pairs import JournalPair, PairRowError, PairStats, PairTable, union_support
-from .shuffle import GroupPlan, build_groups, umsj_shuffle, _permuted_tokens
+from .indexing import CorpusIndex
+# PairStats is re-exported: the acceptance suite imports it from this module.
+from .pairs import PairRowError, PairStats, PairTable, union_support  # noqa: F401
+from .shuffle import build_groups, umsj_shuffle, _permuted_tokens
 
 ALGORITHMS = ("repcs", "umsj")
 BACKGROUNDS = ("local", "global")
@@ -115,13 +117,6 @@ class _SparseAccumulator:
         return self._parts[0]
 
 
-def _make_accumulator(n_journals: int):
-    n_cells = n_journals * n_journals
-    if n_cells <= DENSE_PAIR_LIMIT:
-        return _DenseAccumulator(n_cells)
-    return _SparseAccumulator()
-
-
 def pair_mean_sigma(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's mean and population sigma from exact integer sums.
 
@@ -139,9 +134,8 @@ def pair_mean_sigma(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray,
             np.array([math.sqrt(n * b - a * a) / n for a, b in zip(s1, s2)], np.float64))
 
 
-def _run_sim_range(plan: GroupPlan, cfg: SimConfig, lo: int, hi: int):
-    idx = plan.index
-    acc = _make_accumulator(idx.n_journals)
+def _run_sim_range(idx: CorpusIndex, cfg: SimConfig, lo: int, hi: int):
+    acc = _DenseAccumulator(idx.n_journals ** 2) if idx.dense_pairs() else _SparseAccumulator()
     deleted_per_sim: list[int] = []
     pairs_per_sim: list[int] = []
     retry_exhausted = 0
@@ -150,13 +144,11 @@ def _run_sim_range(plan: GroupPlan, cfg: SimConfig, lo: int, hi: int):
     for s in range(lo, hi):
         t0 = clock()
         if cfg.algorithm == "repcs":
-            tokens = _permuted_tokens(plan, cfg.master_seed, s)
+            tokens = _permuted_tokens(idx, cfg.master_seed, s)
             t1 = clock()
             deleted = idx.duplicate_pub_rows(tokens)
         else:
-            outcome = umsj_shuffle(
-                plan, cfg.master_seed, cfg.umsj_max_retries, sim_index=s
-            )
+            outcome = umsj_shuffle(idx, cfg.master_seed, cfg.umsj_max_retries, sim_index=s)
             tokens = outcome._assignment
             t1 = clock()
             deleted = outcome._deleted_rows
@@ -173,14 +165,14 @@ def _run_sim_range(plan: GroupPlan, cfg: SimConfig, lo: int, hi: int):
     return acc, deleted_per_sim, pairs_per_sim, retry_exhausted, layer_s
 
 
-# Plan shared with forked workers; set in the parent right before the
+# Index shared with forked workers; set in the parent right before the
 # pool is created so children inherit it without pickling.
-_FORK_STATE: tuple[GroupPlan, SimConfig] | None = None
+_FORK_STATE: tuple[CorpusIndex, SimConfig] | None = None
 
 
 def _forked_range(bounds: tuple[int, int]):
-    plan, cfg = _FORK_STATE
-    return _run_sim_range(plan, cfg, bounds[0], bounds[1])
+    idx, cfg = _FORK_STATE
+    return _run_sim_range(idx, cfg, bounds[0], bounds[1])
 
 
 @dataclass
@@ -215,15 +207,12 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
     if cfg.background == "global":
         if pool is None:
             raise ValueError("global background requires a substitution pool corpus")
-        plan = build_groups(corpus, pool)
-    else:
-        plan = build_groups(corpus, pool if pool is not None and pool is not corpus else None)
-        if not plan.index.local:
-            raise ValueError("local background requires pool to be the corpus itself")
-    return simulate_plan(plan, cfg)
+    elif pool is not None and pool is not corpus:
+        raise ValueError("local background requires pool to be the corpus itself")
+    return simulate_plan(build_groups(corpus, pool), cfg)
 
 
-def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
+def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
     """Mean and population sigma of every pair's frequency over N shuffles.
 
     Deterministic for a given master seed: per-simulation streams are
@@ -235,7 +224,6 @@ def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
     squares, and WorkerError when a forked worker dies mid-range.
     """
     cfg.validate()
-    idx = plan.index
     n = cfg.n_simulations
     if n * idx.n_pairs * idx.n_pairs >= 1 << 63:
         raise ValueError(
@@ -254,7 +242,7 @@ def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
         for lo in range(0, n, step):
             bounds.append((lo, min(lo + step, n)))
         global _FORK_STATE
-        _FORK_STATE = (plan, cfg)
+        _FORK_STATE = (idx, cfg)
         try:
             ctx = multiprocessing.get_context("fork")
             with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as executor:
@@ -278,7 +266,7 @@ def simulate_plan(plan: GroupPlan, cfg: SimConfig) -> SimResult:
             exhausted += part_exh
             layer_s = [a + b for a, b in zip(layer_s, part_layer_s)]
     else:
-        acc, deleted_per_sim, pairs_per_sim, exhausted, layer_s = _run_sim_range(plan, cfg, 0, n)
+        acc, deleted_per_sim, pairs_per_sim, exhausted, layer_s = _run_sim_range(idx, cfg, 0, n)
 
     keys, s1, s2 = acc.support()
     f_exp, sigma = pair_mean_sigma(s1, s2, n)
@@ -346,15 +334,15 @@ def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
     from .shuffle import repcs_shuffle
 
     check_algorithms(algorithms)
-    plan = build_groups(corpus, pool)
+    idx = build_groups(corpus, pool)
     timings: dict[str, float] = {}
     for alg in algorithms:
         start = time.perf_counter()
         for s in range(n_simulations):
             if alg == "repcs":
-                repcs_shuffle(plan, master_seed, sim_index=s)
+                repcs_shuffle(idx, master_seed, sim_index=s)
             else:
-                umsj_shuffle(plan, master_seed, umsj_max_retries, sim_index=s)
+                umsj_shuffle(idx, master_seed, umsj_max_retries, sim_index=s)
         timings[alg] = time.perf_counter() - start
     return timings
 
@@ -369,19 +357,26 @@ def read_pair_stats_csv(path: str | Path) -> PairTable:
     """The table of a pair_stats.csv. Raises IngestError naming the line of
     a malformed row, of a z that does not fit its defined_flag, and of a
     pair out of journal order or given twice."""
-    rows: list[PairStats] = []
-    lines: list[int] = []
-    for lineno, (a, b, f_obs, f_exp, sigma, z, defined) in read_rows(path, PAIR_STATS_COLUMNS):
-        if defined not in ("0", "1") or (defined == "1") != bool(z):
-            raise IngestError(f"{path}:{lineno}: defined_flag {defined!r} does not fit z {z!r}")
+    # One column per field, numbers stored unboxed and each journal id
+    # string once: a wide journal set writes millions of rows.
+    journal_a, journal_b, names = [], [], {}
+    f_obs, lines = array("q"), array("q")
+    f_exp, sigma, z = array("d"), array("d"), array("d")
+    for lineno, (a, b, obs, exp, sd, zv, defined) in read_rows(path, PAIR_STATS_COLUMNS):
+        if defined not in ("0", "1") or (defined == "1") != bool(zv):
+            raise IngestError(f"{path}:{lineno}: defined_flag {defined!r} does not fit z {zv!r}")
         try:
-            rows.append(PairStats(JournalPair(a, b), int(f_obs), float(f_exp), float(sigma),
-                                  float(z) if z else None))
-        except ValueError as exc:
+            f_obs.append(int(obs))
+            f_exp.append(float(exp))
+            sigma.append(float(sd))
+            z.append(float(zv) if zv else math.nan)
+        except (ValueError, OverflowError) as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
+        journal_a.append(names.setdefault(a, a))
+        journal_b.append(names.setdefault(b, b))
         lines.append(lineno)
     try:
-        return PairTable.from_rows(rows)
+        return PairTable.from_columns(journal_a, journal_b, f_obs, f_exp, sigma, z)
     except PairRowError as exc:
         raise IngestError(f"{path}:{lines[exc.row]}: {exc}") from None
 

@@ -189,6 +189,29 @@ def test_classify_and_hits_compose_from_files(synth_dir, tmp_path):
     assert set(tests) >= {"four_category", "novelty", "conventionality"}
 
 
+def test_manifest_times_reads_and_writes_apart_from_stages(synth_dir, tmp_path, monkeypatch):
+    import time
+
+    import cocite.cli as cli
+
+    zdir, cdir = tmp_path / "z", tmp_path / "c"
+    assert main(["zscore", *corpus_flags(synth_dir / "D00"), "--sims", "5", "--workers", "1",
+                 "--out", str(zdir)]) == 0
+    diagnostics = RunManifest.load(zdir / "run.manifest").diagnostics
+    assert diagnostics["write_s"] > 0 and "read_s" not in diagnostics
+    # A classify stage slowed by 0.3 s is resolved before classification.csv
+    # is written, so the delay shows in its timing and not in write_s.
+    label = cli.classify_corpus
+    monkeypatch.setattr(cli, "classify_corpus", lambda *a: time.sleep(0.3) or label(*a))
+    assert main(["classify", *corpus_flags(synth_dir / "D00"),
+                 "--pair-stats", str(zdir / "pair_stats.csv"), "--out", str(cdir)]) == 0
+    manifest = RunManifest.load(cdir / "run.manifest")
+    assert set(manifest.timings) == {"load", "classify"}
+    assert manifest.timings["classify"] >= 0.3
+    assert 0 < manifest.diagnostics["read_s"] < 0.3
+    assert 0 < manifest.diagnostics["write_s"] < 0.3
+
+
 def test_compose_can_dump_shuffled_corpus(synth_dir, tmp_path):
     out = tmp_path / "comp"
     dump = tmp_path / "dump"
@@ -280,10 +303,11 @@ def _corrupt(src, dst, lineno, edit):
     ("classify", "--pair-stats", "pair_stats.csv", lambda f: [f[1], f[0]] + f[2:]),
     ("classify", "--pair-stats", "pair_stats.csv", lambda f: [f[0], f[0]] + f[2:]),
     ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:-1] + ["0"]),
+    ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:2] + [str(1 << 63)] + f[3:]),
     ("hits", "--classification", "classification.csv", lambda f: f[:-1]),
     ("hits", "--classification", "classification.csv", lambda f: f[:4] + ["XX"] + f[5:]),
 ], ids=["truncated-pair-stats", "non-numeric-f_exp", "non-binary-defined_flag",
-        "reversed-pair", "repeated-pair", "z-with-defined_flag-0",
+        "reversed-pair", "repeated-pair", "z-with-defined_flag-0", "f_obs-past-int64",
         "truncated-classification", "unknown-category"])
 def test_bad_table_row_exits_1_with_its_line(synth_dir, pipeline_dir, tmp_path, capsys,
                                              command, flag, name, edit):
@@ -448,8 +472,8 @@ def per_stage_outputs(synth_dir, out, command, background, seed, sims):
     write_summaries_csv(classify_corpus(summaries, ClassifyConfig())[0],
                         out / "classification.csv")
     write_divergence_csv([divergence(sims_result)], out / "kld.csv")
-    plan = build_groups(corpus, pool if background == "global" else None)
-    write_composition_csv(composition_fold(corpus, repcs_shuffle(plan, seed)),
+    idx = build_groups(corpus, pool if background == "global" else None)
+    write_composition_csv(composition_fold(corpus, repcs_shuffle(idx, seed)),
                           out / "composition.csv")
 
 

@@ -91,9 +91,9 @@ def test_local_shuffle_keeps_every_subject_fold_at_one():
     result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=150,
                                   ref_pool_per_discipline=500, seed=37))
     corpus = result.pool
-    plan = build_groups(corpus)
+    idx = build_groups(corpus)
     for seed in (0, 1, 2):
-        outcome = repcs_shuffle(plan, seed)
+        outcome = repcs_shuffle(idx, seed)
         rows = composition_fold(corpus, outcome)
         assert len(rows) == 3
         for row in rows:
@@ -110,8 +110,8 @@ def test_global_shuffle_distorts_minority_composition():
         seed=43,
     ))
     minority = result.by_discipline["D02"]
-    plan = build_groups(minority, result.pool)
-    outcome = repcs_shuffle(plan, 3)
+    idx = build_groups(minority, result.pool)
+    outcome = repcs_shuffle(idx, 3)
     rows = composition_fold(minority, outcome)
     assert max(row.fold for row in rows) >= 5
 
@@ -130,10 +130,10 @@ def test_survivors_only_composition_drops_deleted_citations():
     result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=200,
                                   ref_pool_per_discipline=300, skew=1.0, seed=5))
     corpus = result.pool
-    plan = build_groups(corpus)
+    idx = build_groups(corpus)
     outcome = None
     for seed in range(50):
-        candidate = repcs_shuffle(plan, seed)
+        candidate = repcs_shuffle(idx, seed)
         if candidate.deleted_pubs:
             outcome = candidate
             break

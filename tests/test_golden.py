@@ -123,7 +123,6 @@ def test_sparse_pair_path_matches_recorded_digests(tmp_path, monkeypatch):
     import cocite.simulate as simulate
 
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
-    monkeypatch.setattr(simulate, "DENSE_PAIR_LIMIT", 0)
     monkeypatch.setattr(simulate._SparseAccumulator, "_COMPACT_AT", 64)
     for workers in (1, 2):
         assert run_case("local", tmp_path, workers) == GOLDEN["local"]

@@ -52,8 +52,7 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
     n_ref_years, result = world
     corpus = result.by_discipline["D01"] if background == "global" else result.pool
     pool = result.pool if background == "global" else None
-    plan = build_groups(corpus, pool)
-    idx = plan.index
+    idx = build_groups(corpus, pool)
     assert idx.local == (background == "local")
 
     sorting = n_ref_years == 1
@@ -67,7 +66,7 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
     any_deleted = False
     for s in range(6):
         refs = repcs_oracle(corpus, pool, 5, s)
-        tokens = _permuted_tokens(plan, 5, s)
+        tokens = _permuted_tokens(idx, 5, s)
         in_corpus_order = tokens[idx.corpus_order].tolist()
         assert [idx.ref_ids[t] for t in in_corpus_order] == [r for rr in refs for r in rr]
 
@@ -83,7 +82,7 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
         assert got == brute_force_pairs(idx.pool.references, refs, set(expected))
 
         # The shuffle outcome holds the same read-back vector and deletions.
-        outcome = repcs_shuffle(plan, 5, sim_index=s)
+        outcome = repcs_shuffle(idx, 5, sim_index=s)
         assert np.array_equal(outcome._assignment, tokens)
         assert np.array_equal(outcome._deleted_rows, deleted)
         assert outcome.deleted_pubs == [idx.c_pub_ids[r] for r in expected]
@@ -107,8 +106,7 @@ def test_pair_check_sees_a_reference_cited_twice(make_corpus, repcs_oracle, back
     corpus = make_corpus(pubs=pubs, refs=refs)
     pool = make_corpus(pubs=[("p0", "J", ["c", "a", "b"], 0)] + pubs, refs=refs)
     pool = pool if background == "global" else None
-    plan = build_groups(corpus, pool)
-    idx = plan.index
+    idx = build_groups(corpus, pool)
     # Corpus positions (0, 2) and (5, 6); the 1980 group precedes the 1990 one.
     pos = idx.corpus_order
     assert [a.tolist() for a in idx.same_year_pairs] == [pos[[5, 0]].tolist(),
@@ -116,10 +114,10 @@ def test_pair_check_sees_a_reference_cited_twice(make_corpus, repcs_oracle, back
     assert idx.duplicate_pub_rows(idx.c_tokens).tolist() == [0]
     assert idx._duplicates_by_sorting(idx.c_tokens).tolist() == [0]
     for s in range(4):
-        tokens = _permuted_tokens(plan, 2, s)
+        tokens = _permuted_tokens(idx, 2, s)
         expected = [r for rr in repcs_oracle(corpus, pool, 2, s) for r in rr]
         assert [idx.ref_ids[t] for t in tokens[pos].tolist()] == expected
-        assert np.array_equal(tokens, repcs_shuffle(plan, 2, sim_index=s)._assignment)
+        assert np.array_equal(tokens, repcs_shuffle(idx, 2, sim_index=s)._assignment)
         assert tokens[pos[7]] == idx.c_tokens[pos[7]]
 
 

@@ -32,16 +32,20 @@ def yeared_corpus(make_corpus):
 
 
 def test_groups_partition_by_reference_year(yeared_corpus):
-    idx = build_groups(yeared_corpus).index
-    sizes = [(year, len(slots)) for year, slots in zip(idx.group_years, idx.group_slots)]
-    assert sizes == [(1980, 3), (1982, 2)]
-    for g, slots in enumerate(idx.group_slots):
-        group_tokens = idx.pool_tokens[idx.group_ptr[g]:idx.group_ptr[g + 1]]
-        assert len(slots) == len(group_tokens)
+    idx = build_groups(yeared_corpus)
+    ptr = idx.group_ptr.tolist()
+    assert list(zip(idx.group_years, ptr[:-1], ptr[1:])) == [(1980, 0, 3), (1982, 3, 5)]
+    # Group-major slots, each group's in pool-slot order: p1's 1980 slots,
+    # p2's 1980 slot, then p1's and p2's 1982 slots.
+    assert [idx.ref_ids[t] for t in idx.pool_tokens.tolist()] == [
+        "r80a", "r80b", "r80c", "r82a", "r82b"]
+    assert idx.pool_slot_pub.tolist() == [0, 0, 1, 0, 1]
+    assert np.array_equal(idx.c_tokens, idx.pool_tokens)
+    assert np.array_equal(idx.c_slot_pub, idx.pool_slot_pub)
 
 
 def test_local_groups_partition_citation_multiset(yeared_corpus):
-    idx = build_groups(yeared_corpus).index
+    idx = build_groups(yeared_corpus)
     tokens = Counter()
     for lo, hi in zip(idx.group_ptr[:-1], idx.group_ptr[1:]):
         tokens.update(idx.ref_ids[t] for t in idx.pool_tokens[lo:hi].tolist())
@@ -68,16 +72,15 @@ def test_global_pool_token_can_enter_groups(make_corpus):
         ],
         refs=YEARED_REFS,
     )
-    plan = build_groups(corpus, pool)
-    assert plan.background == "global"
-    idx = plan.index
+    idx = build_groups(corpus, pool)
+    assert idx.background == "global"
     g = idx.group_years.index(1980)
     group_1980 = idx.pool_tokens[idx.group_ptr[g]:idx.group_ptr[g + 1]]
     assert "extra80" in [idx.ref_ids[t] for t in group_1980.tolist()]
     # Some seed hands the pool-only token to an analyzed publication.
     seen = False
     for seed in range(40):
-        shuffled = repcs_shuffle(plan, seed).corpus
+        shuffled = repcs_shuffle(idx, seed).corpus
         if any("extra80" in p.refs for p in shuffled.publications):
             seen = True
             break
@@ -92,6 +95,14 @@ def test_pool_must_contain_corpus_publications(make_corpus, yeared_corpus):
     )
     with pytest.raises(ValueError, match="not in the substitution pool"):
         build_groups(yeared_corpus, pool)
+    # The same ids citing the same references in another order.
+    reordered = make_corpus(
+        pubs=[("p1", "J-X", ["r80a", "r82a", "r80b"], 0), ("p2", "J-X", ["r80c", "r82b"], 0)],
+        refs=YEARED_REFS,
+        background_tag="global",
+    )
+    with pytest.raises(ValueError, match="'p1' cites different references in the pool"):
+        build_groups(yeared_corpus, reordered)
 
 
 def test_single_slot_group_is_fixed_point(make_corpus):
@@ -99,8 +110,8 @@ def test_single_slot_group_is_fixed_point(make_corpus):
         pubs=[("p1", "J-X", ["r80a", "r82a"], 0)],
         refs=YEARED_REFS,
     )
-    plan = build_groups(corpus)
-    outcome = repcs_shuffle(plan, 123)
+    idx = build_groups(corpus)
+    outcome = repcs_shuffle(idx, 123)
     assert outcome.corpus.publications[0].refs == ("r80a", "r82a")
     assert outcome.fixed_points == 2
     assert outcome.deleted_pubs == []
@@ -119,11 +130,11 @@ def test_repcs_permutations_are_uniform(make_corpus):
         ],
         refs=refs,
     )
-    plan = build_groups(corpus)
+    idx = build_groups(corpus)
     counts = Counter()
     trials = 10_000
     for seed in range(trials):
-        shuffled = repcs_shuffle(plan, seed).corpus
+        shuffled = repcs_shuffle(idx, seed).corpus
         counts[tuple(p.refs[1] for p in shuffled.publications)] += 1
     assert set(counts) == set(permutations(["y1", "y2", "y3"]))
     expected = trials / 6
@@ -141,10 +152,10 @@ def test_duplicate_accumulation_deletes_publication(make_corpus):
         pubs=[("p1", "J", ["A", "B"], 0), ("p2", "J", ["C", "A"], 0)],
         refs=refs,
     )
-    plan = build_groups(corpus)
+    idx = build_groups(corpus)
     hit = None
     for seed in range(200):
-        outcome = repcs_shuffle(plan, seed)
+        outcome = repcs_shuffle(idx, seed)
         if outcome.deleted_pubs:
             hit = outcome
             break
@@ -202,9 +213,9 @@ def test_umsj_never_creates_duplicates(make_corpus):
         pubs=[("p1", "J", ["A", "B"], 0), ("p2", "J", ["A", "C"], 0)],
         refs=refs,
     )
-    plan = build_groups(corpus)
+    idx = build_groups(corpus)
     for seed in range(50):
-        outcome = umsj_shuffle(plan, seed)
+        outcome = umsj_shuffle(idx, seed)
         assert outcome.deleted_pubs == []
         for p in outcome.corpus.publications:
             assert len(set(p.refs)) == len(p.refs)
@@ -217,16 +228,21 @@ def test_both_algorithms_preserve_group_token_multisets():
                                   ref_pool_per_discipline=1000, seed=31))
     corpus = result.pool
     assert corpus.n_citations() >= 9000
-    plan = build_groups(corpus)
-    idx = plan.index
-    ref_index = {r: i for i, r in enumerate(idx.ref_ids)}
-    cited = np.array([ref_index[r] for p in corpus.publications for r in p.refs])
-    for outcome in (repcs_shuffle(plan, 5), umsj_shuffle(plan, 5)):
-        for slots in idx.group_slots:
-            # A local index's corpus positions are its pool slots.
-            before = np.sort(cited[slots])
-            after = np.sort(outcome._assignment[idx.corpus_order[slots]])
-            assert np.array_equal(before, after)
+    idx = build_groups(corpus)
+    # Each reference year's slots, numbered in pool order (a local index's
+    # corpus order), and their references.
+    cited = [r for p in corpus.publications for r in p.refs]
+    groups: dict[int, list[int]] = {}
+    for slot, r in enumerate(cited):
+        groups.setdefault(corpus.references[r].year, []).append(slot)
+    assert sorted(groups) == idx.group_years
+    assert [len(groups[y]) for y in idx.group_years] == np.diff(idx.group_ptr).tolist()
+    for outcome in (repcs_shuffle(idx, 5), umsj_shuffle(idx, 5)):
+        shuffled = outcome._assignment[idx.corpus_order]
+        for slots in groups.values():
+            before = sorted(cited[s] for s in slots)
+            after = sorted(idx.ref_ids[t] for t in shuffled[slots].tolist())
+            assert before == after
 
 
 def test_preservation_sweep_small():
@@ -234,9 +250,9 @@ def test_preservation_sweep_small():
                                   ref_pool_per_discipline=900, seed=17))
     corpus = result.pool
     assert len(corpus.publications) == 1000
-    plan = build_groups(corpus)
+    idx = build_groups(corpus)
     for seed in range(100):
-        outcome = repcs_shuffle(plan, seed)
+        outcome = repcs_shuffle(idx, seed)
         report = preservation_report(corpus, outcome)
         assert report.all_preserved
         assert report.pubs_with_refcount_delta == 0
@@ -249,8 +265,7 @@ def test_global_outcomes_read_back_the_analyzed_slots(repcs_oracle):
     result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=60,
                                   ref_pool_per_discipline=60, seed=23))
     corpus, pool = result.by_discipline["D01"], result.pool
-    plan = build_groups(corpus, pool)
-    idx = plan.index
+    idx = build_groups(corpus, pool)
     subject = {rid: rec.subject for rid, rec in pool.references.items()}
     before = Counter(subject[r] for p in corpus.publications for r in p.refs)
     any_deleted = False
@@ -258,7 +273,7 @@ def test_global_outcomes_read_back_the_analyzed_slots(repcs_oracle):
         refs = repcs_oracle(corpus, pool, 5, s)
         deleted = [row for row, rr in enumerate(refs) if len(set(rr)) != len(rr)]
         any_deleted |= bool(deleted)
-        outcome = repcs_shuffle(plan, 5, sim_index=s)
+        outcome = repcs_shuffle(idx, 5, sim_index=s)
         assert len(outcome._assignment) == len(idx.c_tokens)
         assert outcome._deleted_rows.tolist() == deleted
         assert outcome.deleted_pubs == [corpus.publications[r].pub_id for r in deleted]
@@ -279,7 +294,7 @@ def test_global_outcomes_read_back_the_analyzed_slots(repcs_oracle):
         assert report.deleted_count == len(deleted)
     assert any_deleted
     for s in range(3):
-        outcome = umsj_shuffle(plan, 5, sim_index=s)
+        outcome = umsj_shuffle(idx, 5, sim_index=s)
         assert len(outcome._assignment) == len(idx.c_tokens)
         assert preservation_report(corpus, outcome).all_preserved
 
@@ -287,10 +302,10 @@ def test_global_outcomes_read_back_the_analyzed_slots(repcs_oracle):
 def test_shuffle_determinism():
     result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=60,
                                   ref_pool_per_discipline=200, seed=9))
-    plan = build_groups(result.pool)
-    a = repcs_shuffle(plan, 11, sim_index=3)
-    b = repcs_shuffle(plan, 11, sim_index=3)
-    c = repcs_shuffle(plan, 11, sim_index=4)
+    idx = build_groups(result.pool)
+    a = repcs_shuffle(idx, 11, sim_index=3)
+    b = repcs_shuffle(idx, 11, sim_index=3)
+    c = repcs_shuffle(idx, 11, sim_index=4)
     assert np.array_equal(a._assignment, b._assignment)
     assert a.corpus == b.corpus
     assert not np.array_equal(a._assignment, c._assignment)

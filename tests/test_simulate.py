@@ -145,10 +145,10 @@ def test_per_sim_totals_match_shuffle_outcomes(small_world):
     corpus = small_world.by_discipline["D00"]
     cfg = SimConfig(n_simulations=8, master_seed=2)
     sims = run_simulations(corpus, None, cfg)
-    plan = build_groups(corpus)
+    idx = build_groups(corpus)
     n_by_pub = {p.pub_id: len(p.refs) for p in corpus.publications}
     for s in range(cfg.n_simulations):
-        outcome = repcs_shuffle(plan, cfg.master_seed, sim_index=s)
+        outcome = repcs_shuffle(idx, cfg.master_seed, sim_index=s)
         expected = sum(
             n_by_pub[pid] * (n_by_pub[pid] - 1) // 2
             for pid in n_by_pub
@@ -166,6 +166,15 @@ def test_global_background_requires_superset(small_world):
     foreign = [ps for ps in sims.table
                if ps.pair.a.startswith("J01") and ps.pair.b.startswith("J01")]
     assert foreign, "global shuffling should produce pairs outside the local journal set"
+
+
+def test_local_background_refuses_another_pool_before_indexing(small_world):
+    # The pool holds D00 and D01 does not; the refusal names the background
+    # either way, not a publication missing from an index built for it.
+    corpus = small_world.by_discipline["D00"]
+    for pool in (small_world.pool, small_world.by_discipline["D01"]):
+        with pytest.raises(ValueError, match="local background requires pool to be the corpus"):
+            run_simulations(corpus, pool, SimConfig(n_simulations=2))
 
 
 def test_sign_change_identical_inputs_is_zero():
@@ -219,7 +228,6 @@ def test_sparse_accumulator_path_matches_dense(monkeypatch, small_world):
     import cocite.simulate as simulate
 
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
-    monkeypatch.setattr(simulate, "DENSE_PAIR_LIMIT", 0)
     monkeypatch.setattr(simulate._SparseAccumulator, "_COMPACT_AT", 64)
     sparse = run_simulations(corpus, None, cfg)
     assert list(dense.table) == list(sparse.table)
@@ -301,8 +309,7 @@ def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_
 
     corpus, pool = with_edge_publications(small_world)
     pool = pool if background == "global" else None
-    plan = build_groups(corpus, pool)
-    idx = plan.index
+    idx = build_groups(corpus, pool)
     assert idx.local == (background == "local")
     same_row = idx.c_pub_ids.index("same-journal")
     one_row = idx.c_pub_ids.index("one-ref")
