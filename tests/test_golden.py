@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from cocite.cli import main
+from cocite.manifest import RunManifest
 
 OUTPUTS = ("observed_pairs.csv", "pair_stats.csv", "classification.csv", "hit_report.csv",
            "hit_tests.json", "kld.csv", "composition.csv")
@@ -156,3 +157,77 @@ def test_subcommand_outputs_match_recorded_digests(tmp_path):
     got = {name: sha256(tmp_path / stage / name) for stage, name in (
         ("simulate", "pair_means.csv"), ("kld", "kld.csv"), ("classify", "classification.csv"))}
     assert got == SUBCOMMAND_GOLDEN
+
+
+# A synthesized corpus with rows appended that hit every drop reason and one
+# ISSN alias: references without a journal or a subject, publications
+# without a journal, outside the slice year or left with one reference,
+# citations of unknown publications and references, a repeated citation row,
+# and "0028-083X" (cited once) collapsing into "0028-0836" (cited three times).
+MESSY_REFS = [("rx-nojournal", 1990, "", "D00"), ("rx-nosubject", 1991, "J00-00", ""),
+              ("rx-issn-1", 1992, "0028-0836", "D01"), ("rx-issn-2", 1993, "0028-0836", "D01"),
+              ("rx-issn-3", 1990, "0028-0836", "D00"), ("rx-issn-4", 1991, "0028-083X", "D00")]
+MESSY_PUBS = [("px-nojournal", 1995, "", 3), ("px-1996", 1996, "J00-01", 4),
+              ("px-one", 1995, "J01-00", 0), ("px-alias", 1995, "0028-0836", 9)]
+MESSY_CITES = [("px-nojournal", "R00-000001"), ("px-nojournal", "R00-000002"),
+               ("px-1996", "R00-000001"), ("px-1996", "R01-000003"),
+               ("px-one", "R01-000004"), ("px-one", "rx-nosubject"),
+               ("px-ghost", "R00-000001"), ("P00-000000", "rx-ghost"),
+               ("px-alias", "rx-issn-1"), ("px-alias", "rx-issn-2"), ("px-alias", "rx-issn-3"),
+               ("px-alias", "rx-issn-4"), ("px-alias", "rx-nojournal"), ("px-alias", "rx-issn-2"),
+               ("P00-000001", "rx-issn-4")]
+
+INGEST_GOLDEN = {
+    "ingest/publications.tsv":
+        "5a73ebc318303cb60b249af6cd3c70a0498fec6ab192a60a11e998696a1aaf7b",
+    "ingest/references.tsv":
+        "4eb2ab30e192907bdd70c0e179d7d54111277f94bbdd7f8d1bbbef414a384c31",
+    "ingest/citations.tsv":
+        "6a5835e6256bf9f6c7f254b0fac13796da4271c25ae377a3a583f3ef3c3cf39d",
+    "summarize/summary.csv":
+        "ef3f56a09d4493bf41f6c4a0014ad194f74c9f98e49945293ffd2cdd8ce81275",
+    "compose/shuffled/citations.tsv":
+        "0b7c516e183f50dedaaf9e59315ddf0fd7686d2bfa957f33252452d621775649",
+}
+# The corpus and the pool are the same files, so their tallies agree.
+MESSY_DROPPED = {"citation_duplicate_row": 2, "citation_of_dropped_publication": 3,
+                "citation_unresolved_pub": 3, "citation_unresolved_ref": 3,
+                "publication_fewer_than_two_references": 1, "publication_missing_journal": 1,
+                "publication_outside_slice_year": 1, "reference_missing_journal": 1,
+                "reference_missing_subject": 1}
+INGEST_DIAGNOSTICS = {"dropped": MESSY_DROPPED, "journal_aliases_collapsed": 1,
+                      "pool_dropped": MESSY_DROPPED}
+
+
+def messy_corpus_flags(base):
+    """Corpus flags of the synthesized corpus under ``base`` with the messy rows appended."""
+    assert main(["synth", "--disciplines", "2", "--pubs-per-discipline", "40", "--ref-pool", "60",
+                 "--seed", "35", "--out", str(base)]) == 0
+    for name, rows in (("references.tsv", MESSY_REFS), ("publications.tsv", MESSY_PUBS),
+                       ("citations.tsv", MESSY_CITES)):
+        path = base / name
+        first_row = path.read_text(encoding="utf-8").splitlines()[1]
+        extra = [first_row] if name == "citations.tsv" else []  # a repeated citation row
+        extra += ["\t".join(str(c) for c in row) for row in rows]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("\n".join(extra) + "\n")
+    return ["--pubs", str(base / "publications.tsv"), "--refs", str(base / "references.tsv"),
+            "--cites", str(base / "citations.tsv"), "--slice-year", "1995"]
+
+
+def test_ingest_summarize_and_drop_tallies_match_recorded_digests(tmp_path):
+    flags = messy_corpus_flags(tmp_path / "corpus")
+    pool = ["--pool-pubs", flags[1], "--pool-refs", flags[3], "--pool-cites", flags[5]]
+    assert main(["ingest", *flags, "--out", str(tmp_path / "ingest")]) == 0
+    assert main(["summarize", *flags, "--tag", "messy", "--out", str(tmp_path / "summarize")]) == 0
+    assert main(["compose", *flags, *pool, "--background", "global", "--seed", "5",
+                 "--dump-shuffled", str(tmp_path / "compose" / "shuffled"),
+                 "--out", str(tmp_path / "compose")]) == 0
+    got = {name: sha256(tmp_path / name) for name in INGEST_GOLDEN}
+    manifests = {stage: RunManifest.load(tmp_path / stage / "run.manifest").diagnostics
+                 for stage in ("ingest", "compose")}
+    diags = {"dropped": manifests["ingest"]["dropped"],
+             "journal_aliases_collapsed": manifests["ingest"]["journal_aliases_collapsed"],
+             "pool_dropped": manifests["compose"]["pool_dropped"]}
+    assert got == INGEST_GOLDEN
+    assert diags == INGEST_DIAGNOSTICS
