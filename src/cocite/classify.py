@@ -58,7 +58,7 @@ def pub_zstats(pub: Publication, references: Mapping[str, ReferenceRecord],
     if not isinstance(stats, PairTable):
         stats = PairTable.from_rows(stats)
     refs = {r: references[r] for r in pub.refs if r in references}
-    summaries, _ = corpus_summaries(Corpus(pub.year, [pub], refs), stats)
+    summaries, _ = corpus_summaries(Corpus.from_records(pub.year, [pub], refs), stats)
     if not summaries:
         raise ValueError(f"publication {pub.pub_id!r} has no journal pair with a defined z-score")
     return summaries[0]

@@ -57,7 +57,7 @@ from .impact import (
     HIT_PERCENTILES,
     HitConfig,
     HitReport,
-    designate_hits,
+    corpus_hits,
     format_hit_grid,
     hit_report,
     write_hit_report_csv,
@@ -271,7 +271,7 @@ class Run:
         """Hits stage: hit rate per category and the chi-square tests."""
         corpus, labeled = self.corpus, self.labeled
         with self.timed("hits"):
-            hits = designate_hits(corpus.publications, HitConfig(self.args.hit_pct))
+            hits = corpus_hits(corpus, HitConfig(self.args.hit_pct))
             report = hit_report(labeled, hits)
         self.diagnostics.update(total_hits=report.total_hits, hit_percentile=self.args.hit_pct)
         return report
@@ -307,10 +307,10 @@ def cmd_ingest(run: Run) -> None:
     run.write(export_corpus, corpus, run.out)
     diags = corpus.diagnostics
     run.diagnostics.update(journal_aliases_collapsed=diags.journal_aliases_collapsed,
-                           publications=len(corpus.publications),
-                           references=len(corpus.references))
-    print(f"ingested {len(corpus.publications)} publications, "
-          f"{len(corpus.references)} references ({diags.total_dropped()} rows dropped)")
+                           publications=len(corpus.pub_ids),
+                           references=len(corpus.ref_ids))
+    print(f"ingested {len(corpus.pub_ids)} publications, "
+          f"{len(corpus.ref_ids)} references ({diags.total_dropped()} rows dropped)")
 
 
 def cmd_summarize(run: Run) -> None:
@@ -392,11 +392,11 @@ def cmd_synth(run: Run) -> None:
         export_corpus(result.pool, run.out)
         for label, sub in result.by_discipline.items():
             export_corpus(sub, run.out / label)
-    run.diagnostics.update(publications=len(result.pool.publications),
-                           references=len(result.pool.references),
+    run.diagnostics.update(publications=len(result.pool.pub_ids),
+                           references=len(result.pool.ref_ids),
                            citations=result.pool.n_citations(),
                            disciplines=sorted(result.by_discipline))
-    print(f"synthesized {len(result.pool.publications)} publications, "
+    print(f"synthesized {len(result.pool.pub_ids)} publications, "
           f"{result.pool.n_citations()} citations, "
           f"{cfg.n_disciplines} disciplines under {run.out}")
 

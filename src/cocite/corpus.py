@@ -1,20 +1,27 @@
 """Corpus data model, TSV ingestion, validation filters, and summaries.
 
 A corpus is a single-year slice of publications together with the
-reference records their citations resolve to. Ingestion reads three
-tab-separated files (publications, references, citations), applies the
-completeness filters, collapses journal identifier aliases to the most
-frequent form, and counts every dropped row by reason.
+reference records their citations resolve to, held as arrays of integer
+codes with the string ids kept as lookup tables. Ingestion reads three
+tab-separated files (publications, references, citations) in blocks,
+applies the completeness filters, collapses journal identifier aliases to
+the most frequent form, and counts every dropped row by reason.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import count, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 PUB_COLUMNS = ("pub_id", "year", "journal_id", "citations_8yr")
 REF_COLUMNS = ("ref_id", "year", "journal_id", "subject")
@@ -32,6 +39,10 @@ DROP_CITE_DUPLICATE = "citation_duplicate_row"
 DROP_CITE_OF_DROPPED_PUB = "citation_of_dropped_publication"
 
 _ISSN_SHAPE = re.compile(r"^\d{4}-?\d{3}[\dXx]$")
+
+# Ingest reads the TSV files in blocks of about this many bytes, turning
+# each block into codes before reading the next.
+_BLOCK_BYTES = 1 << 20
 
 
 class IngestError(ValueError):
@@ -69,10 +80,48 @@ class IngestDiagnostics:
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
 
+    def tally(self, reason: str, n) -> None:
+        """Count n dropped rows; a reason with none is left out."""
+        if n:
+            self.dropped[reason] += int(n)
 
-@dataclass
+
+def _ptr(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets of consecutive runs of the given lengths."""
+    return np.concatenate([np.zeros(1, np.int64), np.cumsum(counts, dtype=np.int64)])
+
+
+def _codes(values: Iterable[str], table: Sequence[str]) -> np.ndarray:
+    """Each value's position in ``table``."""
+    pos = dict(zip(table, count()))
+    return np.fromiter(map(pos.__getitem__, values), np.int64)
+
+
+def _merged_tables(a: list[str], b: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """One sorted table holding two, and each one's codes in it."""
+    if a == b:
+        same = np.arange(len(a), dtype=np.int64)
+        return a, same, same
+    table = sorted(set(a) | set(b))
+    return table, _codes(a, table), _codes(b, table)
+
+
+@dataclass(eq=False, repr=False)
 class Corpus:
     """A year slice of publications plus the references they resolve to.
+
+    Publication row i has id ``pub_ids[i]``, year ``pub_year[i]``, journal
+    ``journal_ids[pub_journal[i]]`` and ``citations_8yr[i]``. Its
+    references, in citation order, are the codes
+    ``slot_ref[pub_ptr[i]:pub_ptr[i + 1]]``. Reference code r has id
+    ``ref_ids[r]``, year ``ref_year[r]``, journal
+    ``journal_ids[ref_journal[r]]`` and subject
+    ``subject_ids[ref_subject[r]]``. The three string tables are sorted and
+    hold no id twice; the journal and subject tables may hold ids that no
+    row uses. Every column is an int64 array.
+
+    ``publications`` and ``references`` are read-only row views, built on
+    first use; ``from_records`` builds a corpus from such rows.
 
     ``background_tag`` records which substitution pool the corpus stands
     for when it is used by the shuffling machinery: ``local`` for a
@@ -82,17 +131,127 @@ class Corpus:
     """
 
     slice_year: int
-    publications: list[Publication]
-    references: dict[str, ReferenceRecord]
+    pub_ids: list[str]
+    pub_year: np.ndarray
+    pub_journal: np.ndarray
+    citations_8yr: np.ndarray
+    pub_ptr: np.ndarray
+    slot_ref: np.ndarray
+    ref_ids: list[str]
+    ref_year: np.ndarray
+    ref_journal: np.ndarray
+    ref_subject: np.ndarray
+    journal_ids: list[str]
+    subject_ids: list[str]
     background_tag: str = "local"
-    diagnostics: IngestDiagnostics | None = field(default=None, compare=False)
+    diagnostics: IngestDiagnostics | None = None
+
+    @classmethod
+    def from_records(cls, slice_year: int, publications: Iterable[Publication],
+                     references: Mapping[str, ReferenceRecord], background_tag: str = "local",
+                     diagnostics: IngestDiagnostics | None = None) -> "Corpus":
+        """A corpus of publications, in order, and reference records by id.
+
+        Raises ValueError when a record's id differs from its key or a
+        publication cites an id without a record.
+        """
+        ref_ids = sorted(references)
+        recs = [references[rid] for rid in ref_ids]
+        for rid, rec in zip(ref_ids, recs):
+            if rec.ref_id != rid:
+                raise ValueError(f"reference map key {rid!r} does not match record id {rec.ref_id!r}")
+        pubs = list(publications)
+        ref_pos = dict(zip(ref_ids, count()))
+        for p in pubs:
+            for rid in p.refs:
+                if rid not in ref_pos:
+                    raise ValueError(f"publication {p.pub_id!r} cites unknown reference {rid!r}")
+        journal_ids = sorted({p.journal_id for p in pubs} | {r.journal_id for r in recs})
+        subject_ids = sorted({r.subject for r in recs})
+        ints = lambda values: np.fromiter(values, np.int64)  # noqa: E731
+        return cls(
+            slice_year=slice_year,
+            pub_ids=[p.pub_id for p in pubs],
+            pub_year=ints(p.year for p in pubs),
+            pub_journal=_codes((p.journal_id for p in pubs), journal_ids),
+            citations_8yr=ints(p.citations_8yr for p in pubs),
+            pub_ptr=_ptr(ints(len(p.refs) for p in pubs)),
+            slot_ref=ints(ref_pos[rid] for p in pubs for rid in p.refs),
+            ref_ids=ref_ids,
+            ref_year=ints(r.year for r in recs),
+            ref_journal=_codes((r.journal_id for r in recs), journal_ids),
+            ref_subject=_codes((r.subject for r in recs), subject_ids),
+            journal_ids=journal_ids,
+            subject_ids=subject_ids,
+            background_tag=background_tag,
+            diagnostics=diagnostics,
+        )
+
+    @classmethod
+    def cited_subset(cls, pubs: "Corpus", rows: np.ndarray, slot_ref: np.ndarray,
+                     refs: "Corpus", background_tag: str) -> "Corpus":
+        """Publication rows ``rows`` of ``pubs``, in that order, citing the
+        codes ``slot_ref`` of ``refs``'s reference table, row after row;
+        their references are the ones cited."""
+        cited, slot = np.unique(slot_ref, return_inverse=True)
+        journal_ids, pub_codes, ref_codes = _merged_tables(pubs.journal_ids, refs.journal_ids)
+        return cls(
+            slice_year=pubs.slice_year,
+            pub_ids=[pubs.pub_ids[i] for i in rows.tolist()],
+            pub_year=pubs.pub_year[rows],
+            pub_journal=pub_codes[pubs.pub_journal[rows]],
+            citations_8yr=pubs.citations_8yr[rows],
+            pub_ptr=_ptr(np.diff(pubs.pub_ptr)[rows]),
+            slot_ref=slot.astype(np.int64).reshape(-1),
+            ref_ids=[refs.ref_ids[r] for r in cited.tolist()],
+            ref_year=refs.ref_year[cited],
+            ref_journal=ref_codes[refs.ref_journal[cited]],
+            ref_subject=refs.ref_subject[cited],
+            journal_ids=journal_ids,
+            subject_ids=refs.subject_ids,
+            background_tag=background_tag,
+        )
+
+    @cached_property
+    def publications(self) -> tuple[Publication, ...]:
+        """Row view: one ``Publication`` per row, in corpus order."""
+        refs = [self.ref_ids[r] for r in self.slot_ref.tolist()]
+        journals = self.journal_ids
+        ptr = self.pub_ptr.tolist()
+        return tuple(
+            Publication(pid, year, journals[j], tuple(refs[lo:hi]), cites)
+            for pid, year, j, cites, lo, hi in zip(
+                self.pub_ids, self.pub_year.tolist(), self.pub_journal.tolist(),
+                self.citations_8yr.tolist(), ptr[:-1], ptr[1:])
+        )
+
+    @cached_property
+    def references(self) -> Mapping[str, ReferenceRecord]:
+        """Row view: each ``ReferenceRecord`` by id, in id order."""
+        journals, subjects = self.journal_ids, self.subject_ids
+        return MappingProxyType({
+            rid: ReferenceRecord(rid, year, journals[j], subjects[s])
+            for rid, year, j, s in zip(self.ref_ids, self.ref_year.tolist(),
+                                       self.ref_journal.tolist(), self.ref_subject.tolist())
+        })
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return ((self.slice_year, self.background_tag, self.publications, dict(self.references))
+                == (other.slice_year, other.background_tag, other.publications,
+                    dict(other.references)))
+
+    def __repr__(self) -> str:
+        return (f"Corpus(slice_year={self.slice_year}, {len(self.pub_ids)} publications, "
+                f"{len(self.ref_ids)} references, background_tag={self.background_tag!r})")
 
     def journals(self) -> set[str]:
         """Journal ids appearing on this corpus's references."""
-        return {rec.journal_id for rec in self.references.values()}
+        return {self.journal_ids[j] for j in np.unique(self.ref_journal).tolist()}
 
     def n_citations(self) -> int:
-        return sum(len(p.refs) for p in self.publications)
+        return len(self.slot_ref)
 
 
 @dataclass(frozen=True)
@@ -109,28 +268,49 @@ class CorpusSummary:
     ratio: float
 
 
+def _undecodable(path: str | Path, data: bytes, exc: UnicodeDecodeError, first_line: int = 1):
+    """IngestError naming the line of the byte that ``exc`` found in ``data``."""
+    line = first_line + data.count(b"\n", 0, exc.start)
+    return IngestError(f"{path}:{line}: not UTF-8 text ({exc.reason}, "
+                       f"byte 0x{data[exc.start]:02x})")
+
+
+def _table_rows(lines: Iterable[str], path, columns: tuple[str, ...],
+                delimiter: str) -> Iterator[tuple[int, list[str]]]:
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(f"{path}:1: empty file, expected header {columns}") from None
+    if tuple(header) != columns:
+        raise IngestError(f"{path}:1: bad header {header!r}, expected {list(columns)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(columns):
+            raise IngestError(
+                f"{path}:{lineno}: expected {len(columns)} columns, found {len(row)}"
+            )
+        yield lineno, row
+
+
 def read_rows(path: str | Path, columns: tuple[str, ...],
               delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, fields) for a table file, validating the header.
 
-    Blank lines are skipped; a row of the wrong width raises IngestError.
+    Blank lines are skipped; a row of the wrong width, or a byte that is
+    not UTF-8, raises IngestError.
     """
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}:1: empty file, expected header {columns}") from None
-        if tuple(header) != columns:
-            raise IngestError(f"{path}:1: bad header {header!r}, expected {list(columns)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
-                raise IngestError(
-                    f"{path}:{lineno}: expected {len(columns)} columns, found {len(row)}"
-                )
-            yield lineno, row
+            yield from _table_rows(fh, path, columns, delimiter)
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _undecodable(path, data, exc) from None
+            raise
 
 
 def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequence],
@@ -146,11 +326,202 @@ def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequen
         w.writerows(rows)
 
 
-def _parse_int(value: str, path: Path, lineno: int, what: str) -> int:
+def _split_block(raw: bytes, text: str, lineno: int, width: int, path):
+    """The rows of a block of whole lines that starts at line ``lineno``:
+    their line numbers, their columns, and the fault of the first row of
+    the wrong width (None if there is none), the rows ending before it.
+
+    Where every line holds ``width`` fields, the separators are exactly
+    ``width - 1`` tabs and a newline per line, and one split of the text
+    gives the columns. Otherwise the lines are read one by one.
+    """
+    if not raw:
+        return np.zeros(0, np.int64), [[] for _ in range(width)], None
+    b = np.frombuffer(raw, np.uint8)
+    sep = b[(b == 9) | (b == 10)]
+    if raw[-1] != 10:
+        sep = np.append(sep, np.uint8(10))  # the final line has no newline
+    template = np.full(width, 9, np.uint8)
+    template[-1] = 10
+    if len(sep) % width == 0 and (sep.reshape(-1, width) == template).all():
+        flat = text.replace("\t", "\n").split("\n")
+        if raw[-1] == 10:
+            flat.pop()
+        n = len(flat) // width
+        return np.arange(lineno, lineno + n), [flat[c::width] for c in range(width)], None
+    lines, rows, fault = [], [], None
+    for k, line in enumerate(text.split("\n"), start=lineno):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            fault = f"{path}:{k}: expected {width} columns, found {len(fields)}"
+            break
+        lines.append(k)
+        rows.append(fields)
+    cols = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
+    return np.asarray(lines, np.int64), cols, fault
+
+
+def _csv_blocks(path, columns: tuple[str, ...], first_line: int, rows_per_block: int = 1 << 16):
+    """``_tsv_blocks`` from line ``first_line`` on, read by ``csv``."""
+    data = Path(path).read_bytes()
+    fault = None
     try:
-        return int(value)
-    except ValueError:
-        raise IngestError(f"{path}:{lineno}: non-integer {what}: {value!r}") from None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fault = _undecodable(path, data, exc)
+        text = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+    rows = _table_rows(io.StringIO(text, newline=""), path, columns, "\t")
+    block: list[tuple[int, list[str]]] = []
+    for lineno, row in rows:
+        if lineno >= first_line:
+            block.append((lineno, row))
+        if len(block) == rows_per_block:
+            yield np.asarray([k for k, _ in block], np.int64), [list(c) for c in zip(*(r for _, r in block))]
+            block = []
+    if block:
+        yield np.asarray([k for k, _ in block], np.int64), [list(c) for c in zip(*(r for _, r in block))]
+    if fault is not None:
+        raise fault
+
+
+def _tsv_blocks(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
+    """The rows of a TSV table, read in blocks of about ``_BLOCK_BYTES``:
+    each block's line numbers and its columns as lists of strings.
+
+    Rows, line numbers and errors are those of ``read_rows(path, columns,
+    "\\t")``: blank lines are skipped, and a bad header or a row of the
+    wrong width raises IngestError, as does a byte that is not UTF-8. The
+    rows before a faulty line are yielded before its error is raised, so a
+    caller that checks each row raises the fault of an earlier row first.
+    ``csv`` reads a quote as quoting and a carriage return as a line end,
+    so a file whose header holds either is read by ``csv`` throughout, and
+    one whose later block does is read by ``csv`` from that block on.
+    """
+    width = len(columns)
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if b'"' in header or b"\r" in header:
+            yield from _csv_blocks(path, columns, 2)
+            return
+        if not header:
+            raise IngestError(f"{path}:1: empty file, expected header {columns}")
+        try:
+            text = header.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, header, exc) from None
+        text = text[:-1] if text.endswith("\n") else text
+        fields = text.split("\t") if text else []
+        if tuple(fields) != columns:
+            raise IngestError(f"{path}:1: bad header {fields!r}, expected {list(columns)}")
+        lineno, carry = 2, b""
+        while True:
+            chunk = fh.read(_BLOCK_BYTES)
+            data = carry + chunk
+            if chunk:
+                cut = data.rfind(b"\n") + 1
+                if not cut:
+                    carry = data
+                    continue
+                block, carry = data[:cut], data[cut:]
+            elif data:
+                block, carry = data, b""
+            else:
+                return
+            if b'"' in block or b"\r" in block:
+                yield from _csv_blocks(path, columns, lineno)
+                return
+            decode_fault = None
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                decode_fault = _undecodable(path, block, exc, lineno)
+                block = block[:block.rfind(b"\n", 0, exc.start) + 1]
+                text = block.decode("utf-8")
+            lines, cols, fault = _split_block(block, text, lineno, width, path)
+            if len(lines):
+                yield lines, cols
+            if fault is not None:
+                raise IngestError(fault)
+            if decode_fault is not None:
+                raise decode_fault
+            lineno += block.count(b"\n")
+
+
+def _parse_ints(values: list[str], what: str) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """``int()`` of each value as int64, or the values before the first one
+    that is not an integer or does not fit int64 and that one's (index, fault)."""
+    try:
+        return np.fromiter(map(int, values), np.int64, len(values)), None
+    except (ValueError, OverflowError):
+        pass
+    parsed = []
+    for i, value in enumerate(values):
+        try:
+            number = int(value)
+        except ValueError:
+            return np.asarray(parsed, np.int64), (i, f"non-integer {what}: {value!r}")
+        if not -(1 << 63) <= number < 1 << 63:
+            return np.asarray(parsed, np.int64), (i, f"{what} out of range: {value!r}")
+        parsed.append(number)
+    raise AssertionError("unreachable: every value parsed")
+
+
+def _intern(values: list[str], table: dict[str, int]) -> np.ndarray:
+    """Each value's code in ``table``, which new values join in turn."""
+    for value in set(values).difference(table):
+        table[value] = len(table)
+    return np.fromiter(map(table.__getitem__, values), np.int64, len(values))
+
+
+def _read_keyed(path: Path, columns: tuple[str, ...],
+                tables: dict[int, dict[str, int]]) -> tuple[list[str], dict[str, int], list]:
+    """Every row of a TSV keyed by its first column, which must be unique.
+
+    Returns each row's id in row order, the row of each id, and each other
+    column as an int64 array: the codes of a column in ``tables``, whose
+    table it extends, and the parsed integers of the others.
+
+    A fault raises IngestError naming its line: the first faulty row's, and
+    on that row the first fault of its width, a repeated id, each integer
+    column in order, and a negative ``citations_8yr``. A repeated id is
+    reported against the line it was first seen at, whether or not that
+    earlier row is kept.
+    """
+    ids: list[str] = []
+    row_of: dict[str, int] = {}
+    line_parts: list[np.ndarray] = []
+    parts: list[list[np.ndarray]] = [[] for _ in columns[1:]]
+    for lines, cols in _tsv_blocks(path, columns):
+        n0, k = len(ids), len(lines)
+        first = np.fromiter(map(row_of.setdefault, cols[0], count(n0)), np.int64, k)
+        faults = []
+        repeated = np.flatnonzero(first != np.arange(n0, n0 + k))
+        if len(repeated):
+            i = int(repeated[0])
+            seen = np.concatenate(line_parts + [lines])[first[i]]
+            faults.append((i, f"duplicate {columns[0]} {cols[0][i]!r} (first seen at line {seen})"))
+        for c, values in enumerate(cols[1:], start=1):
+            if c in tables:
+                parts[c - 1].append(_intern(values, tables[c]))
+                continue
+            parsed, fault = _parse_ints(values, columns[c])
+            if fault is not None:
+                faults.append(fault)
+            if columns[c] == "citations_8yr":
+                negative = np.flatnonzero(parsed < 0)
+                if len(negative):
+                    i = int(negative[0])
+                    faults.append((i, f"negative citations_8yr: {parsed[i]}"))
+            parts[c - 1].append(parsed)
+        if faults:
+            i, fault = min(faults, key=lambda f: f[0])
+            raise IngestError(f"{path}:{lines[i]}: {fault}")
+        ids += cols[0]
+        line_parts.append(lines)
+    columns_out = [np.concatenate(p) if p else np.zeros(0, np.int64) for p in parts]
+    return ids, row_of, columns_out
 
 
 def _alias_key(journal_id: str) -> str:
@@ -180,22 +551,6 @@ def _canonical_journal_map(raw_counts: Counter) -> tuple[dict[str, str], int]:
     return mapping, collapsed
 
 
-def _unique_id_rows(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
-    """``read_rows`` of a TSV keyed by its first column, which must be unique.
-
-    A repeated id raises IngestError against the line it was first seen
-    at, whether or not that earlier row was kept.
-    """
-    first_line: dict[str, int] = {}
-    for lineno, row in read_rows(path, columns, "\t"):
-        first = first_line.setdefault(row[0], lineno)
-        if first != lineno:
-            raise IngestError(
-                f"{path}:{lineno}: duplicate {columns[0]} {row[0]!r} (first seen at line {first})"
-            )
-        yield lineno, row
-
-
 def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
            config: IngestConfig = IngestConfig()) -> Corpus:
     """Read and validate a corpus from its three TSV files.
@@ -204,81 +559,126 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     resolve or repeat an earlier row, publications outside the slice year
     or left with fewer than two references, and those publications'
     citations) drop the affected rows and are tallied in the returned
-    corpus's diagnostics. Structural defects (malformed rows,
-    duplicate identifiers) raise IngestError naming the file and line.
+    corpus's diagnostics. Structural defects (malformed rows, duplicate
+    identifiers, bytes that are not UTF-8) raise IngestError naming the
+    file and line.
+
+    Ids are interned to integer codes as the rows are read, a block at a
+    time, and citations are kept as (publication row, reference code)
+    arrays; a repeated citation row is found by one sort of their keys,
+    which keeps each key's first row.
     """
     pub_path, ref_path, cite_path = Path(pub_file), Path(ref_file), Path(cite_file)
     diags = IngestDiagnostics()
+    journals: dict[str, int] = {}  # raw journal id -> raw code
+    subjects: dict[str, int] = {}
 
-    raw_refs: dict[str, tuple[int, str, str]] = {}
-    journal_counts: Counter = Counter()
-    for lineno, (ref_id, year_s, journal_id, subject) in _unique_id_rows(ref_path, REF_COLUMNS):
-        year = _parse_int(year_s, ref_path, lineno, "year")
-        if not journal_id:
-            diags.dropped[DROP_REF_NO_JOURNAL] += 1
-            continue
-        if not subject:
-            diags.dropped[DROP_REF_NO_SUBJECT] += 1
-            continue
-        raw_refs[ref_id] = (year, journal_id, subject)
-        journal_counts[journal_id] += 1
+    ref_row_ids, ref_row_of, (ref_year, ref_jraw, ref_sraw) = _read_keyed(
+        ref_path, REF_COLUMNS, {2: journals, 3: subjects})
+    ref_no_journal = ref_jraw == journals.get("", -1)
+    ref_no_subject = ~ref_no_journal & (ref_sraw == subjects.get("", -1))
+    diags.tally(DROP_REF_NO_JOURNAL, ref_no_journal.sum())
+    diags.tally(DROP_REF_NO_SUBJECT, ref_no_subject.sum())
+    ref_kept = np.flatnonzero(~(ref_no_journal | ref_no_subject))
 
-    # Each publication's references are the keys of its own dict, in
-    # citation-row order; a repeated citation row is one membership test.
-    raw_pubs: dict[str, tuple[int, str, int, dict[str, None]]] = {}
-    for lineno, (pub_id, year_s, journal_id, cites_s) in _unique_id_rows(pub_path, PUB_COLUMNS):
-        year = _parse_int(year_s, pub_path, lineno, "year")
-        cites = _parse_int(cites_s, pub_path, lineno, "citations_8yr")
-        if cites < 0:
-            raise IngestError(f"{pub_path}:{lineno}: negative citations_8yr: {cites}")
-        if not journal_id:
-            diags.dropped[DROP_PUB_NO_JOURNAL] += 1
-            continue
-        raw_pubs[pub_id] = (year, journal_id, cites, {})
-        journal_counts[journal_id] += 1
+    pub_row_ids, pub_row_of, (pub_year, pub_jraw, pub_cites) = _read_keyed(
+        pub_path, PUB_COLUMNS, {2: journals})
+    pub_known = pub_jraw != journals.get("", -1)
+    diags.tally(DROP_PUB_NO_JOURNAL, (~pub_known).sum())
 
     slice_year = config.slice_year
     if slice_year is None:
-        years = {raw[0] for raw in raw_pubs.values()}
+        years = np.unique(pub_year[pub_known]).tolist()
         if len(years) > 1:
             raise IngestError(
-                f"{pub_path}: publications span years {sorted(years)}; "
-                "set slice_year to select one"
+                f"{pub_path}: publications span years {years}; set slice_year to select one"
             )
-        slice_year = years.pop() if years else 0
+        slice_year = years[0] if years else 0
 
-    journal_map, collapsed = _canonical_journal_map(journal_counts)
-    diags.journal_aliases_collapsed = collapsed
+    # Journal aliases collapse by the rows kept so far: references with a
+    # journal and a subject, publications with a journal.
+    raw_journals = list(journals)
+    uses = (np.bincount(ref_jraw[ref_kept], minlength=len(raw_journals))
+            + np.bincount(pub_jraw[pub_known], minlength=len(raw_journals)))
+    journal_map, diags.journal_aliases_collapsed = _canonical_journal_map(
+        Counter({raw_journals[j]: n for j, n in enumerate(uses.tolist()) if n}))
+    journal_ids = sorted(set(journal_map.values()))
+    canon_pos = dict(zip(journal_ids, count()))
+    journal_code = np.array([canon_pos[journal_map[j]] if j in journal_map else -1
+                             for j in raw_journals], np.int64)
+    raw_subjects = list(subjects)
+    subject_ids = sorted({raw_subjects[s] for s in np.unique(ref_sraw[ref_kept]).tolist()})
+    subject_code = np.array([subject_ids.index(s) if s in subject_ids else -1
+                             for s in raw_subjects], np.int64)
 
-    references = {
-        rid: ReferenceRecord(rid, year, journal_map[journal], subject)
-        for rid, (year, journal, subject) in raw_refs.items()
-    }
+    # Reference codes follow id order; the last entry of ref_code, which an
+    # unknown id's -1 reads, marks a reference that is not kept.
+    kept_ids = [ref_row_ids[i] for i in ref_kept.tolist()]
+    ref_ids = sorted(kept_ids)
+    ref_code = np.full(len(ref_row_ids) + 1, -1, np.int64)
+    ref_code[ref_kept] = _codes(kept_ids, ref_ids)
+    ref_row = np.empty(len(ref_ids), np.int64)
+    ref_row[ref_code[ref_kept]] = ref_kept
+    pub_live = np.append(pub_known, False)  # the -1 of an unknown id reads False
 
-    for _, (pub_id, ref_id) in read_rows(cite_path, CITE_COLUMNS, "\t"):
-        raw = raw_pubs.get(pub_id)
-        if raw is None:
-            diags.dropped[DROP_CITE_UNKNOWN_PUB] += 1
-        elif ref_id not in references:
-            diags.dropped[DROP_CITE_UNKNOWN_REF] += 1
-        elif ref_id in raw[3]:
-            diags.dropped[DROP_CITE_DUPLICATE] += 1
-        else:
-            raw[3][ref_id] = None
+    cite_pub, cite_ref = [], []
+    for _, (pubs, refs) in _tsv_blocks(cite_path, CITE_COLUMNS):
+        p = np.fromiter(map(pub_row_of.get, pubs, repeat(-1)), np.int64, len(pubs))
+        r = ref_code[np.fromiter(map(ref_row_of.get, refs, repeat(-1)), np.int64, len(refs))]
+        live = pub_live[p]
+        resolved = live & (r >= 0)
+        diags.tally(DROP_CITE_UNKNOWN_PUB, len(p) - live.sum())
+        diags.tally(DROP_CITE_UNKNOWN_REF, live.sum() - resolved.sum())
+        cite_pub.append(p[resolved])
+        cite_ref.append(r[resolved])
+    p = np.concatenate(cite_pub) if cite_pub else np.zeros(0, np.int64)
+    r = np.concatenate(cite_ref) if cite_ref else np.zeros(0, np.int64)
+    del cite_pub, cite_ref
 
-    publications: list[Publication] = []
-    for pub_id, (year, journal, cites, refs) in raw_pubs.items():
-        if year != slice_year or len(refs) < 2:
-            diags.dropped[DROP_PUB_YEAR if year != slice_year else DROP_TOO_FEW_REFS] += 1
-            if refs:
-                diags.dropped[DROP_CITE_OF_DROPPED_PUB] += len(refs)
-            continue
-        publications.append(Publication(pub_id, year, journal_map[journal], tuple(refs), cites))
+    # A stable sort of (publication, reference) keys puts each key's first
+    # row first; every later row repeats it.
+    key = p * len(ref_ids) + r
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), bool)
+    first[1:] = key[1:] != key[:-1]
+    del key
+    diags.tally(DROP_CITE_DUPLICATE, len(first) - first.sum())
+    keep = np.zeros(len(p), bool)
+    keep[order[first]] = True
+    del order, first
+    p, r = p[keep], r[keep]
+
+    n_refs = np.bincount(p, minlength=len(pub_row_ids))
+    in_year = pub_year == slice_year
+    out_of_year = pub_known & ~in_year
+    too_few = pub_known & in_year & (n_refs < 2)
+    diags.tally(DROP_PUB_YEAR, out_of_year.sum())
+    diags.tally(DROP_TOO_FEW_REFS, too_few.sum())
+    diags.tally(DROP_CITE_OF_DROPPED_PUB, n_refs[out_of_year | too_few].sum())
+    rows = np.flatnonzero(pub_known & in_year & (n_refs >= 2))
+
+    # Kept rows in row order; a stable sort keeps each one's citation order.
+    new_row = np.full(len(pub_row_ids), -1, np.int64)
+    new_row[rows] = np.arange(len(rows))
+    slot_pub = new_row[p]
+    kept = slot_pub >= 0
+    slot_ref = r[kept][np.argsort(slot_pub[kept], kind="stable")]
 
     return Corpus(
         slice_year=slice_year,
-        publications=publications,
-        references=references,
+        pub_ids=[pub_row_ids[i] for i in rows.tolist()],
+        pub_year=pub_year[rows],
+        pub_journal=journal_code[pub_jraw[rows]],
+        citations_8yr=pub_cites[rows],
+        pub_ptr=_ptr(n_refs[rows]),
+        slot_ref=slot_ref,
+        ref_ids=ref_ids,
+        ref_year=ref_year[ref_row],
+        ref_journal=journal_code[ref_jraw[ref_row]],
+        ref_subject=subject_code[ref_sraw[ref_row]],
+        journal_ids=journal_ids,
+        subject_ids=subject_ids,
         background_tag=config.background_tag,
         diagnostics=diags,
     )
@@ -297,26 +697,27 @@ def export_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         "references": out / "references.tsv",
         "citations": out / "citations.tsv",
     }
+    journals = np.asarray(corpus.journal_ids, dtype=object)
+    subjects = np.asarray(corpus.subject_ids, dtype=object)
     write_rows(paths["publications"], PUB_COLUMNS,
-               ((p.pub_id, p.year, p.journal_id, p.citations_8yr) for p in corpus.publications),
-               "\t")
-    refs = (corpus.references[rid] for rid in sorted(corpus.references))
+               zip(corpus.pub_ids, corpus.pub_year.tolist(),
+                   journals[corpus.pub_journal], corpus.citations_8yr.tolist()), "\t")
     write_rows(paths["references"], REF_COLUMNS,
-               ((r.ref_id, r.year, r.journal_id, r.subject) for r in refs), "\t")
+               zip(corpus.ref_ids, corpus.ref_year.tolist(), journals[corpus.ref_journal],
+                   subjects[corpus.ref_subject]), "\t")
+    slot_pub = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.pub_ptr))
     write_rows(paths["citations"], CITE_COLUMNS,
-               ((p.pub_id, rid) for p in corpus.publications for rid in p.refs), "\t")
+               zip(np.asarray(corpus.pub_ids, dtype=object)[slot_pub],
+                   np.asarray(corpus.ref_ids, dtype=object)[corpus.slot_ref]), "\t")
     return paths
 
 
 def summarize(corpus: Corpus) -> CorpusSummary:
     """Publication/reference counts and the total-to-unique reference ratio."""
-    cited: set[str] = set()
-    total = 0
-    for p in corpus.publications:
-        cited.update(p.refs)
-        total += len(p.refs)
-    ratio = total / len(cited) if cited else 0.0
-    return CorpusSummary(len(corpus.publications), len(cited), total, ratio)
+    total = corpus.n_citations()
+    cited = len(np.unique(corpus.slot_ref))
+    ratio = total / cited if cited else 0.0
+    return CorpusSummary(len(corpus.pub_ids), cited, total, ratio)
 
 
 def validate_corpus(corpus: Corpus) -> None:
@@ -334,12 +735,7 @@ def validate_corpus(corpus: Corpus) -> None:
             raise ValueError(f"publication {p.pub_id!r} has fewer than two references")
         if len(set(p.refs)) != len(p.refs):
             raise ValueError(f"publication {p.pub_id!r} cites a reference more than once")
-        for rid in p.refs:
-            if rid not in corpus.references:
-                raise ValueError(f"publication {p.pub_id!r} cites unknown reference {rid!r}")
     for rid, rec in corpus.references.items():
-        if rec.ref_id != rid:
-            raise ValueError(f"reference map key {rid!r} does not match record id {rec.ref_id!r}")
         if not rec.journal_id:
             raise ValueError(f"reference {rid!r} has an empty journal id")
         if not rec.subject:

@@ -96,7 +96,7 @@ def composition_fold(before: Corpus, after: ShuffleOutcome,
     to count only surviving publications.
     """
     idx = after.index
-    if before is not idx.corpus and [p.pub_id for p in before.publications] != idx.c_pub_ids:
+    if before is not idx.corpus and before.pub_ids != idx.c_pub_ids:
         raise ValueError("shuffle outcome was not produced from this corpus")
     o_counts = idx.subject_counts(idx.c_tokens)
     exclude = None if include_deleted else after._deleted_rows

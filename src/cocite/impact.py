@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classify import CATEGORIES, PubSummary
-from .corpus import Publication, write_rows
+from .corpus import Corpus, Publication, write_rows
 
 HIT_PERCENTILES = (1, 2, 5, 10)
 
@@ -30,17 +30,27 @@ class HitConfig:
             )
 
 
-def designate_hits(pubs: Sequence[Publication], cfg: HitConfig) -> set[str]:
-    """Publications at or above the (100 - p)th citation percentile.
+def hit_rows(citations_8yr: np.ndarray, cfg: HitConfig) -> np.ndarray:
+    """Rows at or above the (100 - p)th percentile of the citation counts.
 
     Ties at the cutoff are all included, so the hit fraction can slightly
     exceed p percent.
     """
-    if not pubs:
+    if not len(citations_8yr):
         raise ValueError("cannot designate hits on an empty corpus")
-    counts = np.asarray([p.citations_8yr for p in pubs], dtype=np.int64)
-    cutoff = np.percentile(counts, 100.0 - cfg.hit_percentile)
-    return {p.pub_id for p, c in zip(pubs, counts.tolist()) if c >= cutoff}
+    cutoff = np.percentile(citations_8yr, 100.0 - cfg.hit_percentile)
+    return np.flatnonzero(citations_8yr >= cutoff)
+
+
+def corpus_hits(corpus: Corpus, cfg: HitConfig) -> set[str]:
+    """Ids of the corpus's ``hit_rows``."""
+    return {corpus.pub_ids[i] for i in hit_rows(corpus.citations_8yr, cfg).tolist()}
+
+
+def designate_hits(pubs: Sequence[Publication], cfg: HitConfig) -> set[str]:
+    """Ids of the ``hit_rows`` of a sequence of publications."""
+    counts = np.fromiter((p.citations_8yr for p in pubs), np.int64, len(pubs))
+    return {pubs[i].pub_id for i in hit_rows(counts, cfg).tolist()}
 
 
 # The regularized upper incomplete gamma Q(a, x) below is a port of Cephes

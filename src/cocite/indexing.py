@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import count, repeat
 from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, _ptr
 
 # Dense journal-pair tables are used up to this many cells (n_journals
 # squared); larger journal sets fall back to sorted sparse counting.
@@ -47,30 +48,18 @@ class CorpusIndex:
         self.pool = pool
         self.local = pool is corpus
 
-        refs = pool.references
-        self.ref_ids = sorted(refs)
-        ref_index = {r: i for i, r in enumerate(self.ref_ids)}
-        n_refs = len(self.ref_ids)
-        self.journal_ids = sorted({rec.journal_id for rec in refs.values()})
-        self.subject_ids = sorted({rec.subject for rec in refs.values()})
+        # The pool's reference table, its journals and subjects ranked among
+        # those its references use.
+        self.ref_ids = pool.ref_ids
+        self.ref_year = pool.ref_year
+        used, self.ref_journal = np.unique(pool.ref_journal, return_inverse=True)
+        self.journal_ids = [pool.journal_ids[j] for j in used.tolist()]
+        used, self.ref_subject = np.unique(pool.ref_subject, return_inverse=True)
+        self.subject_ids = [pool.subject_ids[s] for s in used.tolist()]
         self.n_journals = len(self.journal_ids)
-        jindex = {j: i for i, j in enumerate(self.journal_ids)}
-        sindex = {s: i for i, s in enumerate(self.subject_ids)}
-        self.ref_year = np.fromiter((refs[r].year for r in self.ref_ids), np.int64, n_refs)
-        self.ref_journal = np.fromiter(
-            (jindex[refs[r].journal_id] for r in self.ref_ids), np.int64, n_refs
-        )
-        self.ref_subject = np.fromiter(
-            (sindex[refs[r].subject] for r in self.ref_ids), np.int64, n_refs
-        )
-
-        n_pool = len(pool.publications)
-        counts = np.fromiter((len(p.refs) for p in pool.publications), np.int64, n_pool)
-        try:
-            flat = [ref_index[r] for p in pool.publications for r in p.refs]
-        except KeyError as exc:
-            raise ValueError(f"citation to unknown reference {exc.args[0]!r}") from None
-        slot_ref = np.asarray(flat, dtype=np.int64)
+        slot_ref = pool.slot_ref
+        counts = np.diff(pool.pub_ptr)
+        n_pool = len(counts)
 
         # Permutation groups: pool slots keyed by reference year, slot order
         # preserved within each group; group g holds the slots in
@@ -78,11 +67,11 @@ class CorpusIndex:
         slot_year = self.ref_year[slot_ref]
         self._pool_slot = np.argsort(slot_year, kind="stable")
         yvals, starts = np.unique(slot_year[self._pool_slot], return_index=True)
-        self.group_years = [int(y) for y in yvals]
+        self.group_years = yvals.tolist()
         self.group_ptr = np.append(starts, len(slot_ref))
         self.pool_tokens = slot_ref[self._pool_slot]
         self.pool_slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)[self._pool_slot]
-        if n_refs:
+        if len(self.ref_ids):
             self._year_min = int(self.ref_year.min())
             self._n_year_bins = int(self.ref_year.max()) - self._year_min + 1
         else:
@@ -92,32 +81,18 @@ class CorpusIndex:
         # Analyzed-corpus read-back. ``readback_pos`` holds the positions of
         # the analyzed slots, or None for a local index, which reads back
         # every slot.
-        self.c_pub_ids = [p.pub_id for p in corpus.publications]
+        self.c_pub_ids = corpus.pub_ids
         if self.local:
             self.readback_pos = None
             self.c_slot_pub = self.pool_slot_pub
         else:
-            pub_row = {p.pub_id: i for i, p in enumerate(pool.publications)}
-            row_of_pool = [-1] * n_pool
-            for i, p in enumerate(corpus.publications):
-                r = pub_row.get(p.pub_id)
-                if r is None:
-                    raise ValueError(
-                        f"publication {p.pub_id!r} is not in the substitution pool"
-                    )
-                if pool.publications[r].refs != p.refs:
-                    raise ValueError(
-                        f"publication {p.pub_id!r} cites different references in the pool"
-                    )
-                if row_of_pool[r] >= 0:
-                    raise ValueError("the corpus lists a publication more than once")
-                row_of_pool[r] = i
-            row_of_pool = np.asarray(row_of_pool, np.int64)
+            row_of_pool = np.full(n_pool, -1, np.int64)
+            row_of_pool[_pool_rows(corpus, pool)] = np.arange(len(corpus.pub_ids))
             self.readback_pos = np.flatnonzero(row_of_pool[self.pool_slot_pub] >= 0)
             self.c_slot_pub = row_of_pool[self.read_back(self.pool_slot_pub)]
         self.c_tokens = self.read_back(self.pool_tokens)
         self.c_counts = np.bincount(self.c_slot_pub, minlength=len(self.c_pub_ids))
-        self.c_pub_ptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(self.c_counts)])
+        self.c_pub_ptr = _ptr(self.c_counts)
         # Journal pairs of the analyzed corpus, sum of n_i * (n_i - 1) / 2.
         self.n_pairs = int((self.c_counts * (self.c_counts - 1) // 2).sum())
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -347,3 +322,44 @@ class CorpusIndex:
             mask[exclude_rows] = True
             tokens = tokens[~mask[self.c_slot_pub]]
         return np.bincount(self.ref_subject[tokens], minlength=len(self.subject_ids))
+
+
+def _pool_rows(corpus: Corpus, pool: Corpus) -> np.ndarray:
+    """The pool row of each corpus publication.
+
+    Raises ValueError for the first publication, in corpus order, that is
+    not in the pool, cites other references there (by id, in order), or
+    repeats an earlier one's pool row.
+    """
+    pool_row = dict(zip(pool.pub_ids, count()))
+    rows = np.fromiter(map(pool_row.get, corpus.pub_ids, repeat(-1)), np.int64,
+                       len(corpus.pub_ids))
+    missing = rows < 0
+    # Corpus reference codes as pool codes, -1 where the pool has no such id.
+    pool_ref = dict(zip(pool.ref_ids, count()))
+    ref_in_pool = np.fromiter(map(pool_ref.get, corpus.ref_ids, repeat(-1)), np.int64,
+                              len(corpus.ref_ids))
+    # Publications with as many references in the pool are compared slot by slot.
+    counts = np.diff(corpus.pub_ptr)
+    pool_at = np.where(missing, 0, rows)
+    same_count = ~missing & (np.diff(pool.pub_ptr)[pool_at] == counts)
+    n = np.where(same_count, counts, 0)
+    within = np.arange(n.sum()) - np.repeat(_ptr(n)[:-1], n)
+    unequal = (pool.slot_ref[np.repeat(pool.pub_ptr[pool_at], n) + within]
+               != ref_in_pool[corpus.slot_ref[np.repeat(corpus.pub_ptr[:-1], n) + within]])
+    differs = ~missing & ~same_count
+    differs[np.repeat(np.arange(len(rows)), n)[unequal]] = True
+    # A stable sort by pool row puts each row's first corpus publication first.
+    order = np.argsort(rows, kind="stable")
+    repeated = np.zeros(len(rows), bool)
+    repeated[order[1:][rows[order[1:]] == rows[order[:-1]]]] = True
+    bad = np.flatnonzero(missing | differs | repeated)
+    if len(bad):
+        i = int(bad[0])
+        pid = corpus.pub_ids[i]
+        if missing[i]:
+            raise ValueError(f"publication {pid!r} is not in the substitution pool")
+        if differs[i]:
+            raise ValueError(f"publication {pid!r} cites different references in the pool")
+        raise ValueError("the corpus lists a publication more than once")
+    return rows

@@ -20,7 +20,7 @@ reproducible for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 import numpy as np
 
@@ -78,23 +78,11 @@ class ShuffleOutcome:
     def corpus(self) -> Corpus:
         """Shuffled corpus with duplicate-holding publications removed."""
         idx = self.index
-        deleted = set(self._deleted_rows.tolist())
-        tokens = self._assignment[idx.corpus_order].tolist()
-        pubs = []
-        for row, pub in enumerate(idx.corpus.publications):
-            if row in deleted:
-                continue
-            lo, hi = idx.c_pub_ptr[row], idx.c_pub_ptr[row + 1]
-            refs = tuple(idx.ref_ids[t] for t in tokens[lo:hi])
-            pubs.append(replace(pub, refs=refs))
-        cited = {rid for p in pubs for rid in p.refs}
-        references = {rid: idx.pool.references[rid] for rid in sorted(cited)}
-        return Corpus(
-            slice_year=idx.corpus.slice_year,
-            publications=pubs,
-            references=references,
-            background_tag=self.background,
-        )
+        alive = np.ones(len(idx.c_pub_ids), bool)
+        alive[self._deleted_rows] = False
+        tokens = self._assignment[idx.corpus_order][np.repeat(alive, idx.c_counts)]
+        return Corpus.cited_subset(idx.corpus, np.flatnonzero(alive), tokens, idx.pool,
+                                   self.background)
 
 
 def _permuted_tokens(idx: CorpusIndex, master_seed: int, sim_index: int) -> np.ndarray:
@@ -137,7 +125,7 @@ def umsj_shuffle(idx: CorpusIndex, rng_seed: int, max_retries: int = 10, *,
     tokens = idx.pool_tokens.tolist()
     orig = list(tokens)
     slot_pub = idx.pool_slot_pub.tolist()
-    held: list[set[int]] = [set() for _ in idx.pool.publications]
+    held: list[set[int]] = [set() for _ in idx.pool.pub_ids]
     for t, p in zip(tokens, slot_pub):
         held[p].add(t)
     exhausted = 0
@@ -216,7 +204,7 @@ def preservation_report(before: Corpus, after: ShuffleOutcome) -> PreservationRe
     only drop by the number of deleted publications.
     """
     idx = after.index
-    if before is not idx.corpus and [p.pub_id for p in before.publications] != idx.c_pub_ids:
+    if before is not idx.corpus and before.pub_ids != idx.c_pub_ids:
         raise ValueError("shuffle outcome was not produced from this corpus")
     n_pubs = len(idx.c_pub_ids)
     ny = idx._n_year_bins

@@ -11,11 +11,8 @@ by construction.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -232,6 +229,11 @@ def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
         )
     workers = min(cfg.workers, n)
     if workers > 1:
+        # The worker pool is imported here, so a run at one worker never pays for it.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         # Run the kernels once before forking, so that every worker shares
         # one copy of the read-back data they build on first use.
         idx.pair_key_counts(idx.c_tokens)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, Publication, ReferenceRecord
+from .corpus import Corpus, _codes, _ptr
 from .rng import synth_stream
 
 _MAX_REDRAW_ROUNDS = 200
@@ -84,7 +84,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     # Reference pools: ids, years, journals, and popularity weights.
     ref_ids: list[str] = []
     ref_year_parts = []
-    ref_journal_parts: list[list[str]] = []
+    ref_journal_parts = []  # discipline d's journal k is d * journals_per_discipline + k
     weights: list[np.ndarray] = []
     offsets = np.zeros(n_disc + 1, np.int64)
     for d in range(n_disc):
@@ -94,14 +94,14 @@ def generate(cfg: SynthConfig) -> SynthResult:
         ref_year_parts.append(
             cfg.slice_year - rng.integers(1, cfg.n_ref_years + 1, size=size)
         )
-        journals = [f"J{d:02d}-{k:02d}" for k in range(cfg.journals_per_discipline)]
         ref_journal_parts.append(
-            [journals[k] for k in rng.integers(0, len(journals), size=size).tolist()]
+            d * cfg.journals_per_discipline
+            + rng.integers(0, cfg.journals_per_discipline, size=size)
         )
         w = (np.arange(size, dtype=np.float64) + 1.0) ** (-cfg.skew)
         weights.append(w / w.sum())
     ref_years = np.concatenate(ref_year_parts)
-    ref_journals = [j for part in ref_journal_parts for j in part]
+    ref_journals = np.concatenate(ref_journal_parts)
     total_refs = int(offsets[-1])
 
     # Publications: discipline, journal, impact, reference count.
@@ -169,42 +169,39 @@ def generate(cfg: SynthConfig) -> SynthResult:
             "reference pool too small to satisfy refs per publication without replacement"
         )
 
-    ref_disc = (np.searchsorted(offsets, np.arange(total_refs), side="right") - 1).tolist()
-    references = {
-        ref_ids[i]: ReferenceRecord(
-            ref_ids[i], int(ref_years[i]), ref_journals[i], labels[ref_disc[i]]
-        )
-        for i in range(total_refs)
-    }
-    publications: list[Publication] = []
-    ptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(n_refs)])
-    for i in range(n_pubs):
-        d = int(pub_disc[i])
-        refs = tuple(ref_ids[g] for g in gref[ptr[i]: ptr[i + 1]].tolist())
-        publications.append(
-            Publication(
-                pub_id=pub_ids[i],
-                year=cfg.slice_year,
-                journal_id=f"J{d:02d}-{int(pub_journal_pick[i]):02d}",
-                refs=refs,
-                citations_8yr=int(citations[i]),
-            )
-        )
-
+    # Reference codes follow id order, and journal codes that of the sorted
+    # journal table.
+    ref_disc = np.searchsorted(offsets, np.arange(total_refs), side="right") - 1
+    ref_order = np.array(sorted(range(total_refs), key=ref_ids.__getitem__), np.int64)
+    ref_code = np.empty(total_refs, np.int64)
+    ref_code[ref_order] = np.arange(total_refs)
+    journal_names = [f"J{d:02d}-{k:02d}" for d in range(n_disc)
+                     for k in range(cfg.journals_per_discipline)]
+    journal_ids = sorted(journal_names)
+    journal_code = _codes(journal_names, journal_ids)
+    ref_journal = journal_code[ref_journals]
+    subject_ids = sorted(labels)
+    subject_code = _codes(labels, subject_ids)
+    ptr = _ptr(n_refs)
     pool_corpus = Corpus(
         slice_year=cfg.slice_year,
-        publications=publications,
-        references=references,
+        pub_ids=pub_ids,
+        pub_year=np.full(n_pubs, cfg.slice_year, np.int64),
+        pub_journal=journal_code[pub_disc * cfg.journals_per_discipline + pub_journal_pick],
+        citations_8yr=citations,
+        pub_ptr=ptr,
+        slot_ref=ref_code[gref],
+        ref_ids=[ref_ids[i] for i in ref_order.tolist()],
+        ref_year=ref_years[ref_order].astype(np.int64),
+        ref_journal=ref_journal[ref_order],
+        ref_subject=subject_code[ref_disc[ref_order]],
+        journal_ids=journal_ids,
+        subject_ids=subject_ids,
         background_tag="global",
     )
-    by_discipline: dict[str, Corpus] = {}
+    by_discipline = {}
     for d, label in enumerate(labels):
-        pubs = [p for p, pd in zip(publications, pub_disc.tolist()) if pd == d]
-        cited = {rid for p in pubs for rid in p.refs}
-        by_discipline[label] = Corpus(
-            slice_year=cfg.slice_year,
-            publications=pubs,
-            references={rid: references[rid] for rid in sorted(cited)},
-            background_tag="local",
-        )
+        rows = np.flatnonzero(pub_disc == d)
+        slots = pool_corpus.slot_ref[ptr[rows[0]]:ptr[rows[-1] + 1]]
+        by_discipline[label] = Corpus.cited_subset(pool_corpus, rows, slots, pool_corpus, "local")
     return SynthResult(pool=pool_corpus, by_discipline=by_discipline)

@@ -25,7 +25,7 @@ def make_corpus():
             Publication(pid, slice_year, journal, tuple(rr), cites)
             for pid, journal, rr, cites in pubs
         ]
-        return Corpus(slice_year, publications, references, background_tag)
+        return Corpus.from_records(slice_year, publications, references, background_tag)
 
     return _make
 

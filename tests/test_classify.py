@@ -146,7 +146,7 @@ def test_corpus_summaries_match_per_publication_oracle():
                                 ref_pool_per_discipline=120, seed=41)).pool
     first = pool.publications[0]
     loner = Publication("p-one-ref", pool.slice_year, "J", first.refs[:1], 0)
-    corpus = Corpus(pool.slice_year, pool.publications + [loner], pool.references)
+    corpus = Corpus.from_records(pool.slice_year, [*pool.publications, loner], pool.references)
     assert len({len(p.refs) for p in corpus.publications}) >= 5
 
     # Every pair of the first publication is undefined or absent, so it has
@@ -254,7 +254,7 @@ def test_classify_requires_summaries():
 
 
 def _relabel(corpus: Corpus, mapping) -> Corpus:
-    return Corpus(
+    return Corpus.from_records(
         slice_year=corpus.slice_year,
         publications=[
             Publication(p.pub_id, p.year, mapping.get(p.journal_id, p.journal_id),

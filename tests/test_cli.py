@@ -1,9 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cocite
 from cocite.cli import main
+from cocite.corpus import Publication, ReferenceRecord
 from cocite.manifest import RunManifest
 
 
@@ -521,3 +527,30 @@ def test_manifest_times_each_simulation_layer(synth_dir, tmp_path, workers):
     assert set(layers) == {"permute", "dedupe", "pair_count", "accumulate"}
     assert all(v >= 0 for v in layers.values())
     assert 0 < sum(layers.values()) <= manifest.timings["simulate"] * workers
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_pipeline_builds_no_row_objects(synth_dir, tmp_path, monkeypatch, background):
+    # Ingest, the index and every stage read the corpus arrays; building a
+    # row view anywhere on the pipeline path fails the run.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(Publication, "__init__", refuse)
+    monkeypatch.setattr(ReferenceRecord, "__init__", refuse)
+    pool = pool_flags(synth_dir) if background == "global" else []
+    assert main(["pipeline", *corpus_flags(synth_dir / "D00"), *pool,
+                 "--background", background, "--sims", "20", "--seed", "2",
+                 "--workers", "1", "--out", str(tmp_path / background)]) == 0
+
+
+def test_importing_the_cli_leaves_the_worker_pool_unimported():
+    # A run at one worker never starts a pool, so it should not pay for
+    # importing one.
+    code = ("import sys, cocite.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    src = str(Path(cocite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"

@@ -137,6 +137,8 @@ def built(idx):
 
 
 def test_read_back_data_is_built_on_first_use(monkeypatch):
+    import concurrent.futures
+
     import cocite.indexing as indexing
     import cocite.simulate as simulate
 
@@ -152,7 +154,7 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
     # simulate_plan runs the pair-count and dedupe kernels once in the parent
     # before forking, which builds what they read and nothing else, so the
     # workers share one copy. Sorting duplicates reads no bucket matrices.
-    fork_pool = simulate.ProcessPoolExecutor
+    fork_pool = concurrent.futures.ProcessPoolExecutor
     cases = [(background, algorithm, product, sorting)
              for background in ("local", "global")
              for product in (True, False)
@@ -178,7 +180,7 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
                 at_fork.append(built(plan.index))
                 return fork_pool(*args, **kwargs)
 
-            m.setattr(simulate, "ProcessPoolExecutor", spy)
+            m.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
             simulate.simulate_plan(plan, simulate.SimConfig(
                 n_simulations=4, background=background, algorithm=algorithm, workers=2))
             assert at_fork == [want]

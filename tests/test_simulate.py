@@ -298,8 +298,9 @@ def with_edge_publications(result):
     assert len(same) == 7
     extra = [Publication("same-journal", corpus.slice_year, "J-X", tuple(same), 0),
              Publication("one-ref", corpus.slice_year, "J-X", (same[0],), 0)]
-    return (Corpus(corpus.slice_year, corpus.publications + extra, corpus.references),
-            Corpus(pool.slice_year, pool.publications + extra, pool.references))
+    return (Corpus.from_records(corpus.slice_year, [*corpus.publications, *extra],
+                                corpus.references),
+            Corpus.from_records(pool.slice_year, [*pool.publications, *extra], pool.references))
 
 
 @pytest.mark.parametrize("background", ["local", "global"])
