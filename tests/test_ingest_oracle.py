@@ -218,3 +218,17 @@ def test_read_rows_names_the_line_of_an_undecodable_byte(tmp_path):
     path.write_bytes(b"a,b\n1,2\n3,\xc3\n")
     with pytest.raises(IngestError, match=r"table\.csv:3: not UTF-8 text"):
         list(corpus_module.read_rows(path, ("a", "b")))
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
+def test_an_earlier_rows_fault_comes_before_a_later_rows_width(tmp_path, write_tsvs, quoted):
+    # Line 3 repeats line 2's id and line 5 has a column too many; with a
+    # quoted id the file is read by csv, which stops at line 5 first.
+    name = '"p 1"' if quoted else "p1"
+    paths = write_tsvs([(name, 1995, "J-A", 0), (name, 1995, "J-A", 0), ("p2", 1995, "J-A", 0),
+                        ("p3", 1995, "J-A", 0, "extra")], [("r1", 1990, "J-A", "s")], [])
+    match = r"publications\.tsv:3: duplicate pub_id '(p 1|p1)' \(first seen at line 2\)"
+    with pytest.raises(IngestError, match=match):
+        ingest(*paths)
+    with pytest.raises(IngestError, match=match):
+        oracle_ingest(*paths)
