@@ -108,7 +108,7 @@ def _merged_tables(a: list[str], b: list[str]) -> tuple[list[str], np.ndarray, n
     return table, _codes(a, table), _codes(b, table)
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False)
 class Corpus:
     """A year slice of publications plus the references they resolve to.
 
@@ -243,10 +243,6 @@ class Corpus:
         return ((self.slice_year, self.background_tag, self.publications, dict(self.references))
                 == (other.slice_year, other.background_tag, other.publications,
                     dict(other.references)))
-
-    def __repr__(self) -> str:
-        return (f"Corpus(slice_year={self.slice_year}, {len(self.pub_ids)} publications, "
-                f"{len(self.ref_ids)} references, background_tag={self.background_tag!r})")
 
     def journals(self) -> set[str]:
         """Journal ids appearing on this corpus's references."""

@@ -232,3 +232,12 @@ def test_an_earlier_rows_fault_comes_before_a_later_rows_width(tmp_path, write_t
         ingest(*paths)
     with pytest.raises(IngestError, match=match):
         oracle_ingest(*paths)
+
+
+@pytest.mark.parametrize("column, value", [("year", str(1 << 63)), ("citations_8yr", "9" * 30)])
+def test_a_number_past_int64_names_its_line(write_tsvs, column, value):
+    pub = {"year": (value, 0), "citations_8yr": (1995, value)}[column]
+    paths = write_tsvs([("p1", 1995, "J-A", 0), ("p2", pub[0], "J-A", pub[1])],
+                       [("r1", 1990, "J-A", "s")], [])
+    with pytest.raises(IngestError, match=rf"publications\.tsv:3: {column} out of range: "):
+        ingest(*paths)
