@@ -82,7 +82,7 @@ class IngestDiagnostics:
     def total_dropped(self) -> int:
         return sum(self.dropped.values())
 
-    def tally(self, reason: str, n) -> None:
+    def tally(self, reason: str, n: int) -> None:
         """Count n dropped rows; a reason with none is left out."""
         if n:
             self.dropped[reason] += int(n)

@@ -67,7 +67,7 @@ class CorpusIndex:
         slot_year = self.ref_year[slot_ref]
         self._pool_slot = np.argsort(slot_year, kind="stable")
         yvals, starts = np.unique(slot_year[self._pool_slot], return_index=True)
-        self.group_years = yvals.tolist()
+        self.group_years = [int(y) for y in yvals]
         self.group_ptr = np.append(starts, len(slot_ref))
         self.pool_tokens = slot_ref[self._pool_slot]
         self.pool_slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)[self._pool_slot]

@@ -192,14 +192,14 @@ def generate(cfg: SynthConfig) -> SynthResult:
         pub_ptr=ptr,
         slot_ref=ref_code[gref],
         ref_ids=[ref_ids[i] for i in ref_order.tolist()],
-        ref_year=ref_years[ref_order].astype(np.int64),
+        ref_year=ref_years[ref_order],
         ref_journal=ref_journal[ref_order],
         ref_subject=subject_code[ref_disc[ref_order]],
         journal_ids=journal_ids,
         subject_ids=subject_ids,
         background_tag="global",
     )
-    by_discipline = {}
+    by_discipline: dict[str, Corpus] = {}
     for d, label in enumerate(labels):
         rows = np.flatnonzero(pub_disc == d)
         slots = pool_corpus.slot_ref[ptr[rows[0]]:ptr[rows[-1] + 1]]
