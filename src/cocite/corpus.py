@@ -170,17 +170,16 @@ class Corpus:
                     raise ValueError(f"publication {p.pub_id!r} cites unknown reference {rid!r}")
         journal_ids = sorted({p.journal_id for p in pubs} | {r.journal_id for r in recs})
         subject_ids = sorted({r.subject for r in recs})
-        ints = lambda values: np.fromiter(values, np.int64)  # noqa: E731
         return cls(
             slice_year=slice_year,
             pub_ids=[p.pub_id for p in pubs],
-            pub_year=ints(p.year for p in pubs),
+            pub_year=np.fromiter((p.year for p in pubs), np.int64),
             pub_journal=_codes((p.journal_id for p in pubs), journal_ids),
-            citations_8yr=ints(p.citations_8yr for p in pubs),
-            pub_ptr=_ptr(ints(len(p.refs) for p in pubs)),
-            slot_ref=ints(ref_pos[rid] for p in pubs for rid in p.refs),
+            citations_8yr=np.fromiter((p.citations_8yr for p in pubs), np.int64),
+            pub_ptr=_ptr(np.fromiter((len(p.refs) for p in pubs), np.int64)),
+            slot_ref=np.fromiter((ref_pos[rid] for p in pubs for rid in p.refs), np.int64),
             ref_ids=ref_ids,
-            ref_year=ints(r.year for r in recs),
+            ref_year=np.fromiter((r.year for r in recs), np.int64),
             ref_journal=_codes((r.journal_id for r in recs), journal_ids),
             ref_subject=_codes((r.subject for r in recs), subject_ids),
             journal_ids=journal_ids,
@@ -413,16 +412,11 @@ def _tsv_blocks(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[np.ndarr
         if b'"' in header or b"\r" in header:
             yield from _csv_blocks(path, columns, 2)
             return
-        if not header:
-            raise IngestError(f"{path}:1: empty file, expected header {columns}")
         try:
             text = header.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _undecodable(path, header, exc) from None
-        text = text[:-1] if text.endswith("\n") else text
-        fields = text.split("\t") if text else []
-        if tuple(fields) != columns:
-            raise IngestError(f"{path}:1: bad header {fields!r}, expected {list(columns)}")
+        next(_table_rows([text] if text else [], path, columns, "\t"), None)  # checks the header
         lineno, carry = 2, b""
         while True:
             chunk = fh.read(_BLOCK_BYTES)
