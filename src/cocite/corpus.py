@@ -45,6 +45,8 @@ _ISSN_SHAPE = re.compile(r"^\d{4}-?\d{3}[\dXx]$")
 # of perfbench/workloads.py peaked at 47 MiB RSS with 256 KiB blocks and at
 # 55 MiB with 1 MiB blocks, in the same time.
 _BLOCK_BYTES = 1 << 18
+# Rows per block where ingest reads a table with ``csv``.
+_CSV_BLOCK_ROWS = 1 << 14
 
 
 class IngestError(ValueError):
@@ -296,20 +298,21 @@ def read_rows(path: str | Path, columns: tuple[str, ...],
     """Yield (line_number, fields) for a table file, validating the header.
 
     Blank lines are skipped; a row of the wrong width, or a byte that is
-    not UTF-8, raises IngestError.
+    not UTF-8, raises IngestError once the rows before it are yielded.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        try:
-            yield from _table_rows(fh, path, columns, delimiter)
-        except UnicodeDecodeError:
-            # The error counts bytes from the chunk being decoded; decoding
-            # the whole file finds the byte's line.
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _undecodable(path, data, exc) from None
-            raise
+    data = Path(path).read_bytes()
+    fault = None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        fault = _undecodable(path, data, exc)
+        cut = data.rfind(b"\n", 0, exc.start) + 1
+        if not cut:
+            raise fault from None
+        text = data[:cut].decode("utf-8")
+    yield from _table_rows(io.StringIO(text, newline=""), path, columns, delimiter)
+    if fault is not None:
+        raise fault
 
 
 def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequence],
@@ -325,18 +328,15 @@ def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequen
         w.writerows(rows)
 
 
-def _split_block(raw: bytes, text: str, lineno: int, width: int, path):
-    """The rows of a block of whole lines that starts at line ``lineno``:
-    their line numbers, their columns, the fault of the first row of the
-    wrong width (None if there is none), the rows ending before it, and the
-    number of the line after the block.
+def _split_block(raw: bytes, lineno: int, width: int):
+    """The line numbers and columns of a block of whole lines that starts
+    at line ``lineno``, or None where a line does not hold ``width``
+    tab-separated fields or the block is not UTF-8.
 
     Where every line holds ``width`` fields, the bytes below 11 are exactly
     ``width - 1`` tabs and a newline per line, and one split of the text
-    gives the columns. Otherwise the lines are read one by one.
+    gives the columns.
     """
-    if not raw:
-        return np.zeros(0, np.int64), [[] for _ in range(width)], None, lineno
     if raw[-1] != 10:
         raw += b"\n"  # the final line has no newline
     b = np.frombuffer(raw, np.uint8)
@@ -344,41 +344,26 @@ def _split_block(raw: bytes, text: str, lineno: int, width: int, path):
     n = len(sep) // width
     template = np.full(width, 9, np.uint8)
     template[-1] = 10
-    if len(sep) == n * width and (sep.reshape(n, width) == template).all():
-        flat = text.replace("\t", "\n").split("\n", n * width - 1)
-        flat[-1] = flat[-1].rstrip("\n")
-        return np.arange(lineno, lineno + n), [flat[c::width] for c in range(width)], None, \
-            lineno + n
-    lines, rows, fault = [], [], None
-    split = text.split("\n")
-    for k, line in enumerate(split, start=lineno):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != width:
-            fault = f"{path}:{k}: expected {width} columns, found {len(fields)}"
-            break
-        lines.append(k)
-        rows.append(fields)
-    cols = [list(c) for c in zip(*rows)] if rows else [[] for _ in range(width)]
-    return np.asarray(lines, np.int64), cols, fault, lineno + len(split) - 1
+    if len(sep) != n * width or not (sep.reshape(n, width) == template).all():
+        return None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    flat = text.replace("\t", "\n").split("\n", n * width - 1)
+    flat[-1] = flat[-1].rstrip("\n")
+    return np.arange(lineno, lineno + n), [flat[c::width] for c in range(width)]
 
 
-def _csv_blocks(path, columns: tuple[str, ...], first_line: int, rows_per_block: int = 1 << 14):
-    """``_tsv_blocks`` from line ``first_line`` on, read by ``csv``."""
-    data = Path(path).read_bytes()
+def _csv_blocks(path, columns: tuple[str, ...], first_line: int):
+    """``_tsv_blocks`` from line ``first_line`` on, read by ``read_rows``."""
+    block: list[tuple[int, list[str]]] = []
     fault = None
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        fault = _undecodable(path, data, exc)
-        text = data[:data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
-    block: list[tuple[int, list[str]]] = []
-    try:
-        for lineno, row in _table_rows(io.StringIO(text, newline=""), path, columns, "\t"):
+        for lineno, row in read_rows(path, columns, "\t"):
             if lineno >= first_line:
                 block.append((lineno, row))
-            if len(block) == rows_per_block:
+            if len(block) == _CSV_BLOCK_ROWS:
                 yield _row_block(block)
                 block = []
     except IngestError as exc:
@@ -402,9 +387,10 @@ def _tsv_blocks(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[np.ndarr
     wrong width raises IngestError, as does a byte that is not UTF-8. The
     rows before a faulty line are yielded before its error is raised, so a
     caller that checks each row raises the fault of an earlier row first.
-    ``csv`` reads a quote as quoting and a carriage return as a line end,
-    so a file whose header holds either is read by ``csv`` throughout, and
-    one whose later block does is read by ``csv`` from that block on.
+    A block that one split cannot read (one holding a quote, a carriage
+    return, a blank line, a row of the wrong width or a byte that is not
+    UTF-8) is read by ``read_rows`` from its first line on, as is the whole
+    file where the header holds a quote or a carriage return.
     """
     width = len(columns)
     with open(path, "rb") as fh:
@@ -431,23 +417,12 @@ def _tsv_blocks(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[np.ndarr
                 block, carry = data, b""
             else:
                 return
-            if b'"' in block or b"\r" in block:
+            rows = None if b'"' in block or b"\r" in block else _split_block(block, lineno, width)
+            if rows is None:
                 yield from _csv_blocks(path, columns, lineno)
                 return
-            decode_fault = None
-            try:
-                text = block.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                decode_fault = _undecodable(path, block, exc, lineno)
-                block = block[:block.rfind(b"\n", 0, exc.start) + 1]
-                text = block.decode("utf-8")
-            lines, cols, fault, lineno = _split_block(block, text, lineno, width, path)
-            if len(lines):
-                yield lines, cols
-            if fault is not None:
-                raise IngestError(fault)
-            if decode_fault is not None:
-                raise decode_fault
+            yield rows
+            lineno += len(rows[0])
 
 
 def _parse_ints(values: list[str], what: str) -> tuple[np.ndarray, tuple[int, str] | None]:
@@ -589,7 +564,8 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
 
     slice_year = config.slice_year
     if slice_year is None:
-        years = np.unique(pub_year[pub_known]).tolist()
+        # Not np.unique, whose first call in a process imports numpy.ma (20 ms).
+        years = sorted(set(pub_year[pub_known].tolist()))
         if len(years) > 1:
             raise IngestError(
                 f"{pub_path}: publications span years {years}; set slice_year to select one"
@@ -608,7 +584,8 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     journal_code = np.array([canon_pos[journal_map[j]] if j in journal_map else -1
                              for j in raw_journals], np.int64)
     raw_subjects = list(subjects)
-    subject_ids = sorted({raw_subjects[s] for s in np.unique(ref_sraw[ref_kept]).tolist()})
+    subject_ids = sorted(raw_subjects[s] for s in np.flatnonzero(
+        np.bincount(ref_sraw[ref_kept], minlength=len(raw_subjects))).tolist())
     subject_code = np.array([subject_ids.index(s) if s in subject_ids else -1
                              for s in raw_subjects], np.int64)
 

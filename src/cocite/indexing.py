@@ -340,9 +340,11 @@ def _pool_rows(corpus: Corpus, pool: Corpus) -> np.ndarray:
     ref_in_pool = np.fromiter(map(pool_ref.get, corpus.ref_ids, repeat(-1)), np.int64,
                               len(corpus.ref_ids))
     # Publications with as many references in the pool are compared slot by slot.
+    # A missing publication reads the pool's end, whose count of -1 no
+    # publication has.
     counts = np.diff(corpus.pub_ptr)
-    pool_at = np.where(missing, 0, rows)
-    same_count = ~missing & (np.diff(pool.pub_ptr)[pool_at] == counts)
+    pool_at = np.where(missing, len(pool.pub_ids), rows)
+    same_count = np.append(np.diff(pool.pub_ptr), -1)[pool_at] == counts
     n = np.where(same_count, counts, 0)
     within = np.arange(n.sum()) - np.repeat(_ptr(n)[:-1], n)
     unequal = (pool.slot_ref[np.repeat(pool.pub_ptr[pool_at], n) + within]

@@ -224,6 +224,19 @@ def test_read_rows_names_the_line_of_an_undecodable_byte(tmp_path):
         list(corpus_module.read_rows(path, ("a", "b")))
 
 
+@pytest.mark.parametrize("data, match", [
+    (b"a,b\n1,2\n3\n4,\xff\n", r"table\.csv:3: expected 2 columns, found 1"),
+    (b"a,\xff\n1,2\n", r"table\.csv:1: not UTF-8 text"),
+], ids=["width first", "header"])
+def test_read_rows_raises_the_first_fault_in_row_order(tmp_path, data, match):
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    rows = []
+    with pytest.raises(IngestError, match=match):
+        rows.extend(corpus_module.read_rows(path, ("a", "b")))
+    assert rows == ([(2, ["1", "2"])] if b"3" in data else [])
+
+
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
 def test_an_earlier_rows_fault_comes_before_a_later_rows_width(tmp_path, write_tsvs, quoted):
     # Line 3 repeats line 2's id and line 5 has a column too many; with a

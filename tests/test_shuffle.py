@@ -95,6 +95,10 @@ def test_pool_must_contain_corpus_publications(make_corpus, yeared_corpus):
     )
     with pytest.raises(ValueError, match="not in the substitution pool"):
         build_groups(yeared_corpus, pool)
+    # A pool of another slice year keeps no publication at all.
+    empty = make_corpus(pubs=[], refs=YEARED_REFS, background_tag="global")
+    with pytest.raises(ValueError, match="'p1' is not in the substitution pool"):
+        build_groups(yeared_corpus, empty)
     # The same ids citing the same references in another order.
     reordered = make_corpus(
         pubs=[("p1", "J-X", ["r80a", "r82a", "r80b"], 0), ("p2", "J-X", ["r80c", "r82b"], 0)],
