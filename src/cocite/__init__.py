@@ -33,10 +33,9 @@ from .simulate import (
 from .classify import (
     CATEGORIES,
     ClassifyConfig,
-    PubSummary,
+    PubTable,
     classify_corpus,
     corpus_summaries,
-    pub_zstats,
 )
 from .impact import (
     ChiSquareResult,

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, IngestError, Publication, ReferenceRecord, read_rows, write_rows
+from .corpus import Corpus, IngestError, read_rows, write_rows
 from .indexing import CorpusIndex
-from .pairs import PairStats, PairTable, rekey
+from .pairs import PairTable, rekey
 
 CATEGORIES = ("LNLC", "LNHC", "HNLC", "HNHC")
 NOVELTY_PERCENTILES = (10, 1)
@@ -30,16 +30,27 @@ class ClassifyConfig:
             )
 
 
-@dataclass(frozen=True)
-class PubSummary:
-    """Positional statistics of one publication's pair z-scores."""
+@dataclass(eq=False)
+class PubTable:
+    """Per-publication z statistics, one row per publication with a
+    defined pair, in corpus order: the ids ``pub_ids`` and aligned columns
+    ``z_median``, ``z_p10``, ``z_p1`` (float64), ``n_defined_pairs`` and
+    ``category`` (int64). A category is a position in ``CATEGORIES``,
+    2 * HN + HC, or -1 before the row is labeled."""
 
-    pub_id: str
-    z_median: float
-    z_p10: float
-    z_p1: float
-    n_defined_pairs: int
-    category: str | None = None
+    pub_ids: list[str]
+    z_median: np.ndarray
+    z_p10: np.ndarray
+    z_p1: np.ndarray
+    n_defined_pairs: np.ndarray
+    category: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.pub_ids)
+
+    def labels(self) -> list[str | None]:
+        """The category name of each row, None where it is unlabeled."""
+        return np.array([*CATEGORIES, None], dtype=object)[self.category].tolist()
 
 
 def index_pair_stats(stats: PairTable) -> PairTable:
@@ -48,35 +59,20 @@ def index_pair_stats(stats: PairTable) -> PairTable:
     return stats
 
 
-def pub_zstats(pub: Publication, references: Mapping[str, ReferenceRecord],
-               stats: PairTable | Iterable[PairStats]) -> PubSummary:
-    """``corpus_summaries`` of a corpus holding only ``pub``, given a pair
-    table or its rows.
-
-    Raises ValueError when none of the publication's pairs has a defined z.
-    """
-    if not isinstance(stats, PairTable):
-        stats = PairTable.from_rows(stats)
-    refs = {r: references[r] for r in pub.refs if r in references}
-    summaries, _ = corpus_summaries(Corpus.from_records(pub.year, [pub], refs), stats)
-    if not summaries:
-        raise ValueError(f"publication {pub.pub_id!r} has no journal pair with a defined z-score")
-    return summaries[0]
-
-
-def corpus_summaries(corpus: Corpus, stats: PairTable) -> tuple[list[PubSummary], int]:
+def corpus_summaries(corpus: Corpus, stats: PairTable) -> tuple[PubTable, int]:
     """Median, 10th and 1st percentile of each publication's pair z-scores.
 
     Every pair instance counts with its multiplicity; pairs with an
     undefined or unknown z are dropped. Percentiles interpolate linearly
-    between closest order statistics. Returns (summaries, excluded), in
-    corpus order, where excluded counts the publications left with no
-    defined pair, those with fewer than two references included.
+    between closest order statistics. Returns (table, excluded): the
+    unlabeled table of the publications with a defined pair, in corpus
+    order, and the number left with none, those with fewer than two
+    references included.
     """
     return index_summaries(CorpusIndex(corpus), stats)
 
 
-def index_summaries(idx: CorpusIndex, stats: PairTable) -> tuple[list[PubSummary], int]:
+def index_summaries(idx: CorpusIndex, stats: PairTable) -> tuple[PubTable, int]:
     """``corpus_summaries`` of the analyzed corpus of an index built before."""
     rows, keys = rekey(stats, idx.journal_ids)
     zs = stats.z[rows]
@@ -99,18 +95,15 @@ def index_summaries(idx: CorpusIndex, stats: PairTable) -> tuple[list[PubSummary
         for c in np.unique(counts[counts > 0]).tolist():
             sel = counts == c
             q[:, rows[sel]] = np.percentile(z[sel, :c], [50.0, 10.0, 1.0], axis=1)
-    out = [
-        PubSummary(pid, med, p10, p1, n)
-        for pid, med, p10, p1, n in zip(idx.c_pub_ids, *q.tolist(), n_defined.tolist())
-        if n
-    ]
-    return out, n_pubs - len(out)
+    kept = np.flatnonzero(n_defined)
+    pub_ids = np.array(idx.c_pub_ids, dtype=object)[kept].tolist()
+    table = PubTable(pub_ids, *q[:, kept], n_defined[kept], np.full(len(kept), -1, np.int64))
+    return table, n_pubs - len(kept)
 
 
-def classify_corpus(summaries: Sequence[PubSummary],
-                    cfg: ClassifyConfig = ClassifyConfig()
-                    ) -> tuple[list[PubSummary], float]:
-    """Label each publication with its 2x2 category.
+def classify_corpus(table: PubTable, cfg: ClassifyConfig = ClassifyConfig()
+                    ) -> tuple[PubTable, float]:
+    """The table with each publication's 2x2 category, and the threshold.
 
     Conventionality is high when the publication's median z strictly
     exceeds the corpus median of medians; novelty is high when the
@@ -119,33 +112,41 @@ def classify_corpus(summaries: Sequence[PubSummary],
     multiset's 1st percentile never exceeds its 10th, the 1st-percentile
     criterion is the more permissive one: HN at 10 implies HN at 1.
     """
-    if not summaries:
+    if not len(table):
         raise ValueError("no publication summaries to classify")
-    threshold = float(np.median(np.asarray([s.z_median for s in summaries])))
-    labeled = []
-    for s in summaries:
-        hc = s.z_median > threshold
-        tail = s.z_p10 if cfg.novelty_percentile == 10 else s.z_p1
-        hn = tail < 0.0
-        labeled.append(PubSummary(s.pub_id, s.z_median, s.z_p10, s.z_p1, s.n_defined_pairs,
-                                  ("HN" if hn else "LN") + ("HC" if hc else "LC")))
-    return labeled, threshold
+    threshold = float(np.median(table.z_median))
+    tail = table.z_p10 if cfg.novelty_percentile == 10 else table.z_p1
+    category = 2 * (tail < 0.0) + (table.z_median > threshold)
+    return replace(table, category=category), threshold
 
 
-def write_summaries_csv(summaries: Sequence[PubSummary], path: str | Path) -> None:
+def write_summaries_csv(table: PubTable, path: str | Path) -> None:
     write_rows(path, CLASSIFICATION_COLUMNS,
-               ((s.pub_id, s.z_median, s.z_p10, s.z_p1, s.category, s.n_defined_pairs)
-                for s in summaries))
+               zip(table.pub_ids, table.z_median.tolist(), table.z_p10.tolist(),
+                   table.z_p1.tolist(), table.labels(), table.n_defined_pairs.tolist()))
 
 
-def read_summaries_csv(path: str | Path) -> list[PubSummary]:
-    out: list[PubSummary] = []
-    for lineno, (pub_id, med, p10, p1, category, n) in read_rows(path, CLASSIFICATION_COLUMNS):
-        if category and category not in CATEGORIES:
-            raise IngestError(f"{path}:{lineno}: unknown category {category!r}")
+def read_summaries_csv(path: str | Path) -> PubTable:
+    """The table of a classification.csv. Raises IngestError naming the
+    line of a malformed row, of an unknown category and of a ``pub_id``
+    that an earlier row already gave."""
+    pub_ids: list[str] = []
+    seen: set[str] = set()
+    med, p10, p1 = array("d"), array("d"), array("d")
+    n_defined, category = array("q"), array("q")
+    for lineno, (pub_id, *zs, label, n) in read_rows(path, CLASSIFICATION_COLUMNS):
+        if label and label not in CATEGORIES:
+            raise IngestError(f"{path}:{lineno}: unknown category {label!r}")
+        if pub_id in seen:
+            raise IngestError(f"{path}:{lineno}: publication {pub_id!r} is given twice")
         try:
-            out.append(PubSummary(pub_id, float(med), float(p10), float(p1), int(n),
-                                  category or None))
-        except ValueError as exc:
+            for column, value in zip((med, p10, p1), zs):
+                column.append(float(value))
+            n_defined.append(int(n))
+        except (ValueError, OverflowError) as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
-    return out
+        category.append(CATEGORIES.index(label) if label else -1)
+        seen.add(pub_id)
+        pub_ids.append(pub_id)
+    return PubTable(pub_ids, *(np.asarray(c, np.float64) for c in (med, p10, p1)),
+                    np.asarray(n_defined, np.int64), np.asarray(category, np.int64))

@@ -29,7 +29,7 @@ from . import __version__
 from .classify import (
     NOVELTY_PERCENTILES,
     ClassifyConfig,
-    PubSummary,
+    PubTable,
     classify_corpus,
     index_summaries,
     read_summaries_csv,
@@ -103,9 +103,10 @@ class Run:
     Assigning a stage's attribute stands in for computing it, which is
     how ``classify`` and ``hits`` start from their input CSVs. The corpus
     index, which holds the permutation groups, is built once per
-    background, by the first stage that reads it. Reading an input table
-    and writing the outputs are timed apart from the stages, in
-    ``diagnostics["read_s"]`` and ``diagnostics["write_s"]``.
+    background, before the first stage that reads it. Building an index,
+    reading an input table and writing the outputs are timed apart from
+    the stages, in ``diagnostics["index_s"]``, ``diagnostics["read_s"]``
+    and ``diagnostics["write_s"]``.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
@@ -189,10 +190,14 @@ class Run:
         return self.inputs[0]
 
     def index_of(self, background: str) -> CorpusIndex:
-        """The corpus's index and permutation groups against a background."""
+        """The corpus's index and permutation groups against a background,
+        built on first use and timed as ``index_s``."""
         if background not in self.indexes:
-            self.indexes[background] = (build_groups(*self.inputs) if background == "global"
-                                        else build_groups(self.corpus))
+            corpus, pool = self.inputs
+            if background != "global":
+                pool = None
+            with self.io_timed("index_s"):
+                self.indexes[background] = build_groups(corpus, pool)
         return self.indexes[background]
 
     @property
@@ -203,15 +208,15 @@ class Run:
     @cached_property
     def observed(self) -> PairTable:
         """Observe stage: the corpus's journal-pair frequencies."""
-        self.inputs  # loaded outside this stage's timing
+        idx = self.index
         with self.timed("observe"):
-            table = index_frequencies(self.index)
+            table = index_frequencies(idx)
         self.diagnostics.update(n_pairs=len(table), total_pairs=table.total_pairs)
         return table
 
     def simulate(self, background: str) -> SimResult:
         """Simulate stage: pair mean and sigma over ``--sims`` shuffles against a background."""
-        self.inputs  # loaded outside this stage's timing
+        idx = self.index_of(background)
         a = self.args
         cfg = SimConfig(
             n_simulations=a.sims,
@@ -222,7 +227,7 @@ class Run:
             umsj_max_retries=a.max_retries,
         )
         with self.timed("simulate"):
-            return simulate_plan(self.index_of(background), cfg)
+            return simulate_plan(idx, cfg)
 
     @cached_property
     def sims(self) -> SimResult:
@@ -255,12 +260,11 @@ class Run:
         return stats
 
     @cached_property
-    def labeled(self) -> list[PubSummary]:
+    def labeled(self) -> PubTable:
         """Classify stage: per-publication z statistics and category labels."""
-        stats = self.stats
-        self.inputs  # loaded outside this stage's timing
+        stats, idx = self.stats, self.index
         with self.timed("classify"):
-            summaries, excluded = index_summaries(self.index, stats)
+            summaries, excluded = index_summaries(idx, stats)
             labeled, threshold = classify_corpus(summaries, ClassifyConfig(self.args.novelty_pct))
         self.diagnostics.update(threshold=threshold, classified=len(labeled),
                                 excluded_no_defined_pairs=excluded)
@@ -271,6 +275,10 @@ class Run:
         """Hits stage: hit rate per category and the chi-square tests."""
         corpus, labeled = self.corpus, self.labeled
         with self.timed("hits"):
+            held = set(corpus.pub_ids)
+            outside = [pub_id for pub_id in labeled.pub_ids if pub_id not in held]
+            if outside:
+                raise ValueError(f"classified publication {outside[0]!r} is not in the corpus")
             hits = corpus_hits(corpus, HitConfig(self.args.hit_pct))
             report = hit_report(labeled, hits)
         self.diagnostics.update(total_hits=report.total_hits, hit_percentile=self.args.hit_pct)
@@ -288,8 +296,8 @@ class Run:
         """Compose stage: one shuffle (simulation 0's streams) and its per-subject fold."""
         corpus = self.corpus
         a = self.args
+        idx = self.index_of(a.background)
         with self.timed("compose"):
-            idx = self.index_of(a.background)
             if a.algorithm == "repcs":
                 outcome = repcs_shuffle(idx, a.seed)
             else:

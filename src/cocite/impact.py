@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import CATEGORIES, PubSummary
+from .classify import CATEGORIES, PubTable
 from .corpus import Corpus, Publication, write_rows
 
 HIT_PERCENTILES = (1, 2, 5, 10)
@@ -288,43 +288,31 @@ class HitReport:
     total_hits: int
 
 
-def _margin(counts: dict[str, int], part: slice) -> dict[str, int]:
-    """Counts summed over the categories whose codes share ``code[part]``
-    (LN/HN or LC/HC), in the order ``CATEGORIES`` first lists them."""
-    out: dict[str, int] = {}
-    for c in CATEGORIES:
-        out[c[part]] = out.get(c[part], 0) + counts[c]
-    return out
-
-
-def hit_report(summaries: Sequence[PubSummary], hits: set[str]) -> HitReport:
+def hit_report(table: PubTable, hits: set[str]) -> HitReport:
     """Hit rates per category plus the three goodness-of-fit tests."""
-    n_articles = {c: 0 for c in CATEGORIES}
-    n_hits = {c: 0 for c in CATEGORIES}
-    for s in summaries:
-        if s.category is None:
-            raise ValueError(f"publication {s.pub_id!r} has no category assigned")
-        n_articles[s.category] += 1
-        if s.pub_id in hits:
-            n_hits[s.category] += 1
+    unlabeled = np.flatnonzero(table.category < 0)
+    if len(unlabeled):
+        raise ValueError(f"publication {table.pub_ids[unlabeled[0]]!r} has no category assigned")
+    is_hit = np.fromiter(map(hits.__contains__, table.pub_ids), bool, len(table))
+    # counts[novelty, conventionality, hit]: a category code is 2 * HN + HC.
+    counts = np.bincount(2 * table.category + is_hit, minlength=8).reshape(2, 2, 2)
+    n_articles, n_hits = counts.sum(axis=2), counts[..., 1]
+
+    def gof(cells, observed, sizes):
+        return chi_square_gof(dict(zip(cells, observed.ravel().tolist())),
+                              dict(zip(cells, sizes.ravel().tolist())))
+
     rows = tuple(
-        CategoryRow(
-            c,
-            n_articles[c],
-            n_hits[c],
-            n_hits[c] / n_articles[c] if n_articles[c] else 0.0,
-        )
-        for c in CATEGORIES
+        CategoryRow(c, n, h, h / n if n else 0.0)
+        for c, n, h in zip(CATEGORIES, n_articles.ravel().tolist(), n_hits.ravel().tolist())
     )
-    novelty, conventionality = slice(0, 2), slice(2, 4)
     return HitReport(
         categories=rows,
-        chi2_4cat=chi_square_gof(n_hits, n_articles),
-        chi2_novelty=chi_square_gof(_margin(n_hits, novelty), _margin(n_articles, novelty)),
-        chi2_conventionality=chi_square_gof(_margin(n_hits, conventionality),
-                                            _margin(n_articles, conventionality)),
-        total_articles=sum(n_articles.values()),
-        total_hits=sum(n_hits.values()),
+        chi2_4cat=gof(CATEGORIES, n_hits, n_articles),
+        chi2_novelty=gof(("LN", "HN"), n_hits.sum(axis=1), n_articles.sum(axis=1)),
+        chi2_conventionality=gof(("LC", "HC"), n_hits.sum(axis=0), n_articles.sum(axis=0)),
+        total_articles=len(table),
+        total_hits=int(n_hits.sum()),
     )
 
 

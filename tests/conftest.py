@@ -2,8 +2,10 @@ import signal
 from collections import defaultdict
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
+from cocite.classify import CATEGORIES, PubTable
 from cocite.corpus import Corpus, Publication, ReferenceRecord
 from cocite.rng import group_stream
 
@@ -26,6 +28,26 @@ def make_corpus():
             for pid, journal, rr, cites in pubs
         ]
         return Corpus.from_records(slice_year, publications, references, background_tag)
+
+    return _make
+
+
+@pytest.fixture
+def make_pub_table():
+    """Factory for hand-built publication tables.
+
+    rows: iterable of (pub_id, z_median, z_p10, z_p1, n_defined_pairs) or
+    of those five and a category name; a row without one is unlabeled.
+    """
+
+    def _make(rows):
+        rows = [(*row, None)[:6] for row in rows]
+        pub_ids, med, p10, p1, n, labels = zip(*rows) if rows else [()] * 6
+        return PubTable(
+            list(pub_ids), *(np.array(c, np.float64) for c in (med, p10, p1)),
+            np.array(n, np.int64),
+            np.array([-1 if c is None else CATEGORIES.index(c) for c in labels], np.int64),
+        )
 
     return _make
 

@@ -21,17 +21,16 @@ from cocite import (
     build_groups,
     classify_corpus,
     composition_fold,
+    corpus_summaries,
     designate_hits,
     generate,
     kl_divergence,
     observed_frequencies,
     preservation_report,
-    pub_zstats,
     repcs_shuffle,
     run_simulations,
     zscores,
 )
-from cocite.classify import PubSummary
 from cocite.cli import main
 from cocite.impact import chi_square_gof
 from cocite.pairs import JournalPair, PairStats, PairTable
@@ -200,19 +199,19 @@ def test_oracle_equivalence(make_corpus):
 
 
 @pytest.mark.acceptance("05a", "classification: strict threshold and boundary behavior")
-def test_classification_strict_boundaries():
-    def summary(pid, median, p10):
-        return PubSummary(pid, median, p10, p10, 3)
+def test_classification_strict_boundaries(make_pub_table):
+    def summaries(*rows):
+        return make_pub_table((pid, median, p10, p10, 3) for pid, median, p10 in rows)
 
     labeled, threshold = classify_corpus(
-        [summary("p1", 1.0, 1.0), summary("p2", 2.0, 1.0), summary("p3", 3.0, 1.0)]
+        summaries(("p1", 1.0, 1.0), ("p2", 2.0, 1.0), ("p3", 3.0, 1.0))
     )
     assert threshold == 2.0
-    assert [s.category for s in labeled] == ["LNLC", "LNLC", "LNHC"]
+    assert labeled.labels() == ["LNLC", "LNLC", "LNHC"]
     # A publication sitting exactly at zero is low novelty.
-    labeled, _ = classify_corpus([summary("q1", 0.0, 0.0), summary("q2", 1.0, -0.001)])
-    assert labeled[0].category.startswith("LN")
-    assert labeled[1].category.startswith("HN")
+    labeled, _ = classify_corpus(summaries(("q1", 0.0, 0.0), ("q2", 1.0, -0.001)))
+    assert labeled.labels()[0].startswith("LN")
+    assert labeled.labels()[1].startswith("HN")
 
 
 @pytest.mark.acceptance("05b", "classification: percentile interpolation reproduces -2.2")
@@ -233,44 +232,46 @@ def test_classification_percentile_example(make_corpus):
         ps("A", "B", -3.0), ps("A", "C", -1.0), ps("A", "D", 0.0),
         ps("B", "C", 2.0), ps("B", "D", 5.0), ps("C", "D", None),
     ]
-    got = pub_zstats(corpus.publications[0], corpus.references, stats)
-    assert got.z_median == 0.0
-    assert got.z_p10 == -2.2
+    got, _ = corpus_summaries(corpus, PairTable.from_rows(stats))
+    assert got.z_median.tolist() == [0.0]
+    assert got.z_p10.tolist() == [-2.2]
 
 
 @pytest.mark.acceptance(
     "05c", "classification: percentile 10 -> 1 only adds novelty, exactly where p1 < 0 <= p10"
 )
-def test_classification_novelty_switch_never_adds_novelty():
+def test_classification_novelty_switch_never_adds_novelty(make_pub_table):
     # Lowering the novelty percentile from 10 to 1 can only add HN labels:
     # p1 <= p10, and HN means the configured tail is strictly negative, so
     # a publication turns LN -> HN exactly when p1 < 0 <= p10 and none
     # turns HN -> LN. The conventionality half and its threshold do not
     # depend on the novelty percentile.
     rng = np.random.default_rng(55)
-    summaries = []
+    rows = []
     for i in range(1000):
         zs = rng.normal(rng.uniform(-1.0, 3.0), 1.0, size=int(rng.integers(3, 60)))
         med, p10, p1 = np.percentile(zs, [50.0, 10.0, 1.0])
-        summaries.append(PubSummary(f"p{i}", float(med), float(p10), float(p1), len(zs)))
+        rows.append((f"p{i}", float(med), float(p10), float(p1), len(zs)))
+    summaries = make_pub_table(rows)
     at10, threshold10 = classify_corpus(summaries, ClassifyConfig(10))
     at1, threshold1 = classify_corpus(summaries, ClassifyConfig(1))
-    assert [s.pub_id for s in at10] == [s.pub_id for s in at1] == [s.pub_id for s in summaries]
+    assert at10.pub_ids == at1.pub_ids == summaries.pub_ids
+    pub_ids, p10s, p1s = summaries.pub_ids, summaries.z_p10.tolist(), summaries.z_p1.tolist()
 
     dropped = [
-        (a.pub_id, a.z_p10, a.z_p1)
-        for a, b in zip(at10, at1)
-        if a.category.startswith("HN") and b.category.startswith("LN")
+        (pub_id, p10, p1)
+        for pub_id, p10, p1, a, b in zip(pub_ids, p10s, p1s, at10.labels(), at1.labels())
+        if a.startswith("HN") and b.startswith("LN")
     ]
     assert not dropped, (
         f"{len(dropped)} publications went HN -> LN; first (pub, p10, p1): {dropped[0]}"
     )
 
     converted = {
-        a.pub_id for a, b in zip(at10, at1)
-        if a.category.startswith("LN") and b.category.startswith("HN")
+        pub_id for pub_id, a, b in zip(pub_ids, at10.labels(), at1.labels())
+        if a.startswith("LN") and b.startswith("HN")
     }
-    expected = {s.pub_id for s in summaries if s.z_p1 < 0.0 <= s.z_p10}
+    expected = {pub_id for pub_id, p10, p1 in zip(pub_ids, p10s, p1s) if p1 < 0.0 <= p10}
     assert expected, "the seeded data must hold publications with p1 < 0 <= p10"
     assert converted == expected, (
         f"LN -> HN conversions differ from p1 < 0 <= p10: "
@@ -278,7 +279,7 @@ def test_classification_novelty_switch_never_adds_novelty():
     )
 
     assert threshold10 == threshold1
-    assert [a.category[2:] for a in at10] == [b.category[2:] for b in at1]
+    assert [a[2:] for a in at10.labels()] == [b[2:] for b in at1.labels()]
 
 
 @pytest.mark.acceptance("06", "chi-square: textbook value, gamma oracle, validity flag")

@@ -9,11 +9,10 @@ from cocite import (
     classify_corpus,
     corpus_summaries,
     observed_frequencies,
-    pub_zstats,
     run_simulations,
     zscores,
 )
-from cocite.classify import PubSummary, read_summaries_csv, write_summaries_csv
+from cocite.classify import read_summaries_csv, write_summaries_csv
 from cocite.corpus import Corpus, Publication, ReferenceRecord
 from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.synth import SynthConfig, generate
@@ -25,6 +24,14 @@ def ps(a, b, z):
 
 def stats_map(entries):
     return PairTable.from_rows(ps(a, b, z) for a, b, z in entries)
+
+
+def summarize_one(corpus, stats):
+    """(z_median, z_p10, z_p1, n_defined_pairs) of a one-publication corpus."""
+    table, excluded = corpus_summaries(corpus, stats)
+    assert (table.pub_ids, excluded) == (["p1"], 0)
+    return (table.z_median[0], table.z_p10[0], table.z_p1[0],
+            int(table.n_defined_pairs[0]))
 
 
 def test_percentiles_interpolate_linearly(make_corpus):
@@ -41,11 +48,11 @@ def test_percentiles_interpolate_linearly(make_corpus):
         ("A", "B", -3.0), ("A", "C", -1.0), ("A", "D", 0.0),
         ("B", "C", 2.0), ("B", "D", 5.0), ("C", "D", None),
     ])
-    summary = pub_zstats(corpus.publications[0], corpus.references, stats)
-    assert summary.n_defined_pairs == 5
-    assert summary.z_median == 0.0
-    assert summary.z_p10 == -2.2
-    assert summary.z_p1 == pytest.approx(-3 + 0.04 * 2, abs=1e-12)
+    z_median, z_p10, z_p1, n_defined = summarize_one(corpus, stats)
+    assert n_defined == 5
+    assert z_median == 0.0
+    assert z_p10 == -2.2
+    assert z_p1 == pytest.approx(-3 + 0.04 * 2, abs=1e-12)
 
 
 def test_single_defined_pair(make_corpus):
@@ -53,9 +60,7 @@ def test_single_defined_pair(make_corpus):
         pubs=[("p1", "J", ["a", "b"], 0)],
         refs={"a": (1990, "A", "s"), "b": (1990, "B", "s")},
     )
-    summary = pub_zstats(corpus.publications[0], corpus.references,
-                         stats_map([("A", "B", 4.0)]))
-    assert (summary.z_median, summary.z_p10, summary.z_p1) == (4.0, 4.0, 4.0)
+    assert summarize_one(corpus, stats_map([("A", "B", 4.0)]))[:3] == (4.0, 4.0, 4.0)
 
 
 def test_constant_multiset(make_corpus):
@@ -70,9 +75,7 @@ def test_constant_multiset(make_corpus):
         ("A", "B", 1.0), ("A", "C", 1.0), ("A", "D", None),
         ("B", "C", None), ("B", "D", 1.0), ("C", "D", 1.0),
     ])
-    summary = pub_zstats(corpus.publications[0], corpus.references, stats)
-    assert summary.n_defined_pairs == 4
-    assert (summary.z_median, summary.z_p10, summary.z_p1) == (1.0, 1.0, 1.0)
+    assert summarize_one(corpus, stats) == (1.0, 1.0, 1.0, 4)
 
 
 def test_duplicate_pairs_count_with_multiplicity(make_corpus):
@@ -83,9 +86,9 @@ def test_duplicate_pairs_count_with_multiplicity(make_corpus):
         refs={"a1": (1990, "A", "s"), "a2": (1990, "A", "s"), "b": (1990, "B", "s")},
     )
     stats = stats_map([("A", "A", 0.0), ("A", "B", 3.0)])
-    summary = pub_zstats(corpus.publications[0], corpus.references, stats)
-    assert summary.n_defined_pairs == 3
-    assert summary.z_median == 3.0
+    z_median, _, _, n_defined = summarize_one(corpus, stats)
+    assert n_defined == 3
+    assert z_median == 3.0
 
 
 def test_pub_with_no_defined_pairs_raises(make_corpus):
@@ -93,9 +96,11 @@ def test_pub_with_no_defined_pairs_raises(make_corpus):
         pubs=[("p1", "J", ["a", "b"], 0)],
         refs={"a": (1990, "A", "s"), "b": (1990, "B", "s")},
     )
-    with pytest.raises(ValueError, match="no journal pair"):
-        pub_zstats(corpus.publications[0], corpus.references,
-                   stats_map([("A", "B", None)]))
+    # The publication gets no row, so there is nothing to classify.
+    table, excluded = corpus_summaries(corpus, stats_map([("A", "B", None)]))
+    assert (len(table), excluded) == (0, 1)
+    with pytest.raises(ValueError, match="no publication summaries"):
+        classify_corpus(table)
 
 
 def test_corpus_summaries_counts_excluded(make_corpus):
@@ -107,8 +112,8 @@ def test_corpus_summaries_counts_excluded(make_corpus):
         },
     )
     stats = stats_map([("A", "B", 1.5), ("C", "D", None)])
-    summaries, excluded = corpus_summaries(corpus, stats)
-    assert [s.pub_id for s in summaries] == ["p1"]
+    table, excluded = corpus_summaries(corpus, stats)
+    assert table.pub_ids == ["p1"]
     assert excluded == 1
 
 
@@ -117,8 +122,8 @@ def test_corpus_summaries_excludes_a_publication_with_one_reference(make_corpus)
         pubs=[("p1", "J", ["a", "b"], 0), ("p2", "J", ["c"], 0)],
         refs={"a": (1990, "A", "s"), "b": (1990, "B", "s"), "c": (1990, "C", "s")},
     )
-    summaries, excluded = corpus_summaries(corpus, stats_map([("A", "B", 1.5)]))
-    assert [s.pub_id for s in summaries] == ["p1"]
+    table, excluded = corpus_summaries(corpus, stats_map([("A", "B", 1.5)]))
+    assert table.pub_ids == ["p1"]
     assert excluded == 1
 
 
@@ -172,50 +177,55 @@ def test_corpus_summaries_match_per_publication_oracle():
     n_pairs = len(journals) * (len(journals) + 1) // 2
     assert any(z is None for _, _, z in entries) and len(entries) < n_pairs
 
-    summaries, excluded = corpus_summaries(corpus, stats)
+    table, excluded = corpus_summaries(corpus, stats)
     expected, expected_excluded = per_publication_summaries(corpus, stats)
-    got = [(s.pub_id, repr(s.z_median), repr(s.z_p10), repr(s.z_p1), s.n_defined_pairs)
-           for s in summaries]
+    got = [(pub_id, repr(med), repr(p10), repr(p1), n) for pub_id, med, p10, p1, n in zip(
+        table.pub_ids, table.z_median.tolist(), table.z_p10.tolist(), table.z_p1.tolist(),
+        table.n_defined_pairs.tolist())]
     assert got == expected
     assert excluded == expected_excluded >= 2
 
 
 def summary(pub_id, median, p10=1.0, p1=1.0):
-    return PubSummary(pub_id, median, p10, p1, 4)
+    return (pub_id, median, p10, p1, 4)
 
 
-def test_threshold_is_strictly_exceeded():
+def test_threshold_is_strictly_exceeded(make_pub_table):
     labeled, threshold = classify_corpus(
-        [summary("p1", 1.0), summary("p2", 2.0), summary("p3", 3.0)]
+        make_pub_table([summary("p1", 1.0), summary("p2", 2.0), summary("p3", 3.0)])
     )
     assert threshold == 2.0
-    assert [s.category for s in labeled] == ["LNLC", "LNLC", "LNHC"]
+    assert labeled.labels() == ["LNLC", "LNLC", "LNHC"]
 
 
-def test_novelty_boundary_is_strict():
-    labeled, _ = classify_corpus(
+def test_novelty_boundary_is_strict(make_pub_table):
+    labeled, _ = classify_corpus(make_pub_table(
         [summary("p1", 1.0, p10=0.0), summary("p2", 2.0, p10=-0.25), summary("p3", 3.0, p10=0.5)]
-    )
-    assert [s.category[:2] for s in labeled] == ["LN", "HN", "LN"]
+    ))
+    assert [c[:2] for c in labeled.labels()] == ["LN", "HN", "LN"]
 
 
-def test_tie_free_odd_corpus_has_exactly_k_high_conventionality():
+def medians_table(make_pub_table, medians):
+    return make_pub_table([summary(f"p{i}", float(m)) for i, m in enumerate(medians)])
+
+
+def test_tie_free_odd_corpus_has_exactly_k_high_conventionality(make_pub_table):
     rng = np.random.default_rng(7)
     for _ in range(25):
         k = int(rng.integers(1, 40))
         medians = rng.normal(size=2 * k + 1)
         assert len(np.unique(medians)) == len(medians)
-        labeled, _ = classify_corpus([summary(f"p{i}", float(m)) for i, m in enumerate(medians)])
-        assert sum(1 for s in labeled if s.category.endswith("HC")) == k
+        labeled, _ = classify_corpus(medians_table(make_pub_table, medians))
+        assert sum(1 for c in labeled.labels() if c.endswith("HC")) == k
 
 
-def test_hc_fraction_bounds_with_tie_free_medians():
+def test_hc_fraction_bounds_with_tie_free_medians(make_pub_table):
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(2, 120))
         medians = rng.normal(size=n)
-        labeled, _ = classify_corpus([summary(f"p{i}", float(m)) for i, m in enumerate(medians)])
-        frac = sum(1 for s in labeled if s.category.endswith("HC")) / n
+        labeled, _ = classify_corpus(medians_table(make_pub_table, medians))
+        frac = sum(1 for c in labeled.labels() if c.endswith("HC")) / n
         assert 0.5 - 1.0 / n <= frac <= 0.5
 
 
@@ -227,20 +237,21 @@ def test_first_percentile_never_exceeds_tenth():
         assert p1 <= p10
 
 
-def test_switching_percentile_10_to_1_never_drops_novelty():
+def test_switching_percentile_10_to_1_never_drops_novelty(make_pub_table):
     # p1 <= p10, so a publication that is HN at the 10th percentile stays
     # HN at the 1st; lowering the percentile can only add novelty.
     rng = np.random.default_rng(19)
-    summaries = []
+    rows = []
     for i in range(500):
         zs = rng.normal(rng.uniform(-1, 3), 1.0, size=int(rng.integers(3, 60)))
         med, p10, p1 = np.percentile(zs, [50.0, 10.0, 1.0])
-        summaries.append(PubSummary(f"p{i}", float(med), float(p10), float(p1), len(zs)))
+        rows.append((f"p{i}", float(med), float(p10), float(p1), len(zs)))
+    summaries = make_pub_table(rows)
     at10, _ = classify_corpus(summaries, ClassifyConfig(10))
     at1, _ = classify_corpus(summaries, ClassifyConfig(1))
-    for s10, s1 in zip(at10, at1):
-        if s10.category.startswith("HN"):
-            assert s1.category.startswith("HN")
+    for c10, c1 in zip(at10.labels(), at1.labels()):
+        if c10.startswith("HN"):
+            assert c1.startswith("HN")
 
 
 def test_classify_config_rejects_other_percentiles():
@@ -248,9 +259,9 @@ def test_classify_config_rejects_other_percentiles():
         ClassifyConfig(5)
 
 
-def test_classify_requires_summaries():
+def test_classify_requires_summaries(make_pub_table):
     with pytest.raises(ValueError, match="no publication summaries"):
-        classify_corpus([])
+        classify_corpus(make_pub_table([]))
 
 
 def _relabel(corpus: Corpus, mapping) -> Corpus:
@@ -279,16 +290,21 @@ def test_consistent_journal_relabeling_keeps_categories():
         stats = zscores(observed_frequencies(c), sims)
         summaries, _ = corpus_summaries(c, stats)
         labeled, _ = classify_corpus(summaries)
-        return {s.pub_id: s.category for s in labeled}
+        return dict(zip(labeled.pub_ids, labeled.labels()))
 
     assert categories(corpus) == categories(_relabel(corpus, mapping))
 
 
-def test_summaries_csv_round_trips(tmp_path):
-    summaries = [
-        PubSummary('p,"1"', 0.1 + 0.2, -1 / 3, -2.5e-17, 4, "HNLC"),
-        PubSummary("p2", 1.0, 0.0, -0.0, 1),
-    ]
+def table_rows(table):
+    return list(zip(table.pub_ids, table.z_median.tolist(), table.z_p10.tolist(),
+                    table.z_p1.tolist(), table.n_defined_pairs.tolist(), table.labels()))
+
+
+def test_summaries_csv_round_trips(tmp_path, make_pub_table):
+    summaries = make_pub_table([
+        ('p,"1"', 0.1 + 0.2, -1 / 3, -2.5e-17, 4, "HNLC"),
+        ("p2", 1.0, 0.0, -0.0, 1),
+    ])
     path = tmp_path / "classification.csv"
     write_summaries_csv(summaries, path)
-    assert read_summaries_csv(path) == summaries
+    assert table_rows(read_summaries_csv(path)) == table_rows(summaries)

@@ -11,6 +11,7 @@ import cocite
 from cocite.cli import main
 from cocite.corpus import Publication, ReferenceRecord
 from cocite.manifest import RunManifest
+from cocite.pairs import PairStats
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,22 @@ def test_manifest_times_reads_and_writes_apart_from_stages(synth_dir, tmp_path, 
     assert 0 < manifest.diagnostics["write_s"] < 0.3
 
 
+def test_manifest_times_the_index_build_apart_from_the_stages(synth_dir, tmp_path, monkeypatch):
+    import time
+
+    import cocite.cli as cli
+
+    # An index build slowed by 0.3 s runs before the observe stage's timer.
+    build = cli.build_groups
+    monkeypatch.setattr(cli, "build_groups", lambda *a: time.sleep(0.3) or build(*a))
+    out = tmp_path / "o"
+    assert main(["observe", *corpus_flags(synth_dir / "D00"), "--out", str(out)]) == 0
+    manifest = RunManifest.load(out / "run.manifest")
+    assert set(manifest.timings) == {"load", "observe"}
+    assert manifest.diagnostics["index_s"] >= 0.3
+    assert manifest.timings["observe"] < 0.3
+
+
 def test_compose_can_dump_shuffled_corpus(synth_dir, tmp_path):
     out = tmp_path / "comp"
     dump = tmp_path / "dump"
@@ -312,9 +329,12 @@ def _corrupt(src, dst, lineno, edit):
     ("classify", "--pair-stats", "pair_stats.csv", lambda f: f[:2] + [str(1 << 63)] + f[3:]),
     ("hits", "--classification", "classification.csv", lambda f: f[:-1]),
     ("hits", "--classification", "classification.csv", lambda f: f[:4] + ["XX"] + f[5:]),
+    ("hits", "--classification", "classification.csv", lambda f: f[:-1] + [str(1 << 63)]),
+    ("hits", "--classification", "classification.csv", lambda f: [f[0], "many"] + f[2:]),
 ], ids=["truncated-pair-stats", "non-numeric-f_exp", "non-binary-defined_flag",
         "reversed-pair", "repeated-pair", "z-with-defined_flag-0", "f_obs-past-int64",
-        "truncated-classification", "unknown-category"])
+        "truncated-classification", "unknown-category", "n_defined_pairs-past-int64",
+        "non-numeric-z_median"])
 def test_bad_table_row_exits_1_with_its_line(synth_dir, pipeline_dir, tmp_path, capsys,
                                              command, flag, name, edit):
     bad = _corrupt(pipeline_dir / name, tmp_path / name, 3, edit)
@@ -323,6 +343,33 @@ def test_bad_table_row_exits_1_with_its_line(synth_dir, pipeline_dir, tmp_path, 
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{bad}:3:" in err
+    assert "Traceback" not in err
+
+
+def test_hits_refuses_a_classification_of_another_corpus(synth_dir, pipeline_dir, tmp_path,
+                                                         capsys):
+    # pipeline_dir classified D00; D01 holds none of its publications.
+    first = (pipeline_dir / "classification.csv").read_text().splitlines()[1].split(",")[0]
+    capsys.readouterr()
+    assert main(["hits", *corpus_flags(synth_dir / "D01"), "--classification",
+                 str(pipeline_dir / "classification.csv"), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"classified publication {first!r} is not in the corpus" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "hit_report.csv").exists()
+
+
+def test_hits_refuses_a_classification_that_repeats_a_publication(synth_dir, pipeline_dir,
+                                                                  tmp_path, capsys):
+    lines = (pipeline_dir / "classification.csv").read_text().splitlines(keepends=True)
+    bad = tmp_path / "classification.csv"
+    bad.write_text("".join(lines + lines[1:]))
+    capsys.readouterr()
+    assert main(["hits", *corpus_flags(synth_dir / "D00"), "--classification", str(bad),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    first = lines[1].split(",")[0]
+    assert f"{bad}:{len(lines) + 1}: publication {first!r} is given twice" in err
     assert "Traceback" not in err
 
 
@@ -529,19 +576,25 @@ def test_manifest_times_each_simulation_layer(synth_dir, tmp_path, workers):
     assert 0 < sum(layers.values()) <= manifest.timings["simulate"] * workers
 
 
-@pytest.mark.parametrize("background", ["local", "global"])
-def test_pipeline_builds_no_row_objects(synth_dir, tmp_path, monkeypatch, background):
-    # Ingest, the index and every stage read the corpus arrays; building a
-    # row view anywhere on the pipeline path fails the run.
+@pytest.mark.parametrize("path", ["local", "global", "classify", "hits"])
+def test_pipeline_builds_no_row_objects(synth_dir, pipeline_dir, tmp_path, monkeypatch, path):
+    # Ingest, the index and every stage read the corpus and pair arrays;
+    # building a row view anywhere on the pipeline path, or on classify and
+    # hits from their input tables, fails the run.
     def refuse(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} was built")
 
-    monkeypatch.setattr(Publication, "__init__", refuse)
-    monkeypatch.setattr(ReferenceRecord, "__init__", refuse)
-    pool = pool_flags(synth_dir) if background == "global" else []
-    assert main(["pipeline", *corpus_flags(synth_dir / "D00"), *pool,
-                 "--background", background, "--sims", "20", "--seed", "2",
-                 "--workers", "1", "--out", str(tmp_path / background)]) == 0
+    for row_type in (Publication, ReferenceRecord, PairStats):
+        monkeypatch.setattr(row_type, "__init__", refuse)
+    argv = {
+        "local": ["pipeline", "--background", "local"],
+        "global": ["pipeline", *pool_flags(synth_dir), "--background", "global"],
+        "classify": ["classify", "--pair-stats", str(pipeline_dir / "pair_stats.csv")],
+        "hits": ["hits", "--classification", str(pipeline_dir / "classification.csv")],
+    }[path]
+    if argv[0] == "pipeline":
+        argv += ["--sims", "20", "--seed", "2", "--workers", "1"]
+    assert main([*argv, *corpus_flags(synth_dir / "D00"), "--out", str(tmp_path / path)]) == 0
 
 
 def test_importing_the_cli_leaves_the_worker_pool_unimported():

@@ -11,8 +11,7 @@ from scipy.special import gammaincc, gammaln
 from scipy.special._ufuncs import _lanczos_sum_expg_scaled, _lgam1p
 
 import cocite
-from cocite import HitConfig, designate_hits, hit_report
-from cocite.classify import PubSummary
+from cocite import CATEGORIES, HitConfig, designate_hits, hit_report
 from cocite.corpus import Publication
 from cocite.impact import CEPHES_GAMMA_CONSTANTS, chi2_sf, chi_square_gof
 
@@ -156,19 +155,10 @@ def test_sf_domain_edges_follow_scipy():
             np.testing.assert_equal(chi2_sf(stat, df), float(gammaincc(df / 2, stat / 2)))
 
 
-def make_summaries(counts_by_cat):
-    out = []
-    i = 0
-    for cat, n in counts_by_cat.items():
-        for _ in range(n):
-            out.append(PubSummary(f"p{i}", 0.0, 0.0, 0.0, 1, cat))
-            i += 1
-    return out
-
-
-def test_hit_report_bookkeeping():
-    summaries = make_summaries({"LNLC": 40, "LNHC": 30, "HNLC": 20, "HNHC": 10})
-    hits = {s.pub_id for s in summaries[:12]}  # 12 hits, all in LNLC
+def test_hit_report_bookkeeping(make_pub_table):
+    cats = ["LNLC"] * 40 + ["LNHC"] * 30 + ["HNLC"] * 20 + ["HNHC"] * 10
+    summaries = make_pub_table((f"p{i}", 0.0, 0.0, 0.0, 1, c) for i, c in enumerate(cats))
+    hits = set(summaries.pub_ids[:12])  # 12 hits, all in LNLC
     report = hit_report(summaries, hits)
     assert report.total_articles == 100
     assert report.total_hits == 12
@@ -183,9 +173,35 @@ def test_hit_report_bookkeeping():
     assert report.chi2_novelty.df == 1
 
 
-def test_hit_report_requires_categories():
+def test_hit_report_requires_categories(make_pub_table):
     with pytest.raises(ValueError, match="no category"):
-        hit_report([PubSummary("p0", 0.0, 0.0, 0.0, 1, None)], set())
+        hit_report(make_pub_table([("p0", 0.0, 0.0, 0.0, 1)]), set())
+
+
+def test_hit_report_matches_per_publication_counts(make_pub_table):
+    """Independent oracle: each cell and margin counted one publication at a time."""
+    rng = np.random.default_rng(23)
+    cats = [CATEGORIES[i] for i in rng.integers(0, 4, 300).tolist()]
+    table = make_pub_table((f"p{i}", 0.0, 0.0, 0.0, 1, c) for i, c in enumerate(cats))
+    hits = {f"p{i}" for i in rng.choice(400, 80, replace=False).tolist()}
+    report = hit_report(table, hits)
+
+    def tally(key):
+        # Cells in the order CATEGORIES first names them, the order the sums run.
+        articles = {key(c): 0 for c in CATEGORIES}
+        hit_counts = dict(articles)
+        for i, c in enumerate(cats):
+            articles[key(c)] += 1
+            hit_counts[key(c)] += f"p{i}" in hits
+        return hit_counts, articles
+
+    observed, sizes = tally(lambda c: c)
+    assert [(r.category, r.n_articles, r.n_hits) for r in report.categories] == [
+        (c, sizes[c], observed[c]) for c in CATEGORIES]
+    assert report.chi2_4cat == chi_square_gof(observed, sizes)
+    assert report.chi2_novelty == chi_square_gof(*tally(lambda c: c[:2]))
+    assert report.chi2_conventionality == chi_square_gof(*tally(lambda c: c[2:]))
+    assert (report.total_articles, report.total_hits) == (300, sum(observed.values()))
 
 
 def test_importing_cocite_leaves_scipy_unloaded(tmp_path):
