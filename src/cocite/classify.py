@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, IngestError, read_rows, write_rows
+from .corpus import Corpus, read_columns, write_rows
 from .indexing import CorpusIndex
 from .pairs import PairTable, rekey
 
@@ -130,23 +129,12 @@ def read_summaries_csv(path: str | Path) -> PubTable:
     """The table of a classification.csv. Raises IngestError naming the
     line of a malformed row, of an unknown category and of a ``pub_id``
     that an earlier row already gave."""
-    pub_ids: list[str] = []
-    seen: set[str] = set()
-    med, p10, p1 = array("d"), array("d"), array("d")
-    n_defined, category = array("q"), array("q")
-    for lineno, (pub_id, *zs, label, n) in read_rows(path, CLASSIFICATION_COLUMNS):
-        if label and label not in CATEGORIES:
-            raise IngestError(f"{path}:{lineno}: unknown category {label!r}")
-        if pub_id in seen:
-            raise IngestError(f"{path}:{lineno}: publication {pub_id!r} is given twice")
-        try:
-            for column, value in zip((med, p10, p1), zs):
-                column.append(float(value))
-            n_defined.append(int(n))
-        except (ValueError, OverflowError) as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from None
-        category.append(CATEGORIES.index(label) if label else -1)
-        seen.add(pub_id)
-        pub_ids.append(pub_id)
-    return PubTable(pub_ids, *(np.asarray(c, np.float64) for c in (med, p10, p1)),
-                    np.asarray(n_defined, np.int64), np.asarray(category, np.int64))
+    labels = {label: code for code, label in enumerate(("", *CATEGORIES))}
+    kinds = (str, float, float, float, labels, int)
+    _, _, (pub_ids, *zs, label, n_defined) = read_columns(
+        path, CLASSIFICATION_COLUMNS, kinds, ",", _known_category)
+    return PubTable(pub_ids, *zs, n_defined, label - 1)
+
+
+def _known_category(fields: list[list[str]], typed: list):
+    return typed[4] > len(CATEGORIES), lambda i: f"unknown category {fields[4][i]!r}"

@@ -95,10 +95,10 @@ def _ptr(counts: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(1, np.int64), np.cumsum(counts, dtype=np.int64)])
 
 
-def _codes(values: Iterable[str], table: Sequence[str]) -> np.ndarray:
-    """Each value's position in ``table``."""
+def _codes(values: Iterable, table: Sequence[str]) -> np.ndarray:
+    """Each value's position in ``table``, -1 for a value not in it."""
     pos = dict(zip(table, count()))
-    return np.fromiter(map(pos.__getitem__, values), np.int64)
+    return np.fromiter(map(pos.get, values, repeat(-1)), np.int64)
 
 
 def _merged_tables(a: list[str], b: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
@@ -267,50 +267,42 @@ class CorpusSummary:
     ratio: float
 
 
-def _undecodable(path: str | Path, data: bytes, exc: UnicodeDecodeError, first_line: int = 1):
-    """IngestError naming the line of the byte that ``exc`` found in ``data``."""
-    line = first_line + data.count(b"\n", 0, exc.start)
-    return IngestError(f"{path}:{line}: not UTF-8 text ({exc.reason}, "
-                       f"byte 0x{data[exc.start]:02x})")
-
-
-def _table_rows(lines: Iterable[str], path, columns: tuple[str, ...],
-                delimiter: str) -> Iterator[tuple[int, list[str]]]:
-    reader = csv.reader(lines, delimiter=delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError(f"{path}:1: empty file, expected header {columns}") from None
-    if tuple(header) != columns:
-        raise IngestError(f"{path}:1: bad header {header!r}, expected {list(columns)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(columns):
-            raise IngestError(
-                f"{path}:{lineno}: expected {len(columns)} columns, found {len(row)}"
-            )
-        yield lineno, row
-
-
 def read_rows(path: str | Path, columns: tuple[str, ...],
               delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, fields) for a table file, validating the header.
 
-    Blank lines are skipped; a row of the wrong width, or a byte that is
-    not UTF-8, raises IngestError once the rows before it are yielded.
+    Blank lines are skipped; a row of the wrong width, a field longer than
+    ``csv.field_size_limit()`` characters, or a byte that is not UTF-8,
+    raises IngestError once the rows before it are yielded.
     """
     data = Path(path).read_bytes()
     fault = None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        fault = _undecodable(path, data, exc)
+        line = 1 + data.count(b"\n", 0, exc.start)
+        fault = IngestError(f"{path}:{line}: not UTF-8 text ({exc.reason}, "
+                            f"byte 0x{data[exc.start]:02x})")
         cut = data.rfind(b"\n", 0, exc.start) + 1
         if not cut:
             raise fault from None
         text = data[:cut].decode("utf-8")
-    yield from _table_rows(io.StringIO(text, newline=""), path, columns, delimiter)
+    line = 0
+    try:
+        for line, row in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter),
+                                   start=1):
+            if line == 1:
+                if tuple(row) != columns:
+                    raise IngestError(f"{path}:1: bad header {row!r}, expected {list(columns)}")
+            elif row:
+                if len(row) != len(columns):
+                    raise IngestError(
+                        f"{path}:{line}: expected {len(columns)} columns, found {len(row)}")
+                yield line, row
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise IngestError(f"{path}:{line + 1}: {exc}") from None
+    if not line:
+        raise IngestError(f"{path}:1: empty file, expected header {columns}")
     if fault is not None:
         raise fault
 
@@ -328,39 +320,45 @@ def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequen
         w.writerows(rows)
 
 
-def _split_block(raw: bytes, lineno: int, width: int):
+def _split_block(raw: bytes, lineno: int, width: int, delimiter: str):
     """The line numbers and columns of a block of whole lines that starts
     at line ``lineno``, or None where a line does not hold ``width``
-    tab-separated fields or the block is not UTF-8.
+    fields, a field is longer than ``csv.field_size_limit()`` bytes, or
+    the block is not UTF-8.
 
-    Where every line holds ``width`` fields, the bytes below 11 are exactly
-    ``width - 1`` tabs and a newline per line, and one split of the text
-    gives the columns.
+    Where every line holds ``width`` fields, the delimiters and the bytes
+    below 11 are exactly ``width - 1`` delimiters and a newline per line,
+    and one split of the text gives the columns.
     """
     if raw[-1] != 10:
         raw += b"\n"  # the final line has no newline
     b = np.frombuffer(raw, np.uint8)
-    sep = b[b < 11]
+    is_sep = b < 11
+    if delimiter != "\t":
+        is_sep |= b == ord(delimiter)
+    at = np.flatnonzero(is_sep)
+    sep = b[at]
     n = len(sep) // width
-    template = np.full(width, 9, np.uint8)
+    template = np.full(width, ord(delimiter), np.uint8)
     template[-1] = 10
-    if len(sep) != n * width or not (sep.reshape(n, width) == template).all():
+    if (len(sep) != n * width or not (sep.reshape(n, width) == template).all()
+            or np.diff(at, prepend=-1).max() > csv.field_size_limit() + 1):
         return None
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:
         return None
-    flat = text.replace("\t", "\n").split("\n", n * width - 1)
+    flat = text.replace(delimiter, "\n").split("\n", n * width - 1)
     flat[-1] = flat[-1].rstrip("\n")
     return np.arange(lineno, lineno + n), [flat[c::width] for c in range(width)]
 
 
-def _csv_blocks(path, columns: tuple[str, ...], first_line: int):
-    """``_tsv_blocks`` from line ``first_line`` on, read by ``read_rows``."""
+def _csv_blocks(path, columns: tuple[str, ...], first_line: int, delimiter: str):
+    """``read_blocks`` from line ``first_line`` on, read by ``read_rows``."""
     block: list[tuple[int, list[str]]] = []
     fault = None
     try:
-        for lineno, row in read_rows(path, columns, "\t"):
+        for lineno, row in read_rows(path, columns, delimiter):
             if lineno >= first_line:
                 block.append((lineno, row))
             if len(block) == _CSV_BLOCK_ROWS:
@@ -378,31 +376,22 @@ def _row_block(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, list[list
     return np.asarray([k for k, _ in rows], np.int64), [list(c) for c in zip(*(r for _, r in rows))]
 
 
-def _tsv_blocks(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
-    """The rows of a TSV table, read in blocks of about ``_BLOCK_BYTES``:
+def read_blocks(path: str | Path, columns: tuple[str, ...],
+                delimiter: str) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
+    """The rows of a table file, read in blocks of about ``_BLOCK_BYTES``:
     each block's line numbers and its columns as lists of strings.
 
-    Rows, line numbers and errors are those of ``read_rows(path, columns,
-    "\\t")``: blank lines are skipped, and a bad header or a row of the
-    wrong width raises IngestError, as does a byte that is not UTF-8. The
-    rows before a faulty line are yielded before its error is raised, so a
-    caller that checks each row raises the fault of an earlier row first.
-    A block that one split cannot read (one holding a quote, a carriage
-    return, a blank line, a row of the wrong width or a byte that is not
-    UTF-8) is read by ``read_rows`` from its first line on, as is the whole
-    file where the header holds a quote or a carriage return.
+    Rows, line numbers and errors, each raised once the rows before it are
+    yielded, are those of ``read_rows(path, columns, delimiter)``. A block
+    that ``_split_block`` refuses, or that holds a quote or a carriage
+    return, is read by ``read_rows`` from its first line on, as is the
+    whole file where the first line is not the header itself.
     """
     width = len(columns)
     with open(path, "rb") as fh:
-        header = fh.readline()
-        if b'"' in header or b"\r" in header:
-            yield from _csv_blocks(path, columns, 2)
+        if fh.readline().rstrip(b"\n") != delimiter.join(columns).encode():
+            yield from _csv_blocks(path, columns, 2, delimiter)
             return
-        try:
-            text = header.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _undecodable(path, header, exc) from None
-        next(_table_rows([text] if text else [], path, columns, "\t"), None)  # checks the header
         lineno, carry = 2, b""
         while True:
             chunk = fh.read(_BLOCK_BYTES)
@@ -417,29 +406,40 @@ def _tsv_blocks(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[np.ndarr
                 block, carry = data, b""
             else:
                 return
-            rows = None if b'"' in block or b"\r" in block else _split_block(block, lineno, width)
+            rows = (None if b'"' in block or b"\r" in block
+                    else _split_block(block, lineno, width, delimiter))
             if rows is None:
-                yield from _csv_blocks(path, columns, lineno)
+                yield from _csv_blocks(path, columns, lineno, delimiter)
                 return
             yield rows
             lineno += len(rows[0])
 
 
-def _parse_ints(values: list[str], what: str) -> tuple[np.ndarray, tuple[int, str] | None]:
-    """``int()`` of each value as int64, or the values before the first one
-    that is not an integer or does not fit int64 and that one's (index, fault)."""
+def float_or_nan(value: str) -> float:
+    """``float(value)``, NaN for an empty value."""
+    return float(value or "nan")
+
+
+def _typed(values: list[str], what: str, kind) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """A column's values under ``kind`` (see ``read_columns``), or the values
+    before the first that does not parse, or as ``int`` does not fit int64,
+    and that one's (index, fault)."""
+    if isinstance(kind, dict):
+        return _intern(values, kind), None
+    dtype = np.int64 if kind is int else np.float64
     try:
-        return np.fromiter(map(int, values), np.int64, len(values)), None
+        return np.fromiter(map(kind, values), dtype, len(values)), None
     except (ValueError, OverflowError):
         pass
     parsed = []
     for i, value in enumerate(values):
         try:
-            number = int(value)
+            number = kind(value)
         except ValueError:
-            return np.asarray(parsed, np.int64), (i, f"non-integer {what}: {value!r}")
-        if not -(1 << 63) <= number < 1 << 63:
-            return np.asarray(parsed, np.int64), (i, f"{what} out of range: {value!r}")
+            shape = "non-integer" if kind is int else "non-numeric"
+            return np.asarray(parsed, dtype), (i, f"{shape} {what}: {value!r}")
+        if kind is int and not -(1 << 63) <= number < 1 << 63:
+            return np.asarray(parsed, dtype), (i, f"{what} out of range: {value!r}")
         parsed.append(number)
     raise AssertionError("unreachable: every value parsed")
 
@@ -451,53 +451,63 @@ def _intern(values: list[str], table: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(table.__getitem__, values), np.int64, len(values))
 
 
-def _read_keyed(path: Path, columns: tuple[str, ...],
-                tables: dict[int, dict[str, int]]) -> tuple[list[str], dict[str, int], list]:
-    """Every row of a TSV keyed by its first column, which must be unique.
+def read_columns(path: str | Path, columns: tuple[str, ...], kinds: Sequence, delimiter: str,
+                 check=None) -> tuple[np.ndarray, dict[str, int], list]:
+    """Each row's line number, the row of each key, and the typed columns
+    of a table file read by ``read_blocks``.
 
-    Returns each row's id in row order, the row of each id, and each other
-    column as an int64 array: the codes of a column in ``tables``, whose
-    table it extends, and the parsed integers of the others.
-
-    A fault raises IngestError naming its line: the first faulty row's, and
-    on that row the first fault of its width, a repeated id, each integer
-    column in order, and a negative ``citations_8yr``. A repeated id is
-    reported against the line it was first seen at, whether or not that
-    earlier row is kept.
+    A column's kind is ``str`` for a unique key (the first column only),
+    kept as strings; a dict that interns the values to codes, extended by
+    new ones; or ``int``, ``float`` or ``float_or_nan``, parsed to int64 or
+    float64. ``check(fields, typed)``, given a block's string columns and
+    its typed ones cut before its first fault, returns a mask of faulty
+    rows and the message of a row. A fault raises IngestError naming the
+    first faulty row's line, and on it the first of a bad width, a repeated
+    key (against the line it was first seen at), each column's and
+    ``check``'s.
     """
-    ids: list[str] = []
     row_of: dict[str, int] = {}
     line_parts: list[np.ndarray] = []
-    parts: list[list[np.ndarray]] = [[] for _ in columns[1:]]
-    for lines, cols in _tsv_blocks(path, columns):
-        n0, k = len(ids), len(lines)
-        first = np.fromiter(map(row_of.setdefault, cols[0], count(n0)), np.int64, k)
-        faults = []
-        repeated = np.flatnonzero(first != np.arange(n0, n0 + k))
-        if len(repeated):
-            i = int(repeated[0])
-            seen = np.concatenate(line_parts + [lines])[first[i]]
-            faults.append((i, f"duplicate {columns[0]} {cols[0][i]!r} (first seen at line {seen})"))
-        for c, values in enumerate(cols[1:], start=1):
-            if c in tables:
-                parts[c - 1].append(_intern(values, tables[c]))
-                continue
-            parsed, fault = _parse_ints(values, columns[c])
+    parts: list[list] = [[] for _ in columns]
+    n0 = 0
+    for lines, fields in read_blocks(path, columns, delimiter):
+        k = len(lines)
+        faults, typed = [], []
+        for name, kind, values in zip(columns, kinds, fields):
+            fault = None
+            if kind is str:
+                first = np.fromiter(map(row_of.setdefault, values, count(n0)), np.int64, k)
+                repeated = np.flatnonzero(first != np.arange(n0, n0 + k))
+                if len(repeated):
+                    i = int(repeated[0])
+                    seen = np.concatenate(line_parts + [lines])[first[i]]
+                    fault = (i, f"duplicate {name} {values[i]!r} (first seen at line {seen})")
+                column = values
+            else:
+                column, fault = _typed(values, name, kind)
+            typed.append(column)
             if fault is not None:
                 faults.append(fault)
-            if columns[c] == "citations_8yr":
-                negative = np.flatnonzero(parsed < 0)
-                if len(negative):
-                    i = int(negative[0])
-                    faults.append((i, f"negative citations_8yr: {parsed[i]}"))
-            parts[c - 1].append(parsed)
+        if check is not None:
+            end = min((i for i, _ in faults), default=k)
+            bad, message = check(fields, [c[:end] for c in typed])
+            faults += [(i, message(i)) for i in np.flatnonzero(bad)[:1].tolist()]
         if faults:
             i, fault = min(faults, key=lambda f: f[0])
             raise IngestError(f"{path}:{lines[i]}: {fault}")
-        ids += cols[0]
+        for part, column in zip(parts, typed):
+            part.append(column)
         line_parts.append(lines)
-    columns_out = [np.concatenate(p) if p else np.zeros(0, np.int64) for p in parts]
-    return ids, row_of, columns_out
+        n0 += k
+    # Each column's blocks are let go as it is joined, so only one is held twice.
+    for c, (name, kind, part) in enumerate(zip(columns, kinds, parts)):
+        parts[c] = ([v for p in part for v in p] if kind is str
+                    else np.concatenate(part) if part else _typed([], name, kind)[0])
+    return np.concatenate(line_parts + [np.zeros(0, np.int64)]), row_of, parts
+
+
+def _negative_citations(fields: list[list[str]], typed: list):
+    return typed[3] < 0, lambda i: f"negative citations_8yr: {typed[3][i]}"
 
 
 def _alias_key(journal_id: str) -> str:
@@ -549,16 +559,16 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     journals: dict[str, int] = {}  # raw journal id -> raw code
     subjects: dict[str, int] = {}
 
-    ref_row_ids, ref_row_of, (ref_year, ref_jraw, ref_sraw) = _read_keyed(
-        ref_path, REF_COLUMNS, {2: journals, 3: subjects})
+    _, ref_row_of, (ref_row_ids, ref_year, ref_jraw, ref_sraw) = read_columns(
+        ref_path, REF_COLUMNS, (str, int, journals, subjects), "\t")
     ref_no_journal = ref_jraw == journals.get("", -1)
     ref_no_subject = ~ref_no_journal & (ref_sraw == subjects.get("", -1))
     diags.tally(DROP_REF_NO_JOURNAL, ref_no_journal.sum())
     diags.tally(DROP_REF_NO_SUBJECT, ref_no_subject.sum())
     ref_kept = np.flatnonzero(~(ref_no_journal | ref_no_subject))
 
-    pub_row_ids, pub_row_of, (pub_year, pub_jraw, pub_cites) = _read_keyed(
-        pub_path, PUB_COLUMNS, {2: journals})
+    _, pub_row_of, (pub_row_ids, pub_year, pub_jraw, pub_cites) = read_columns(
+        pub_path, PUB_COLUMNS, (str, int, journals, int), "\t", _negative_citations)
     pub_known = pub_jraw != journals.get("", -1)
     diags.tally(DROP_PUB_NO_JOURNAL, (~pub_known).sum())
 
@@ -580,14 +590,11 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     journal_map, diags.journal_aliases_collapsed = _canonical_journal_map(
         Counter({raw_journals[j]: n for j, n in enumerate(uses.tolist()) if n}))
     journal_ids = sorted(set(journal_map.values()))
-    canon_pos = dict(zip(journal_ids, count()))
-    journal_code = np.array([canon_pos[journal_map[j]] if j in journal_map else -1
-                             for j in raw_journals], np.int64)
+    journal_code = _codes(map(journal_map.get, raw_journals), journal_ids)
     raw_subjects = list(subjects)
     subject_ids = sorted(raw_subjects[s] for s in np.flatnonzero(
         np.bincount(ref_sraw[ref_kept], minlength=len(raw_subjects))).tolist())
-    subject_code = np.array([subject_ids.index(s) if s in subject_ids else -1
-                             for s in raw_subjects], np.int64)
+    subject_code = _codes(raw_subjects, subject_ids)
 
     # Reference codes follow id order; the last entry of ref_code, which an
     # unknown id's -1 reads, marks a reference that is not kept.
@@ -600,7 +607,7 @@ def ingest(pub_file: str | Path, ref_file: str | Path, cite_file: str | Path,
     pub_live = np.append(pub_known, False)  # the -1 of an unknown id reads False
 
     cite_pub, cite_ref = [], []
-    for _, (pubs, refs) in _tsv_blocks(cite_path, CITE_COLUMNS):
+    for _, (pubs, refs) in read_blocks(cite_path, CITE_COLUMNS, "\t"):
         p = np.fromiter(map(pub_row_of.get, pubs, repeat(-1)), np.int64, len(pubs))
         r = ref_code[np.fromiter(map(ref_row_of.get, refs, repeat(-1)), np.int64, len(refs))]
         live = pub_live[p]

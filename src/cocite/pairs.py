@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, write_rows
+from .corpus import Corpus, _codes, write_rows
 from .indexing import CorpusIndex
 
 COLUMNS = ("f_obs", "f_exp", "sigma", "z")
@@ -37,7 +37,7 @@ class PairStats:
 
 
 class PairRowError(ValueError):
-    """A row ``PairTable.from_columns`` refuses; ``row`` is its input position."""
+    """A row ``PairTable.from_codes`` refuses; ``row`` is its input position."""
 
     def __init__(self, row: int, message: str):
         super().__init__(message)
@@ -92,33 +92,38 @@ class PairTable:
 
     @classmethod
     def from_rows(cls, rows: Iterable[PairStats]) -> "PairTable":
-        """The table of ``rows``, in any order, as ``from_columns`` builds it."""
+        """The table of ``rows``, in any order, as ``from_codes`` builds it."""
         rows = list(rows)
-        return cls.from_columns([ps.pair.a for ps in rows], [ps.pair.b for ps in rows],
-                                *([getattr(ps, name) for ps in rows] for name in COLUMNS))
+        names = sorted({j for ps in rows for j in ps.pair})
+        a, b = (_codes([ps.pair[side] for ps in rows], names) for side in (0, 1))
+        return cls.from_codes(names, a, b,
+                              *([getattr(ps, name) for ps in rows] for name in COLUMNS))
 
     @classmethod
-    def from_columns(cls, a: Sequence[str], b: Sequence[str], *columns: Sequence) -> "PairTable":
-        """The table whose row i is the pair (a[i], b[i]) with the i-th value
-        of each of ``COLUMNS``, rows in any order, over the journals they
-        name; a None float reads NaN. Raises PairRowError on a pair whose
-        journals are out of order or that an earlier row already gave."""
-        journal_ids = sorted(set(a).union(b))
-        rank = {j: i for i, j in enumerate(journal_ids)}
-        lo = np.fromiter(map(rank.__getitem__, a), np.int64, len(a))
-        hi = np.fromiter(map(rank.__getitem__, b), np.int64, len(b))
+    def from_codes(cls, names: Sequence[str], a: np.ndarray, b: np.ndarray,
+                   *columns: Sequence) -> "PairTable":
+        """The table whose row i is the pair (names[a[i]], names[b[i]]) with
+        the i-th value of each of ``COLUMNS``, rows in any order, over the
+        journals ``names`` (each once, in any order); a None float reads
+        NaN. Raises PairRowError on a pair whose journals are out of order
+        or that an earlier row already gave."""
+        journal_ids = sorted(names)
+        rank = _codes(names, journal_ids)
+        lo, hi = rank[a], rank[b]
         reversed_rows = np.flatnonzero(lo > hi)
         if len(reversed_rows):
             i = int(reversed_rows[0])
-            raise PairRowError(i, f"journal pair {(a[i], b[i])} is not in journal_a <= journal_b "
-                                  "order")
-        keys = lo * len(rank) + hi
-        order = np.argsort(keys, kind="stable")
+            raise PairRowError(i, f"journal pair {(names[a[i]], names[b[i]])} is not in "
+                                  "journal_a <= journal_b order")
+        keys = lo * len(journal_ids) + hi
+        del lo, hi
+        # Rows already in key order, as every pair table is written, are not copied.
+        order = slice(None) if (keys[1:] > keys[:-1]).all() else np.argsort(keys, kind="stable")
         keys = keys[order]
         repeated = np.flatnonzero(keys[1:] == keys[:-1])
         if len(repeated):
             i = int(order[repeated[0] + 1])
-            raise PairRowError(i, f"journal pair {(a[i], b[i])} is given twice")
+            raise PairRowError(i, f"journal pair {(names[a[i]], names[b[i]])} is given twice")
         return cls(journal_ids, keys, *(
             np.asarray(values, dtype)[order]
             for values, dtype in zip(columns, (np.int64, np.float64, np.float64, np.float64))))

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, IngestError, read_rows, write_rows
+from .corpus import Corpus, IngestError, float_or_nan, read_columns, write_rows
 from .indexing import CorpusIndex
 # PairStats is re-exported: the acceptance suite imports it from this module.
 from .pairs import PairRowError, PairStats, PairTable, union_support  # noqa: F401
@@ -358,29 +357,23 @@ def write_pair_stats_csv(stats: PairTable, path: str | Path) -> None:
 def read_pair_stats_csv(path: str | Path) -> PairTable:
     """The table of a pair_stats.csv. Raises IngestError naming the line of
     a malformed row, of a z that does not fit its defined_flag, and of a
-    pair out of journal order or given twice."""
-    # One column per field, numbers stored unboxed and each journal id
-    # string once: a wide journal set writes millions of rows.
-    journal_a, journal_b, names = [], [], {}
-    f_obs, lines = array("q"), array("q")
-    f_exp, sigma, z = array("d"), array("d"), array("d")
-    for lineno, (a, b, obs, exp, sd, zv, defined) in read_rows(path, PAIR_STATS_COLUMNS):
-        if defined not in ("0", "1") or (defined == "1") != bool(zv):
-            raise IngestError(f"{path}:{lineno}: defined_flag {defined!r} does not fit z {zv!r}")
-        try:
-            f_obs.append(int(obs))
-            f_exp.append(float(exp))
-            sigma.append(float(sd))
-            z.append(float(zv) if zv else math.nan)
-        except (ValueError, OverflowError) as exc:
-            raise IngestError(f"{path}:{lineno}: {exc}") from None
-        journal_a.append(names.setdefault(a, a))
-        journal_b.append(names.setdefault(b, b))
-        lines.append(lineno)
+    pair out of journal order or given twice; the last two once every row
+    is read."""
+    names: dict[str, int] = {}
+    kinds = (names, names, int, float, float, float_or_nan, {"0": 0, "1": 1})
+    lines, _, (a, b, *columns, _) = read_columns(path, PAIR_STATS_COLUMNS, kinds, ",",
+                                                 _flag_fits_z)
     try:
-        return PairTable.from_columns(journal_a, journal_b, f_obs, f_exp, sigma, z)
+        return PairTable.from_codes(list(names), a, b, *columns)
     except PairRowError as exc:
         raise IngestError(f"{path}:{lines[exc.row]}: {exc}") from None
+
+
+def _flag_fits_z(fields: list[list[str]], typed: list):
+    """Rows whose defined_flag is not 1 exactly where z is a number."""
+    z, flag = typed[5], typed[6]
+    return ((flag > 1) | ((flag == 1) == np.isnan(z)),
+            lambda i: f"defined_flag {fields[6][i]!r} does not fit z {fields[5][i]!r}")
 
 
 def write_pair_means_csv(sims: SimResult, path: str | Path) -> None:

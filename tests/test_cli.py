@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import cocite
+import cocite.corpus as corpus_module
 from cocite.cli import main
 from cocite.corpus import Publication, ReferenceRecord
 from cocite.manifest import RunManifest
@@ -336,14 +337,65 @@ def _corrupt(src, dst, lineno, edit):
         "truncated-classification", "unknown-category", "n_defined_pairs-past-int64",
         "non-numeric-z_median"])
 def test_bad_table_row_exits_1_with_its_line(synth_dir, pipeline_dir, tmp_path, capsys,
-                                             command, flag, name, edit):
+                                             monkeypatch, command, flag, name, edit):
     bad = _corrupt(pipeline_dir / name, tmp_path / name, 3, edit)
+    # The default block holds line 3; 16-byte blocks hold one line each.
+    for block_bytes in (corpus_module._BLOCK_BYTES, 16):
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+        capsys.readouterr()
+        assert main([command, *corpus_flags(synth_dir / "D00"), flag, str(bad),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:3:" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag,name,line_3,line_4", [
+    ("classify", "--pair-stats", "pair_stats.csv",
+     lambda f: f[:4] + ["many"] + f[5:], lambda f: f[:2] + ["many"] + f[3:]),
+    ("classify", "--pair-stats", "pair_stats.csv",
+     lambda f: f[:-1] + ["yes"], lambda f: f[:2] + ["many"] + f[3:]),
+    ("hits", "--classification", "classification.csv",
+     lambda f: f[:-1] + ["many"], lambda f: [f[0], "many"] + f[2:]),
+    ("hits", "--classification", "classification.csv",
+     lambda f: f[:4] + ["XX"] + f[5:], lambda f: [f[0], "many"] + f[2:]),
+], ids=["sigma-before-f_obs", "defined_flag-before-f_obs", "n_defined_pairs-before-z_median",
+        "category-before-z_median"])
+def test_an_earlier_rows_later_column_fault_comes_first(synth_dir, pipeline_dir, tmp_path,
+                                                       capsys, command, flag, name,
+                                                       line_3, line_4):
+    # Both faulty lines sit in the first block; line 4's column comes first.
+    bad = tmp_path / name
+    _corrupt(_corrupt(pipeline_dir / name, bad, 3, line_3), bad, 4, line_4)
     capsys.readouterr()
     assert main([command, *corpus_flags(synth_dir / "D00"), flag, str(bad),
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert f"{bad}:3:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("block_bytes", [64, None], ids=["64-byte-blocks", "no-csv-fallback"])
+def test_classify_and_hits_read_the_pipelines_tables(synth_dir, pipeline_dir, tmp_path,
+                                                     monkeypatch, block_bytes):
+    # With small blocks, every table is read across many blocks. Without
+    # small blocks, the row-by-row csv fallback is replaced wherever a
+    # cocite module binds it, so a well-formed table that reached it fails.
+    if block_bytes is None:
+        def refuse(path, *args):
+            raise AssertionError(f"{path} was read by the csv fallback")
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("cocite") and hasattr(module, "read_rows"):
+                monkeypatch.setattr(module, "read_rows", refuse)
+    else:
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+    corpus, out = corpus_flags(synth_dir / "D00"), tmp_path / "o"
+    assert main(["classify", *corpus, "--pair-stats", str(pipeline_dir / "pair_stats.csv"),
+                 "--out", str(out)]) == 0
+    assert main(["hits", *corpus, "--classification",
+                 str(pipeline_dir / "classification.csv"), "--out", str(out)]) == 0
+    for name in ("classification.csv", "hit_report.csv", "hit_tests.json"):
+        assert (out / name).read_bytes() == (pipeline_dir / name).read_bytes(), name
 
 
 def test_hits_refuses_a_classification_of_another_corpus(synth_dir, pipeline_dir, tmp_path,
@@ -369,7 +421,7 @@ def test_hits_refuses_a_classification_that_repeats_a_publication(synth_dir, pip
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     first = lines[1].split(",")[0]
-    assert f"{bad}:{len(lines) + 1}: publication {first!r} is given twice" in err
+    assert f"{bad}:{len(lines) + 1}: duplicate pub_id {first!r} (first seen at line 2)" in err
     assert "Traceback" not in err
 
 

@@ -236,3 +236,14 @@ def test_validate_corpus_rejects_duplicate_refs(make_corpus):
     )
     with pytest.raises(ValueError, match="more than once"):
         validate_corpus(corpus)
+
+
+def test_twenty_thousand_subjects_are_coded_in_sorted_order(write_tsvs):
+    # Subjects in a scrambled order, and one used only by a dropped reference.
+    n = 20_000
+    subject = {f"r{i}": f"s{i * 7919 % n:05d}" for i in range(n)}
+    refs = [(rid, 1990, "J-A", s) for rid, s in subject.items()] + [("r-x", 1990, "", "s-x")]
+    corpus = ingest(*write_tsvs([("p1", 1995, "J-A", 0)], refs, [("p1", "r0"), ("p1", "r1")]))
+    assert corpus.subject_ids == sorted(subject.values())
+    got = dict(zip(corpus.ref_ids, (corpus.subject_ids[s] for s in corpus.ref_subject.tolist())))
+    assert got == subject

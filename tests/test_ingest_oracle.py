@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import cocite.corpus as corpus_module
+from cocite.cli import main
 from cocite.corpus import IngestConfig, IngestError, ingest
 from ingest_oracle import ingest as oracle_ingest
 
@@ -235,6 +236,86 @@ def test_read_rows_raises_the_first_fault_in_row_order(tmp_path, data, match):
     with pytest.raises(IngestError, match=match):
         rows.extend(corpus_module.read_rows(path, ("a", "b")))
     assert rows == ([(2, ["1", "2"])] if b"3" in data else [])
+
+
+def read_block_rows(path, rows):
+    """Extend ``rows`` with the (line, fields) of each row ``read_blocks``
+    yields for a two-column CSV, until it ends or raises."""
+    for lines, cols in corpus_module.read_blocks(path, ("a", "b"), ","):
+        rows.extend(zip(lines.tolist(), map(list, zip(*cols))))
+
+
+@pytest.mark.parametrize("block_bytes", [None, 4], ids=["default-blocks", "4-byte-blocks"])
+def test_read_blocks_names_the_line_of_an_undecodable_byte(tmp_path, monkeypatch, block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"a,b\n1,2\n3,\xc3\n")
+    rows = []
+    with pytest.raises(IngestError, match=r"table\.csv:3: not UTF-8 text"):
+        read_block_rows(path, rows)
+    assert rows == [(2, ["1", "2"])]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 4], ids=["default-blocks", "4-byte-blocks"])
+@pytest.mark.parametrize("data, match", [
+    (b"a,b\n1,2\n3\n4,\xff\n", r"table\.csv:3: expected 2 columns, found 1"),
+    (b"a,\xff\n1,2\n", r"table\.csv:1: not UTF-8 text"),
+], ids=["width first", "header"])
+def test_read_blocks_raises_the_first_fault_in_row_order(tmp_path, monkeypatch, block_bytes,
+                                                         data, match):
+    if block_bytes is not None:
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    rows = []
+    with pytest.raises(IngestError, match=match):
+        read_block_rows(path, rows)
+    assert rows == ([(2, ["1", "2"])] if b"3" in data else [])
+
+
+def test_read_blocks_reads_a_tab_in_a_csv_field_as_text(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"a,b\n1,2\nx\ty,3\n")
+    rows = []
+    read_block_rows(path, rows)
+    assert rows == [(2, ["1", "2"]), (3, ["x\ty", "3"])]
+
+
+@pytest.mark.parametrize("form", ["quoted", "crlf", "split"])
+def test_a_field_past_csvs_limit_names_its_line(write_tsvs, tmp_path, capsys, form):
+    # One journal id of 200,002 characters on line 3: quoted, or unquoted
+    # with CRLF line ends, are read by csv, and unquoted with LF line ends
+    # would split; all three are refused at that line.
+    journal = "J1" + "x" * 200_000
+    paths = write_tsvs([("p1", 1995, "J-A", 0), ("p2", 1995, journal, 0)],
+                       [("r1", 1990, "J-A", "s")], [])
+    text = paths[0].read_text(encoding="utf-8")
+    if form == "quoted":
+        text = text.replace(journal, f'"{journal}"')
+    elif form == "crlf":
+        text = text.replace("\n", "\r\n")
+    paths[0].write_text(text, encoding="utf-8", newline="")
+    with pytest.raises(IngestError, match=r"publications\.tsv:3: field larger than field limit"):
+        ingest(*paths)
+    capsys.readouterr()
+    assert main(["ingest", "--pubs", str(paths[0]), "--refs", str(paths[1]),
+                 "--cites", str(paths[2]), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"{paths[0]}:3: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("journal", ["J" * 131_072, "é" * 100_000], ids=["at-limit", "multibyte"])
+def test_a_field_within_csvs_limit_is_read(write_tsvs, journal):
+    # "é" * 100,000 is 200,000 bytes, so the split path hands its block to
+    # csv, which counts 100,000 characters.
+    paths = write_tsvs([("p1", 1995, journal, 0)],
+                       [("r1", 1990, journal, "s"), ("r2", 1990, "J-A", "s")],
+                       [("p1", "r1"), ("p1", "r2")])
+    corpus = ingest(*paths)
+    assert corpus.journal_ids == sorted([journal, "J-A"])
+    assert corpus.journal_ids[corpus.pub_journal[0]] == journal
 
 
 @pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv"])
