@@ -1,5 +1,15 @@
 """Journal co-citation novelty/conventionality analysis with constrained null models."""
 
+import os
+
+# Load numpy's OpenBLAS single-threaded (the import below loads numpy) unless
+# the user chose a thread count. cocite's only parallelism is its forked
+# ``--workers`` processes, and its BLAS calls are small products with one
+# column per journal, so a BLAS thread pool only adds start-up time and
+# threads that spin beside the workers. Where numpy was imported first, the
+# library is already loaded and this has no effect.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .corpus import (
     Corpus,
     CorpusSummary,

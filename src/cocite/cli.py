@@ -86,6 +86,13 @@ from .synth import SynthConfig, generate
 POOL_FLAGS = "--pool-pubs, --pool-refs, and --pool-cites"
 
 
+def cpu_seconds() -> float:
+    """User plus system CPU seconds of this process and its reaped children."""
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return own.ru_utime + own.ru_stime + children.ru_utime + children.ru_stime
+
+
 def rss_hwm_mb() -> float:
     """Peak resident set of this process or of its largest reaped child, in MiB."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -116,16 +123,19 @@ class Run:
         self.out.mkdir(parents=True, exist_ok=True)
         self.digests: dict[str, str] = {}
         self.timings: dict[str, float] = {}
+        self.cpu_s: dict[str, float] = {}
         self.peak_rss_mb: dict[str, float] = {}
         self.diagnostics: dict = {}
         self.indexes: dict[str, CorpusIndex] = {}
 
     @contextmanager
     def timed(self, stage: str):
-        """Time a stage, then record the memory high-water mark reached by its end."""
-        t0 = time.perf_counter()
+        """Time a stage and the CPU it and its reaped workers used, then
+        record the memory high-water mark reached by its end."""
+        t0, c0 = time.perf_counter(), cpu_seconds()
         yield
         self.timings[stage] = self.timings.get(stage, 0.0) + time.perf_counter() - t0
+        self.cpu_s[stage] = self.cpu_s.get(stage, 0.0) + cpu_seconds() - c0
         self.peak_rss_mb[stage] = rss_hwm_mb()
 
     @contextmanager
@@ -155,6 +165,7 @@ class Run:
             master_seed=getattr(self.args, "seed", None),
             input_digests=self.digests,
             timings={k: round(v, 6) for k, v in self.timings.items()},
+            cpu_s={k: round(v, 6) for k, v in self.cpu_s.items()},
             peak_rss_mb={k: round(v, 1) for k, v in self.peak_rss_mb.items()},
             diagnostics=self.diagnostics,
         ).save(self.out)

@@ -271,9 +271,11 @@ def read_rows(path: str | Path, columns: tuple[str, ...],
               delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, fields) for a table file, validating the header.
 
-    Blank lines are skipped; a row of the wrong width, a field longer than
-    ``csv.field_size_limit()`` characters, or a byte that is not UTF-8,
-    raises IngestError once the rows before it are yielded.
+    A row's line number is the file line it starts on, also after a
+    quoted field that holds a newline. Blank lines are skipped; a row of
+    the wrong width, a field longer than ``csv.field_size_limit()``
+    characters, or a byte that is not UTF-8, raises IngestError once the
+    rows before it are yielded.
     """
     data = Path(path).read_bytes()
     fault = None
@@ -287,10 +289,11 @@ def read_rows(path: str | Path, columns: tuple[str, ...],
         if not cut:
             raise fault from None
         text = data[:cut].decode("utf-8")
-    line = 0
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    end = 0  # the file line the last row ended on
     try:
-        for line, row in enumerate(csv.reader(io.StringIO(text, newline=""), delimiter=delimiter),
-                                   start=1):
+        for row in reader:
+            line, end = end + 1, reader.line_num
             if line == 1:
                 if tuple(row) != columns:
                     raise IngestError(f"{path}:1: bad header {row!r}, expected {list(columns)}")
@@ -300,8 +303,8 @@ def read_rows(path: str | Path, columns: tuple[str, ...],
                         f"{path}:{line}: expected {len(columns)} columns, found {len(row)}")
                 yield line, row
     except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise IngestError(f"{path}:{line + 1}: {exc}") from None
-    if not line:
+        raise IngestError(f"{path}:{end + 1}: {exc}") from None
+    if not end:
         raise IngestError(f"{path}:1: empty file, expected header {columns}")
     if fault is not None:
         raise fault

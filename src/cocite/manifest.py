@@ -27,6 +27,7 @@ class RunManifest:
     master_seed: int | None
     input_digests: dict[str, str] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
+    cpu_s: dict[str, float] = field(default_factory=dict)
     peak_rss_mb: dict[str, float] = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     created_utc: str = ""

@@ -44,7 +44,8 @@ def read_rows(path: str | Path, columns: tuple[str, ...],
               delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
     """Yield (line_number, fields) for a table file, validating the header.
 
-    Blank lines are skipped; a row of the wrong width raises IngestError.
+    A row's line number is the file line it starts on. Blank lines are
+    skipped; a row of the wrong width raises IngestError.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -54,7 +55,11 @@ def read_rows(path: str | Path, columns: tuple[str, ...],
             raise IngestError(f"{path}:1: empty file, expected header {columns}") from None
         if tuple(header) != columns:
             raise IngestError(f"{path}:1: bad header {header!r}, expected {list(columns)}")
-        for lineno, row in enumerate(reader, start=2):
+        while True:
+            lineno = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                return
             if not row:
                 continue
             if len(row) != len(columns):

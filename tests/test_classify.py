@@ -1,3 +1,4 @@
+import csv
 from itertools import combinations
 
 import numpy as np
@@ -12,7 +13,12 @@ from cocite import (
     run_simulations,
     zscores,
 )
-from cocite.classify import read_summaries_csv, write_summaries_csv
+from cocite.classify import (
+    CATEGORIES,
+    CLASSIFICATION_COLUMNS,
+    read_summaries_csv,
+    write_summaries_csv,
+)
 from cocite.corpus import Corpus, Publication, ReferenceRecord
 from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.synth import SynthConfig, generate
@@ -308,3 +314,21 @@ def test_summaries_csv_round_trips(tmp_path, make_pub_table):
     path = tmp_path / "classification.csv"
     write_summaries_csv(summaries, path)
     assert table_rows(read_summaries_csv(path)) == table_rows(summaries)
+
+
+def test_summaries_csv_formats_each_z_as_csv_formats_its_float(tmp_path, make_pub_table):
+    # Repeated values, both zeros, infinities and NaNs of two payloads are
+    # written as csv writes the floats themselves.
+    nan_payload = np.array([0x7FF8_0000_0000_0001], np.int64).view(np.float64)[0]
+    values = [0.1 + 0.2, -0.0, 0.0, float("inf"), -float("inf"), float("nan"), nan_payload,
+              -1 / 3, 1e-300, 2.5e17]
+    rows = [(f"p{i}", values[i % 10], values[(3 * i) % 10], values[(7 * i + 1) % 10], i,
+             CATEGORIES[i % 4]) for i in range(25)]
+    path = tmp_path / "classification.csv"
+    write_summaries_csv(make_pub_table(rows), path)
+    want = tmp_path / "want.csv"
+    with open(want, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(CLASSIFICATION_COLUMNS)
+        w.writerows((p, float(a), float(b), float(c), label, n) for p, a, b, c, n, label in rows)
+    assert path.read_bytes() == want.read_bytes()

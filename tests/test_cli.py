@@ -460,6 +460,9 @@ def test_manifest_times_each_stage_that_ran(synth_dir, tmp_path):
     peaks = [manifest.peak_rss_mb[stage] for stage in ("load", "observe", "simulate", "zscore")]
     assert peaks[0] > 0
     assert peaks == sorted(peaks)
+    # CPU seconds of each timed stage, its reaped workers' included.
+    assert set(manifest.cpu_s) == set(manifest.timings)
+    assert all(v >= 0 for v in manifest.cpu_s.values())
 
 
 # Flags that these subcommands never read; argparse must refuse them.
@@ -649,13 +652,43 @@ def test_pipeline_builds_no_row_objects(synth_dir, pipeline_dir, tmp_path, monke
     assert main([*argv, *corpus_flags(synth_dir / "D00"), "--out", str(tmp_path / path)]) == 0
 
 
+def run_python(code: str, **env_vars) -> str:
+    """Standard output of ``python -c code`` with cocite importable and
+    ``env_vars`` set in the environment; one set to None is removed."""
+    src = str(Path(cocite.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.strip()
+
+
 def test_importing_the_cli_leaves_the_worker_pool_unimported():
     # A run at one worker never starts a pool, so it should not pay for
     # importing one.
     code = ("import sys, cocite.cli; "
             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
-    src = str(Path(cocite.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.strip() == "[]"
+    assert run_python(code) == "[]"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_a_process_that_imports_cocite_counts_pairs_on_one_thread():
+    # numpy's BLAS, left to choose, starts a thread pool on a machine of
+    # more than one CPU; cocite's only parallelism is its forked workers.
+    code = ("import os, cocite; "
+            "from cocite.indexing import CorpusIndex; "
+            "idx = CorpusIndex(cocite.generate(cocite.SynthConfig(seed=3)).pool); "
+            "assert idx.counts_by_product(); "
+            "idx.pair_key_counts(idx.c_tokens); "
+            "print(len(os.listdir('/proc/self/task')))")
+    # OpenBLAS also reads these two where its own variable is unset.
+    assert run_python(code, OPENBLAS_NUM_THREADS=None, GOTO_NUM_THREADS=None,
+                      OMP_NUM_THREADS=None) == "1"
+
+
+def test_importing_cocite_keeps_a_blas_thread_count_the_user_set():
+    code = "import os, cocite; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert run_python(code, OPENBLAS_NUM_THREADS="2") == "2"

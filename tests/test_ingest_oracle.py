@@ -238,6 +238,30 @@ def test_read_rows_raises_the_first_fault_in_row_order(tmp_path, data, match):
     assert rows == ([(2, ["1", "2"])] if b"3" in data else [])
 
 
+# Line 2 starts a quoted pub_id that holds a newline, so the row of line 4
+# is the third record.
+QUOTED_NEWLINE = b'pub_id\tyear\tjournal_id\tcitations_8yr\n"P1\nX"\t2000\tJ1\t5\nP2\t2000\tJ1\t-1\n'
+
+
+def test_read_rows_numbers_a_row_by_the_line_it_starts_on(tmp_path):
+    path = tmp_path / "publications.tsv"
+    path.write_bytes(QUOTED_NEWLINE)
+    rows = list(corpus_module.read_rows(path, corpus_module.PUB_COLUMNS, "\t"))
+    assert [line for line, _ in rows] == [2, 4]
+    assert rows[0][1] == ["P1\nX", "2000", "J1", "5"]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 4], ids=["default-blocks", "4-byte-blocks"])
+def test_ingest_names_the_file_line_after_a_quoted_newline(write_tsvs, monkeypatch,
+                                                          block_bytes):
+    if block_bytes is not None:
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+    paths = write_tsvs([], [], [])
+    paths[0].write_bytes(QUOTED_NEWLINE)
+    with pytest.raises(IngestError, match=r"publications\.tsv:4: negative citations_8yr: -1"):
+        ingest(*paths)
+
+
 def read_block_rows(path, rows):
     """Extend ``rows`` with the (line, fields) of each row ``read_blocks``
     yields for a two-column CSV, until it ends or raises."""
