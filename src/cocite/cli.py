@@ -113,7 +113,9 @@ class Run:
     background, before the first stage that reads it. Building an index,
     reading an input table and writing the outputs are timed apart from
     the stages, in ``diagnostics["index_s"]``, ``diagnostics["read_s"]``
-    and ``diagnostics["write_s"]``.
+    and ``diagnostics["write_s"]``. The CPU seconds the process used
+    before the run began (interpreter start, imports and argument
+    parsing) are ``diagnostics["startup_cpu_s"]``.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
@@ -125,7 +127,7 @@ class Run:
         self.timings: dict[str, float] = {}
         self.cpu_s: dict[str, float] = {}
         self.peak_rss_mb: dict[str, float] = {}
-        self.diagnostics: dict = {}
+        self.diagnostics: dict = {"startup_cpu_s": round(cpu_seconds(), 6)}
         self.indexes: dict[str, CorpusIndex] = {}
 
     @contextmanager

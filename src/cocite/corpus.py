@@ -16,7 +16,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -267,49 +267,6 @@ class CorpusSummary:
     ratio: float
 
 
-def read_rows(path: str | Path, columns: tuple[str, ...],
-              delimiter: str = ",") -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, fields) for a table file, validating the header.
-
-    A row's line number is the file line it starts on, also after a
-    quoted field that holds a newline. Blank lines are skipped; a row of
-    the wrong width, a field longer than ``csv.field_size_limit()``
-    characters, or a byte that is not UTF-8, raises IngestError once the
-    rows before it are yielded.
-    """
-    data = Path(path).read_bytes()
-    fault = None
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = 1 + data.count(b"\n", 0, exc.start)
-        fault = IngestError(f"{path}:{line}: not UTF-8 text ({exc.reason}, "
-                            f"byte 0x{data[exc.start]:02x})")
-        cut = data.rfind(b"\n", 0, exc.start) + 1
-        if not cut:
-            raise fault from None
-        text = data[:cut].decode("utf-8")
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    end = 0  # the file line the last row ended on
-    try:
-        for row in reader:
-            line, end = end + 1, reader.line_num
-            if line == 1:
-                if tuple(row) != columns:
-                    raise IngestError(f"{path}:1: bad header {row!r}, expected {list(columns)}")
-            elif row:
-                if len(row) != len(columns):
-                    raise IngestError(
-                        f"{path}:{line}: expected {len(columns)} columns, found {len(row)}")
-                yield line, row
-    except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise IngestError(f"{path}:{end + 1}: {exc}") from None
-    if not end:
-        raise IngestError(f"{path}:1: empty file, expected header {columns}")
-    if fault is not None:
-        raise fault
-
-
 def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequence],
                delimiter: str = ",") -> None:
     """Write a header and rows: UTF-8, ``\\n`` line ends, minimal quoting.
@@ -356,63 +313,98 @@ def _split_block(raw: bytes, lineno: int, width: int, delimiter: str):
     return np.arange(lineno, lineno + n), [flat[c::width] for c in range(width)]
 
 
-def _csv_blocks(path, columns: tuple[str, ...], first_line: int, delimiter: str):
-    """``read_blocks`` from line ``first_line`` on, read by ``read_rows``."""
-    block: list[tuple[int, list[str]]] = []
-    fault = None
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The rest of ``fh`` in blocks of whole lines of about ``_BLOCK_BYTES``."""
+    carry = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        data = carry + chunk
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        carry = data[cut:]
+    if carry:
+        yield carry
+
+
+def _read_csv(path: str | Path, columns: tuple[str, ...], delimiter: str, first_line: int,
+              blocks: Iterable[bytes]) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
+    """``read_blocks`` from file line ``first_line`` on, given the file's
+    bytes from there: one ``csv.reader`` over each block's lines in turn,
+    split as ``newline=""`` splits them, yielded ``_CSV_BLOCK_ROWS`` rows at
+    a time. Line 1 is the header."""
+    undecodable = []
+
+    def lines():
+        at = first_line  # the file line the block starts on
+        for block in blocks:
+            try:
+                text = block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                at += block.count(b"\n", 0, exc.start)
+                undecodable.append(IngestError(f"{path}:{at}: not UTF-8 text ({exc.reason}, "
+                                               f"byte 0x{block[exc.start]:02x})"))
+                yield from io.StringIO(block[:block.rfind(b"\n", 0, exc.start) + 1].decode(),
+                                       newline="")
+                return
+            yield from io.StringIO(text, newline="")
+            at += block.count(b"\n")
+
+    reader = csv.reader(lines(), delimiter=delimiter)
+    numbers, rows, fault = [], [], None
+    end = first_line - 1  # the file line the last row ended on
     try:
-        for lineno, row in read_rows(path, columns, delimiter):
-            if lineno >= first_line:
-                block.append((lineno, row))
-            if len(block) == _CSV_BLOCK_ROWS:
-                yield _row_block(block)
-                block = []
-    except IngestError as exc:
-        fault = exc
-    if block:
-        yield _row_block(block)
-    if fault is not None:
-        raise fault
-
-
-def _row_block(rows: list[tuple[int, list[str]]]) -> tuple[np.ndarray, list[list[str]]]:
-    return np.asarray([k for k, _ in rows], np.int64), [list(c) for c in zip(*(r for _, r in rows))]
+        for row in reader:
+            line, end = end + 1, first_line - 1 + reader.line_num
+            if line == 1:
+                if tuple(row) != columns:
+                    fault = IngestError(f"{path}:1: bad header {row!r}, expected {list(columns)}")
+                    break
+            elif row:
+                if len(row) != len(columns):
+                    fault = IngestError(
+                        f"{path}:{line}: expected {len(columns)} columns, found {len(row)}")
+                    break
+                numbers.append(line)
+                rows.append(row)
+                if len(rows) == _CSV_BLOCK_ROWS:
+                    yield np.asarray(numbers, np.int64), [list(c) for c in zip(*rows)]
+                    numbers, rows = [], []
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        fault = IngestError(f"{path}:{end + 1}: {exc}")
+    if rows:
+        yield np.asarray(numbers, np.int64), [list(c) for c in zip(*rows)]
+    if not (fault or undecodable or end):
+        fault = IngestError(f"{path}:1: empty file, expected header {columns}")
+    if fault or undecodable:
+        raise fault or undecodable[0]
 
 
 def read_blocks(path: str | Path, columns: tuple[str, ...],
                 delimiter: str) -> Iterator[tuple[np.ndarray, list[list[str]]]]:
-    """The rows of a table file, read in blocks of about ``_BLOCK_BYTES``:
-    each block's line numbers and its columns as lists of strings.
+    """The rows of a table file, read once in blocks of about
+    ``_BLOCK_BYTES``: each block's line numbers and its columns as lists of
+    strings. Rows, line numbers and errors, each raised once the rows
+    before it are yielded, are those of one ``csv.reader`` over the whole
+    file: a row is numbered by the line it starts on, blank lines are
+    skipped, and a wrong width, a field past ``csv.field_size_limit()`` or
+    a byte that is not UTF-8 is an error.
 
-    Rows, line numbers and errors, each raised once the rows before it are
-    yielded, are those of ``read_rows(path, columns, delimiter)``. A block
-    that ``_split_block`` refuses, or that holds a quote or a carriage
-    return, is read by ``read_rows`` from its first line on, as is the
-    whole file where the first line is not the header itself.
+    A block is split by ``_split_block``. From the first block that it
+    refuses, or that holds a quote or a carriage return, and from line 1
+    where the first line is not the header itself, ``_read_csv`` reads on.
     """
-    width = len(columns)
     with open(path, "rb") as fh:
-        if fh.readline().rstrip(b"\n") != delimiter.join(columns).encode():
-            yield from _csv_blocks(path, columns, 2, delimiter)
+        head = fh.readline()
+        blocks = _line_blocks(fh)
+        if head.rstrip(b"\n") != delimiter.join(columns).encode():
+            yield from _read_csv(path, columns, delimiter, 1, chain([head], blocks))
             return
-        lineno, carry = 2, b""
-        while True:
-            chunk = fh.read(_BLOCK_BYTES)
-            data = carry + chunk
-            if chunk:
-                cut = data.rfind(b"\n") + 1
-                if not cut:
-                    carry = data
-                    continue
-                block, carry = data[:cut], data[cut:]
-            elif data:
-                block, carry = data, b""
-            else:
-                return
+        lineno = 2
+        for block in blocks:
             rows = (None if b'"' in block or b"\r" in block
-                    else _split_block(block, lineno, width, delimiter))
+                    else _split_block(block, lineno, len(columns), delimiter))
             if rows is None:
-                yield from _csv_blocks(path, columns, lineno, delimiter)
+                yield from _read_csv(path, columns, delimiter, lineno, chain([block], blocks))
                 return
             yield rows
             lineno += len(rows[0])

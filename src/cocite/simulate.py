@@ -215,11 +215,15 @@ def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
     derived by simulation index and integer accumulators commute, so any
     worker count yields bit-identical statistics.
 
-    Raises ValueError before the first simulation when N times the square
-    of the corpus's pairs per simulation could overflow the int64 sum of
-    squares, and WorkerError when a forked worker dies mid-range.
+    Raises ValueError for a ``cfg.background`` other than the index's, and
+    before the first simulation when N times the square of the corpus's
+    pairs per simulation could overflow the int64 sum of squares;
+    WorkerError when a forked worker dies mid-range.
     """
     cfg.validate()
+    if cfg.background != idx.background:
+        raise ValueError(f"SimConfig background {cfg.background!r} does not match the "
+                         f"{idx.background!r} background the index was built against")
     n = cfg.n_simulations
     if n * idx.n_pairs * idx.n_pairs >= 1 << 63:
         raise ValueError(

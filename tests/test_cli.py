@@ -379,14 +379,12 @@ def test_an_earlier_rows_later_column_fault_comes_first(synth_dir, pipeline_dir,
 def test_classify_and_hits_read_the_pipelines_tables(synth_dir, pipeline_dir, tmp_path,
                                                      monkeypatch, block_bytes):
     # With small blocks, every table is read across many blocks. Without
-    # small blocks, the row-by-row csv fallback is replaced wherever a
-    # cocite module binds it, so a well-formed table that reached it fails.
+    # small blocks, the csv fallback is replaced, so a well-formed table
+    # that reached it fails.
     if block_bytes is None:
         def refuse(path, *args):
             raise AssertionError(f"{path} was read by the csv fallback")
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("cocite") and hasattr(module, "read_rows"):
-                monkeypatch.setattr(module, "read_rows", refuse)
+        monkeypatch.setattr(corpus_module, "_read_csv", refuse)
     else:
         monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
     corpus, out = corpus_flags(synth_dir / "D00"), tmp_path / "o"
@@ -460,9 +458,11 @@ def test_manifest_times_each_stage_that_ran(synth_dir, tmp_path):
     peaks = [manifest.peak_rss_mb[stage] for stage in ("load", "observe", "simulate", "zscore")]
     assert peaks[0] > 0
     assert peaks == sorted(peaks)
-    # CPU seconds of each timed stage, its reaped workers' included.
+    # CPU seconds of each timed stage, its reaped workers' included, and
+    # of the process before the first stage.
     assert set(manifest.cpu_s) == set(manifest.timings)
     assert all(v >= 0 for v in manifest.cpu_s.values())
+    assert manifest.diagnostics["startup_cpu_s"] >= 0
 
 
 # Flags that these subcommands never read; argparse must refuse them.

@@ -18,6 +18,7 @@ import cocite.corpus as corpus_module
 from cocite.cli import main
 from cocite.corpus import IngestConfig, IngestError, ingest
 from ingest_oracle import ingest as oracle_ingest
+from ingest_oracle import read_rows as oracle_read_rows
 
 JOURNALS = ["J-A", "J-B", "J-C", "1234-5678", "1234-567X", "12345678", ""]
 SUBJECTS = ["phys", "bio", "chem", ""]
@@ -218,35 +219,16 @@ def test_a_fault_before_an_undecodable_byte_is_raised_first(tmp_path, write_tsvs
         ingest(*paths)
 
 
-def test_read_rows_names_the_line_of_an_undecodable_byte(tmp_path):
-    path = tmp_path / "table.csv"
-    path.write_bytes(b"a,b\n1,2\n3,\xc3\n")
-    with pytest.raises(IngestError, match=r"table\.csv:3: not UTF-8 text"):
-        list(corpus_module.read_rows(path, ("a", "b")))
-
-
-@pytest.mark.parametrize("data, match", [
-    (b"a,b\n1,2\n3\n4,\xff\n", r"table\.csv:3: expected 2 columns, found 1"),
-    (b"a,\xff\n1,2\n", r"table\.csv:1: not UTF-8 text"),
-], ids=["width first", "header"])
-def test_read_rows_raises_the_first_fault_in_row_order(tmp_path, data, match):
-    path = tmp_path / "table.csv"
-    path.write_bytes(data)
-    rows = []
-    with pytest.raises(IngestError, match=match):
-        rows.extend(corpus_module.read_rows(path, ("a", "b")))
-    assert rows == ([(2, ["1", "2"])] if b"3" in data else [])
-
-
 # Line 2 starts a quoted pub_id that holds a newline, so the row of line 4
 # is the third record.
 QUOTED_NEWLINE = b'pub_id\tyear\tjournal_id\tcitations_8yr\n"P1\nX"\t2000\tJ1\t5\nP2\t2000\tJ1\t-1\n'
 
 
-def test_read_rows_numbers_a_row_by_the_line_it_starts_on(tmp_path):
+def test_read_blocks_numbers_a_row_by_the_line_it_starts_on(tmp_path):
     path = tmp_path / "publications.tsv"
     path.write_bytes(QUOTED_NEWLINE)
-    rows = list(corpus_module.read_rows(path, corpus_module.PUB_COLUMNS, "\t"))
+    rows = []
+    read_block_rows(path, rows, corpus_module.PUB_COLUMNS, "\t")
     assert [line for line, _ in rows] == [2, 4]
     assert rows[0][1] == ["P1\nX", "2000", "J1", "5"]
 
@@ -262,10 +244,10 @@ def test_ingest_names_the_file_line_after_a_quoted_newline(write_tsvs, monkeypat
         ingest(*paths)
 
 
-def read_block_rows(path, rows):
+def read_block_rows(path, rows, columns=("a", "b"), delimiter=","):
     """Extend ``rows`` with the (line, fields) of each row ``read_blocks``
-    yields for a two-column CSV, until it ends or raises."""
-    for lines, cols in corpus_module.read_blocks(path, ("a", "b"), ","):
+    yields, by default for a two-column CSV, until it ends or raises."""
+    for lines, cols in corpus_module.read_blocks(path, columns, delimiter):
         rows.extend(zip(lines.tolist(), map(list, zip(*cols))))
 
 
@@ -304,6 +286,51 @@ def test_read_blocks_reads_a_tab_in_a_csv_field_as_text(tmp_path):
     rows = []
     read_block_rows(path, rows)
     assert rows == [(2, ["1", "2"]), (3, ["x\ty", "3"])]
+
+
+def test_the_csv_fallback_starts_at_the_refused_blocks_first_line(tmp_path, monkeypatch):
+    # Every line but the header and line 30 is 8 bytes, so 64-byte blocks
+    # hold lines 2-9, 10-17 and 18-25, which split; the quote on line 30
+    # makes the block from line 26 the first refused, and csv is fed each
+    # line from there on once.
+    monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", 64)
+    lines = [f"p{i:02d}\tr{i:02d}\n" for i in range(2, 60)]
+    lines[30 - 2] = '"p30"\tr30\n'
+    path = tmp_path / "table.tsv"
+    path.write_text("a\tb\n" + "".join(lines), encoding="utf-8")
+    fed = []
+    reader = csv.reader
+
+    def spy(source, **kwargs):
+        return reader((fed.append(line) or line for line in source), **kwargs)
+
+    monkeypatch.setattr(csv, "reader", spy)
+    rows = []
+    read_block_rows(path, rows, ("a", "b"), "\t")
+    assert "".join(fed) == "".join(lines[26 - 2:])
+    assert rows == [(i, [f"p{i:02d}", f"r{i:02d}"]) for i in range(2, 60)]
+
+
+@pytest.mark.parametrize("block_bytes", [4, 64, None],
+                         ids=["4-byte-blocks", "64-byte-blocks", "default-blocks"])
+def test_read_blocks_matches_a_whole_file_csv_read(tmp_path, monkeypatch, block_bytes):
+    # About 300 KB of plain lines, so that even a default block that reads
+    # on is a later one, then a quote, a CRLF line, a blank line and a
+    # quoted newline, each followed by plain lines.
+    if block_bytes is not None:
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+    columns = corpus_module.CITE_COLUMNS
+    plain = [f"p{i}\t{'r' * 140}{i}\n" for i in range(2000)]
+    late = ['"p""q"\tr1\n', "p2\tr2\n", "p3\tr3\r\n", "p4\tr4\n", "\n", "p5\tr5\n",
+            '"p\n6"\tr6\n', "p7\tr7\n", "p8\tr8"]
+    path = tmp_path / "citations.tsv"
+    path.write_bytes(("\t".join(columns) + "\n" + "".join(plain + late)).encode())
+    rows = []
+    read_block_rows(path, rows, columns, "\t")
+    assert rows == list(oracle_read_rows(path, columns, "\t"))
+    assert rows[2000:] == [(2002, ['p"q', "r1"]), (2003, ["p2", "r2"]), (2004, ["p3", "r3"]),
+                           (2005, ["p4", "r4"]), (2007, ["p5", "r5"]), (2008, ["p\n6", "r6"]),
+                           (2010, ["p7", "r7"]), (2011, ["p8", "r8"])]
 
 
 @pytest.mark.parametrize("form", ["quoted", "crlf", "split"])

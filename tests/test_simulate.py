@@ -18,6 +18,7 @@ from cocite.simulate import (
     benchmark_algorithms,
     pair_mean_sigma,
     read_pair_stats_csv,
+    simulate_plan,
     write_pair_stats_csv,
 )
 from cocite.synth import SynthConfig, generate
@@ -175,6 +176,19 @@ def test_local_background_refuses_another_pool_before_indexing(small_world):
     for pool in (small_world.pool, small_world.by_discipline["D01"]):
         with pytest.raises(ValueError, match="local background requires pool to be the corpus"):
             run_simulations(corpus, pool, SimConfig(n_simulations=2))
+
+
+@pytest.mark.parametrize("pool, background", [(True, "local"), (False, "global")],
+                         ids=["global-index-local-config", "local-index-global-config"])
+def test_simulate_plan_refuses_a_background_its_index_was_not_built_for(small_world, pool,
+                                                                       background):
+    corpus = small_world.by_discipline["D00"]
+    idx = build_groups(corpus, small_world.pool if pool else None)
+    with pytest.raises(ValueError, match=rf"background '{background}' does not match the "
+                                         rf"'{idx.background}' background"):
+        simulate_plan(idx, SimConfig(n_simulations=4, background=background))
+    sims = simulate_plan(idx, SimConfig(n_simulations=4, background=idx.background))
+    assert sims.background == idx.background
 
 
 def test_sign_change_identical_inputs_is_zero():
