@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, read_columns, write_rows
+from .corpus import Corpus, read_columns, write_columns
 from .indexing import CorpusIndex
 from .pairs import PairTable, rekey
 
@@ -120,17 +120,10 @@ def classify_corpus(table: PubTable, cfg: ClassifyConfig = ClassifyConfig()
 
 
 def write_summaries_csv(table: PubTable, path: str | Path) -> None:
-    """Write ``table`` as classification.csv. Each z is written as the
-    ``repr`` that ``csv`` gives a float, formatted once per distinct bit
-    pattern: the z columns are medians and percentiles of few pair z
-    values, so most of them repeat."""
-    z = np.stack([table.z_median, table.z_p10, table.z_p1])
-    bits, inverse = np.unique(z.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    z_median, z_p10, z_p1 = text[inverse.reshape(z.shape)].tolist()
-    write_rows(path, CLASSIFICATION_COLUMNS,
-               zip(table.pub_ids, z_median, z_p10, z_p1, table.labels(),
-                   table.n_defined_pairs.tolist()))
+    """Write ``table`` as classification.csv."""
+    write_columns(path, CLASSIFICATION_COLUMNS,
+                  (table.pub_ids, table.z_median, table.z_p10, table.z_p1, table.labels(),
+                   table.n_defined_pairs))
 
 
 def read_summaries_csv(path: str | Path) -> PubTable:

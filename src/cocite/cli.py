@@ -42,7 +42,7 @@ from .corpus import (
     export_corpus,
     ingest,
     summarize,
-    write_rows,
+    write_columns,
 )
 from .diverge import (
     DEFAULT_EPSILON,
@@ -337,9 +337,9 @@ def cmd_ingest(run: Run) -> None:
 def cmd_summarize(run: Run) -> None:
     s = summarize(run.corpus)
     tag = run.args.tag
-    run.write(write_rows, run.out / "summary.csv",
+    run.write(write_columns, run.out / "summary.csv",
               ("corpus", "unique_publications", "unique_references", "total_references", "ratio"),
-              [(tag, *astuple(s))])
+              [[value] for value in (tag, *astuple(s))])
     print(f"{tag}: pubs={s.unique_publications} ur={s.unique_references} "
           f"tr={s.total_references} tr/ur={s.ratio:.2f}")
 
@@ -430,10 +430,10 @@ def cmd_bench(run: Run) -> None:
     timings = benchmark_algorithms(corpus, pool, algorithms=algorithms, n_simulations=a.sims,
                                    master_seed=a.seed, umsj_max_retries=a.max_retries)
     run.timings.update(timings)
-    run.write(write_rows, run.out / "bench.csv",
+    run.write(write_columns, run.out / "bench.csv",
               ("algorithm", "n_simulations", "seconds", "sims_per_second"),
-              [(alg, a.sims, secs, a.sims / secs if secs > 0 else float("inf"))
-               for alg, secs in zip(algorithms, map(timings.get, algorithms))])
+              zip(*[(alg, a.sims, secs, a.sims / secs if secs > 0 else float("inf"))
+                    for alg, secs in zip(algorithms, map(timings.get, algorithms))]))
     run.diagnostics["n_simulations"] = a.sims
     print(f"{'algorithm':>10} {'sims':>6} {'seconds':>12}")
     for alg in algorithms:

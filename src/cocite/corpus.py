@@ -267,17 +267,26 @@ class CorpusSummary:
     ratio: float
 
 
-def write_rows(path: str | Path, columns: tuple[str, ...], rows: Iterable[Sequence],
-               delimiter: str = ",") -> None:
-    """Write a header and rows: UTF-8, ``\\n`` line ends, minimal quoting.
+def float_texts(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each float64 value, as ``csv`` writes a float, in an
+    object array: formatted once per distinct bit pattern, since the float
+    columns of a wide table repeat a few values."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse]
 
-    ``csv`` writes a float as its shortest round-trip repr and None as an
-    empty field.
-    """
+
+def write_columns(path: str | Path, header: tuple[str, ...], columns: Iterable[Sequence],
+                  delimiter: str = ",") -> None:
+    """Write a header and one sequence per column: UTF-8, ``\\n`` line ends,
+    minimal quoting, None as an empty field. A float64 array is written
+    through ``float_texts``, any other array as its ``tolist()``."""
+    lists = [(float_texts(c) if c.dtype == np.float64 else c).tolist()
+             if isinstance(c, np.ndarray) else c for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(rows)
+        w.writerow(header)
+        w.writerows(zip(*lists))
 
 
 def _split_block(raw: bytes, lineno: int, width: int, delimiter: str):
@@ -389,20 +398,23 @@ def read_blocks(path: str | Path, columns: tuple[str, ...],
     skipped, and a wrong width, a field past ``csv.field_size_limit()`` or
     a byte that is not UTF-8 is an error.
 
-    A block is split by ``_split_block``. From the first block that it
-    refuses, or that holds a quote or a carriage return, and from line 1
-    where the first line is not the header itself, ``_read_csv`` reads on.
+    A block is split by ``_split_block``, its CRLF line ends read as LF.
+    From the first block that it refuses, or that holds a quote or a lone
+    carriage return, and from line 1 where the first line is not the
+    header itself, ``_read_csv`` reads on from the file's own bytes.
     """
+    header = delimiter.join(columns).encode()
     with open(path, "rb") as fh:
         head = fh.readline()
         blocks = _line_blocks(fh)
-        if head.rstrip(b"\n") != delimiter.join(columns).encode():
+        if head not in (header, header + b"\n", header + b"\r\n"):
             yield from _read_csv(path, columns, delimiter, 1, chain([head], blocks))
             return
         lineno = 2
         for block in blocks:
-            rows = (None if b'"' in block or b"\r" in block
-                    else _split_block(block, lineno, len(columns), delimiter))
+            lf = block.replace(b"\r\n", b"\n") if b"\r" in block else block
+            rows = (None if b'"' in block or b"\r" in lf
+                    else _split_block(lf, lineno, len(columns), delimiter))
             if rows is None:
                 yield from _read_csv(path, columns, delimiter, lineno, chain([block], blocks))
                 return
@@ -679,15 +691,15 @@ def export_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     }
     journals = np.asarray(corpus.journal_ids, dtype=object)
     subjects = np.asarray(corpus.subject_ids, dtype=object)
-    write_rows(paths["publications"], PUB_COLUMNS,
-               zip(corpus.pub_ids, corpus.pub_year.tolist(),
-                   journals[corpus.pub_journal], corpus.citations_8yr.tolist()), "\t")
-    write_rows(paths["references"], REF_COLUMNS,
-               zip(corpus.ref_ids, corpus.ref_year.tolist(), journals[corpus.ref_journal],
+    write_columns(paths["publications"], PUB_COLUMNS,
+                  (corpus.pub_ids, corpus.pub_year, journals[corpus.pub_journal],
+                   corpus.citations_8yr), "\t")
+    write_columns(paths["references"], REF_COLUMNS,
+                  (corpus.ref_ids, corpus.ref_year, journals[corpus.ref_journal],
                    subjects[corpus.ref_subject]), "\t")
     slot_pub = np.repeat(np.arange(len(corpus.pub_ids)), np.diff(corpus.pub_ptr))
-    write_rows(paths["citations"], CITE_COLUMNS,
-               zip(np.asarray(corpus.pub_ids, dtype=object)[slot_pub],
+    write_columns(paths["citations"], CITE_COLUMNS,
+                  (np.asarray(corpus.pub_ids, dtype=object)[slot_pub],
                    np.asarray(corpus.ref_ids, dtype=object)[corpus.slot_ref]), "\t")
     return paths
 

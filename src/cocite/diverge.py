@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, write_rows
+from .corpus import Corpus, write_columns
 from .pairs import PairTable, union_support
 from .shuffle import ShuffleOutcome
 from .simulate import SimResult
@@ -114,14 +114,14 @@ def composition_fold(before: Corpus, after: ShuffleOutcome,
 
 
 def write_composition_csv(rows: Sequence[CompositionRow], path: str | Path) -> None:
-    write_rows(path, ("subject", "o", "s", "fold"),
-               ((row.subject, row.o, row.s, row.fold) for row in rows))
+    write_columns(path, ("subject", "o", "s", "fold"),
+                  zip(*((row.subject, row.o, row.s, row.fold) for row in rows)))
 
 
 def write_divergence_csv(rows: Sequence[DivergenceResult], path: str | Path,
                          ratio: float | None = None) -> None:
     """One row per background; ``ratio`` fills the last row's ratio field."""
-    write_rows(path, ("corpus", "year", "background", "kld", "n_support", "epsilon", "ratio"),
-               ((row.corpus_tag, row.year, row.background, row.kld, row.n_support,
-                 row.epsilon, ratio if i == len(rows) - 1 else None)
-                for i, row in enumerate(rows)))
+    write_columns(path, ("corpus", "year", "background", "kld", "n_support", "epsilon", "ratio"),
+                  zip(*((row.corpus_tag, row.year, row.background, row.kld, row.n_support,
+                         row.epsilon, ratio if i == len(rows) - 1 else None)
+                        for i, row in enumerate(rows))))

@@ -11,7 +11,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .classify import CATEGORIES, PubTable
-from .corpus import Corpus, Publication, write_rows
+from .corpus import Corpus, Publication, write_columns
 
 HIT_PERCENTILES = (1, 2, 5, 10)
 
@@ -317,8 +317,9 @@ def hit_report(table: PubTable, hits: set[str]) -> HitReport:
 
 
 def write_hit_report_csv(report: HitReport, path: str | Path) -> None:
-    write_rows(path, ("category", "n_articles", "n_hits", "hit_rate"),
-               ((r.category, r.n_articles, r.n_hits, r.hit_rate) for r in report.categories))
+    write_columns(path, ("category", "n_articles", "n_hits", "hit_rate"),
+                  zip(*((r.category, r.n_articles, r.n_hits, r.hit_rate)
+                        for r in report.categories)))
 
 
 def write_hit_tests_json(report: HitReport, path: str | Path) -> None:

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, _codes, write_rows
+from .corpus import Corpus, _codes, write_columns
 from .indexing import CorpusIndex
 
 COLUMNS = ("f_obs", "f_exp", "sigma", "z")
@@ -68,27 +68,18 @@ class PairTable:
     def total_pairs(self) -> int:
         return int(self.f_obs.sum())
 
-    def row_values(self, *columns: str) -> Iterator[tuple]:
-        """(journal_a, journal_b, *columns) of each row as Python scalars;
-        a missing column and an undefined z read None."""
+    def journal_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The journal_a and journal_b id of each row, as object arrays."""
         ids = np.array(self.journal_ids, dtype=object)
         lo, hi = np.divmod(self.keys, max(len(self.journal_ids), 1))
-        lists = [ids[lo].tolist(), ids[hi].tolist()]
-        for name in columns:
-            values = getattr(self, name)
-            if values is None:
-                lists.append([None] * len(self))
-            elif name == "z":
-                z = values.astype(object)
-                z[np.isnan(values)] = None
-                lists.append(z.tolist())
-            else:
-                lists.append(values.tolist())
-        return zip(*lists)
+        return ids[lo], ids[hi]
 
     def __iter__(self) -> Iterator[PairStats]:
-        for a, b, *values in self.row_values(*COLUMNS):
-            yield PairStats(JournalPair(a, b), *values)
+        a, b = self.journal_columns()
+        columns = [[None] * len(self) if (values := getattr(self, name)) is None
+                   else values.tolist() for name in COLUMNS]
+        for ja, jb, f_obs, f_exp, sigma, z in zip(a.tolist(), b.tolist(), *columns):
+            yield PairStats(JournalPair(ja, jb), f_obs, f_exp, sigma, None if z != z else z)
 
     @classmethod
     def from_rows(cls, rows: Iterable[PairStats]) -> "PairTable":
@@ -180,4 +171,5 @@ def index_frequencies(idx: CorpusIndex) -> PairTable:
 
 
 def write_pair_csv(table: PairTable, path: str | Path) -> None:
-    write_rows(path, ("journal_a", "journal_b", "frequency"), table.row_values("f_obs"))
+    write_columns(path, ("journal_a", "journal_b", "frequency"),
+                  (*table.journal_columns(), table.f_obs))

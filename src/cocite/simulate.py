@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Corpus, IngestError, float_or_nan, read_columns, write_rows
+from .corpus import Corpus, IngestError, float_or_nan, float_texts, read_columns, write_columns
 from .indexing import CorpusIndex
 # PairStats is re-exported: the acceptance suite imports it from this module.
 from .pairs import PairRowError, PairStats, PairTable, union_support  # noqa: F401
@@ -353,9 +353,11 @@ def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
 
 
 def write_pair_stats_csv(stats: PairTable, path: str | Path) -> None:
-    write_rows(path, PAIR_STATS_COLUMNS,
-               ((*row, int(row[-1] is not None))
-                for row in stats.row_values("f_obs", "f_exp", "sigma", "z")))
+    """Write ``stats`` as pair_stats.csv; an undefined z is an empty field."""
+    defined = ~np.isnan(stats.z)
+    z = np.where(defined, float_texts(stats.z), None)
+    write_columns(path, PAIR_STATS_COLUMNS, (*stats.journal_columns(), stats.f_obs, stats.f_exp,
+                                             stats.sigma, z, defined.astype(np.int64)))
 
 
 def read_pair_stats_csv(path: str | Path) -> PairTable:
@@ -381,5 +383,5 @@ def _flag_fits_z(fields: list[list[str]], typed: list):
 
 
 def write_pair_means_csv(sims: SimResult, path: str | Path) -> None:
-    write_rows(path, ("journal_a", "journal_b", "f_exp", "sigma"),
-               sims.table.row_values("f_exp", "sigma"))
+    write_columns(path, ("journal_a", "journal_b", "f_exp", "sigma"),
+                  (*sims.table.journal_columns(), sims.table.f_exp, sims.table.sigma))

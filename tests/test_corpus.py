@@ -1,5 +1,8 @@
+import csv
+import io
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cocite import (
@@ -20,6 +23,7 @@ from cocite.corpus import (
     DROP_REF_NO_JOURNAL,
     DROP_REF_NO_SUBJECT,
     DROP_TOO_FEW_REFS,
+    write_columns,
 )
 from cocite.synth import SynthConfig, generate
 
@@ -247,3 +251,34 @@ def test_twenty_thousand_subjects_are_coded_in_sorted_order(write_tsvs):
     assert corpus.subject_ids == sorted(subject.values())
     got = dict(zip(corpus.ref_ids, (corpus.subject_ids[s] for s in corpus.ref_subject.tolist())))
     assert got == subject
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+def test_write_columns_writes_the_bytes_csv_writes_for_the_rows(tmp_path, delimiter):
+    # An int64 column; a float64 one holding repeats of 0.1 + 0.2, both
+    # zeros, both infinities, NaNs of two payloads, 1e-300 and 2.5e17; a
+    # None column; and strings holding the delimiters, a quote and a newline.
+    nan_payload = np.array([0x7FF8_0000_0000_0001], np.int64).view(np.float64)[0]
+    floats = np.array([0.1 + 0.2, -0.0, 0.0, float("inf"), -float("inf"), float("nan"),
+                       nan_payload, 1e-300, 2.5e17])
+    n = 3 * len(floats)
+    ints = (np.arange(n, dtype=np.int64) - 5) * (1 << 40)
+    reals = floats[np.arange(n) * 4 % len(floats)]
+    assert len(np.unique(reals.view(np.int64))) == len(floats)
+    texts = [f"j{i}" + ["", ",", "\t", '"', "\n", 'a"b,c\td\ne'][i % 6] for i in range(n)]
+    header = ("n", "x", "none", "name")
+    path = tmp_path / "table.csv"
+    write_columns(path, header, (ints, reals, [None] * n, texts), delimiter)
+    want = io.StringIO(newline="")
+    w = csv.writer(want, delimiter=delimiter, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(zip(ints.tolist(), reals.tolist(), [None] * n, texts))
+    assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+
+def test_write_columns_writes_only_the_header_of_a_table_without_rows(tmp_path):
+    path = tmp_path / "table.csv"
+    write_columns(path, ("a", "b", "c"), (np.zeros(0, np.int64), np.zeros(0), []))
+    assert path.read_bytes() == b"a,b,c\n"
+    write_columns(path, ("a", "b"), zip(*[]), "\t")
+    assert path.read_bytes() == b"a\tb\n"

@@ -16,7 +16,8 @@ import pytest
 
 import cocite.corpus as corpus_module
 from cocite.cli import main
-from cocite.corpus import IngestConfig, IngestError, ingest
+from cocite.corpus import IngestConfig, IngestError, export_corpus, ingest
+from cocite.synth import SynthConfig, generate
 from ingest_oracle import ingest as oracle_ingest
 from ingest_oracle import read_rows as oracle_read_rows
 
@@ -315,22 +316,48 @@ def test_the_csv_fallback_starts_at_the_refused_blocks_first_line(tmp_path, monk
                          ids=["4-byte-blocks", "64-byte-blocks", "default-blocks"])
 def test_read_blocks_matches_a_whole_file_csv_read(tmp_path, monkeypatch, block_bytes):
     # About 300 KB of plain lines, so that even a default block that reads
-    # on is a later one, then a quote, a CRLF line, a blank line and a
-    # quoted newline, each followed by plain lines.
+    # on is a later one, then a blank CRLF line, a lone CR, a quote around
+    # a CRLF, a CRLF line, a blank line and a quoted newline, each followed
+    # by plain lines. The header and the plain lines end in LF, in CRLF, or
+    # in either in turn, one file each.
     if block_bytes is not None:
         monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
     columns = corpus_module.CITE_COLUMNS
-    plain = [f"p{i}\t{'r' * 140}{i}\n" for i in range(2000)]
-    late = ['"p""q"\tr1\n', "p2\tr2\n", "p3\tr3\r\n", "p4\tr4\n", "\n", "p5\tr5\n",
-            '"p\n6"\tr6\n', "p7\tr7\n", "p8\tr8"]
-    path = tmp_path / "citations.tsv"
-    path.write_bytes(("\t".join(columns) + "\n" + "".join(plain + late)).encode())
-    rows = []
-    read_block_rows(path, rows, columns, "\t")
-    assert rows == list(oracle_read_rows(path, columns, "\t"))
-    assert rows[2000:] == [(2002, ['p"q', "r1"]), (2003, ["p2", "r2"]), (2004, ["p3", "r3"]),
-                           (2005, ["p4", "r4"]), (2007, ["p5", "r5"]), (2008, ["p\n6", "r6"]),
-                           (2010, ["p7", "r7"]), (2011, ["p8", "r8"])]
+    late = ["\r\n", "p0\tr0\n", "pa\tra\rpb\trb\n", '"p""\r\nq"\tr1\n', "p2\tr2\n", "p3\tr3\r\n",
+            "p4\tr4\n", "\n", "p5\tr5\n", '"p\n6"\tr6\n', "p7\tr7\n", "p8\tr8"]
+    for ends in (["\n"], ["\r\n"], ["\r\n", "\n", "\n"]):
+        plain = [f"p{i}\t{'r' * 140}{i}{ends[i % len(ends)]}" for i in range(2000)]
+        path = tmp_path / "citations.tsv"
+        path.write_bytes(("\t".join(columns) + ends[0] + "".join(plain + late)).encode())
+        rows = []
+        read_block_rows(path, rows, columns, "\t")
+        assert rows == list(oracle_read_rows(path, columns, "\t")), ends
+        assert rows[1998:] == [
+            (2000, ["p1998", "r" * 140 + "1998"]), (2001, ["p1999", "r" * 140 + "1999"]),
+            (2003, ["p0", "r0"]), (2004, ["pa", "ra"]), (2005, ["pb", "rb"]),
+            (2006, ['p"\r\nq', "r1"]), (2008, ["p2", "r2"]), (2009, ["p3", "r3"]),
+            (2010, ["p4", "r4"]), (2012, ["p5", "r5"]), (2013, ["p\n6", "r6"]),
+            (2015, ["p7", "r7"]), (2016, ["p8", "r8"])]
+
+
+def test_an_all_crlf_export_is_split_without_csv(tmp_path, monkeypatch):
+    # Scenario S's three tables with CRLF line ends read as the same corpus
+    # as with LF, and no block of them is handed to csv.
+    pool = generate(SynthConfig(n_disciplines=4, journals_per_discipline=4,
+                                pubs_per_discipline=2500, ref_pool_per_discipline=4000,
+                                refs_mean=10, seed=77)).pool
+    lf = list(export_corpus(pool, tmp_path / "lf").values())
+    crlf = [tmp_path / path.name for path in lf]
+    for src, dst in zip(lf, crlf):
+        dst.write_bytes(src.read_bytes().replace(b"\n", b"\r\n"))
+    want = ingest(*lf)
+
+    def refuse(path, *args):
+        raise AssertionError(f"{path} was read by csv")
+
+    monkeypatch.setattr(corpus_module, "_read_csv", refuse)
+    assert ingest(*crlf) == want
+    assert want.n_citations() == 100_108
 
 
 @pytest.mark.parametrize("form", ["quoted", "crlf", "split"])
