@@ -244,7 +244,7 @@ class CorpusIndex:
 
     def dense_pairs(self) -> bool:
         """Whether a dense J*J journal-pair table fits ``DENSE_PAIR_LIMIT``;
-        pair counts and simulation accumulators are sorted sparse otherwise."""
+        pair counts and simulation sums are sorted sparse otherwise."""
         return self.n_journals * self.n_journals <= DENSE_PAIR_LIMIT
 
     def counts_by_product(self) -> bool:

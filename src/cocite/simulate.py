@@ -1,18 +1,20 @@
 """Monte Carlo expected frequencies, z-scores, and background comparisons.
 
-``run_simulations`` repeats the configured shuffle N times and streams
-each simulation's journal-pair table into integer (sum, sum of squares)
-accumulators, so memory stays bounded by the pair support rather than
-growing with N. Integer accumulation is exact, which makes the aggregated
-mean and standard deviation independent of worker count and merge order
-by construction.
+``run_simulations`` repeats the configured shuffle N times and adds
+each simulation's journal-pair table into exact int64 sums and sums of
+squares (``SimResult``), so memory stays bounded by the pair support
+rather than growing with N. The sums of adjacent simulation ranges merge
+exactly, which makes the mean and standard deviation independent of
+worker count by construction.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -58,61 +60,6 @@ class SimConfig:
             raise ValueError("master_seed must be non-negative")
 
 
-class _DenseAccumulator:
-    def __init__(self, n_cells: int):
-        self.s1 = np.zeros(n_cells, np.int64)
-        self.s2 = np.zeros(n_cells, np.int64)
-
-    def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        self.s1[keys] += counts
-        self.s2[keys] += counts * counts
-
-    def merge(self, other: "_DenseAccumulator") -> None:
-        self.s1 += other.s1
-        self.s2 += other.s2
-
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        keys = np.nonzero(self.s1)[0]
-        return keys, self.s1[keys], self.s2[keys]
-
-
-class _SparseAccumulator:
-    """Sorted-key accumulator for journal sets too large for dense tables.
-
-    ``_parts`` holds (keys, s1, s2) arrays; compacting sums them by key
-    into one part of unique ascending keys.
-    """
-
-    _COMPACT_AT = 1 << 22
-
-    def __init__(self):
-        self._parts = [(np.zeros(0, np.int64),) * 3]
-        self._pending = 0
-
-    def add(self, keys: np.ndarray, counts: np.ndarray) -> None:
-        self._parts.append((keys, counts, counts * counts))
-        self._pending += len(keys)
-        if self._pending >= self._COMPACT_AT:
-            self._compact()
-
-    def _compact(self) -> None:
-        keys, s1, s2 = (np.concatenate(column) for column in zip(*self._parts))
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        self._parts = [(keys[starts], np.add.reduceat(s1[order], starts),
-                        np.add.reduceat(s2[order], starts))]
-        self._pending = 0
-
-    def merge(self, other: "_SparseAccumulator") -> None:
-        self._parts += other._parts
-        self._compact()
-
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        self._compact()
-        return self._parts[0]
-
-
 def pair_mean_sigma(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Each pair's mean and population sigma from exact integer sums.
 
@@ -130,11 +77,78 @@ def pair_mean_sigma(s1: np.ndarray, s2: np.ndarray, n: int) -> tuple[np.ndarray,
             np.array([math.sqrt(n * b - a * a) / n for a, b in zip(s1, s2)], np.float64))
 
 
-def _run_sim_range(idx: CorpusIndex, cfg: SimConfig, lo: int, hi: int):
-    acc = _DenseAccumulator(idx.n_journals ** 2) if idx.dense_pairs() else _SparseAccumulator()
-    deleted_per_sim: list[int] = []
-    pairs_per_sim: list[int] = []
-    retry_exhausted = 0
+# Pending keys of a sparse range's parts at which they are summed into one.
+_COMPACT_AT = 1 << 22
+
+
+@dataclass(eq=False)
+class SimResult:
+    """The int64 sums ``s1`` and sums of squares ``s2`` of every pair's
+    frequency over ``simulations``, absences counting as zero, at the
+    ascending ``PairTable`` keys where ``s1 > 0``, with the run's
+    configuration and per-simulation diagnostics."""
+
+    journal_ids: list[str]
+    keys: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    simulations: range
+    cfg: SimConfig
+    per_sim_deleted: list[int]
+    per_sim_total_pairs: list[int]
+    retry_exhausted_total: int
+    # Seconds spent in each of SIM_LAYERS, summed over simulations and workers.
+    layer_s: dict[str, float]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    @property
+    def background(self) -> str:
+        return self.cfg.background
+
+    @cached_property
+    def table(self) -> PairTable:
+        """Mean (``f_exp``) and population sigma of every pair's frequency."""
+        f_exp, sigma = pair_mean_sigma(self.s1, self.s2, len(self.simulations))
+        return PairTable(self.journal_ids, self.keys, f_exp=f_exp, sigma=sigma)
+
+    def merge(self, later: SimResult) -> SimResult:
+        """The sums of this range and ``later``; ValueError unless it starts where this stops."""
+        if later.simulations.start != self.simulations.stop:
+            raise ValueError(f"{later.simulations} does not start where {self.simulations} stops")
+        return SimResult(self.journal_ids, *_sum_parts([(self.keys, self.s1, self.s2),
+                                                         (later.keys, later.s1, later.s2)]),
+                         range(self.simulations.start, later.simulations.stop), self.cfg,
+                         self.per_sim_deleted + later.per_sim_deleted,
+                         self.per_sim_total_pairs + later.per_sim_total_pairs,
+                         self.retry_exhausted_total + later.retry_exhausted_total,
+                         {k: t + later.layer_s[k] for k, t in self.layer_s.items()})
+
+
+def _sum_parts(parts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, s1, s2) of ``parts`` summed by key. Each part is a (keys, s1,
+    s2) with unique ascending keys; the list is emptied as they are added."""
+    keys = np.concatenate([np.zeros(0, np.int64), *(part[0] for part in parts)])
+    # A stable sort merges the ascending runs in one pass; repeats are dropped.
+    keys.sort(kind="stable")
+    keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+    s1, s2 = np.zeros((2, len(keys)), np.int64)
+    while parts:
+        part_keys, part_s1, part_s2 = parts.pop()
+        at = np.searchsorted(keys, part_keys)
+        s1[at] += part_s1
+        s2[at] += part_s2
+    return keys, s1, s2
+
+
+def _run_sim_range(idx: CorpusIndex, cfg: SimConfig, lo: int, hi: int) -> SimResult:
+    """The sums of simulations ``[lo, hi)``, kept in one (2, J*J) table while
+    ``idx.dense_pairs()`` and otherwise as sorted parts."""
+    dense = idx.dense_pairs()
+    sums = np.zeros((2, idx.n_journals ** 2 if dense else 0), np.int64)
+    parts, pending = [], 0
+    deleted_per_sim, pairs_per_sim, retry_exhausted = [], [], 0
     layer_s = [0.0] * len(SIM_LAYERS)
     clock = time.perf_counter
     for s in range(lo, hi):
@@ -152,13 +166,28 @@ def _run_sim_range(idx: CorpusIndex, cfg: SimConfig, lo: int, hi: int):
         t2 = clock()
         keys, counts = idx.pair_key_counts(tokens, exclude_rows=deleted)
         t3 = clock()
-        acc.add(keys, counts)
+        if dense:
+            sums[0, keys] += counts
+            sums[1, keys] += counts * counts
+        else:
+            parts.append((keys, counts, counts * counts))
+            pending += len(keys)
+            if pending >= _COMPACT_AT:
+                parts, pending = [_sum_parts(parts)], 0
         deleted_per_sim.append(int(len(deleted)))
         pairs_per_sim.append(int(counts.sum()))
         t4 = clock()
         for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             layer_s[i] += dt
-    return acc, deleted_per_sim, pairs_per_sim, retry_exhausted, layer_s
+    # The last simulation's arrays are let go before the final sum. One
+    # part, such as the dense table's support, is its own sum.
+    tokens = deleted = outcome = keys = counts = None
+    if dense:
+        keys = np.flatnonzero(sums[0])
+        parts = [(keys, *sums[:, keys])]
+    keys, s1, s2 = parts[0] if len(parts) == 1 else _sum_parts(parts)
+    return SimResult(idx.journal_ids, keys, s1, s2, range(lo, hi), cfg, deleted_per_sim,
+                     pairs_per_sim, retry_exhausted, dict(zip(SIM_LAYERS, layer_s)))
 
 
 # Index shared with forked workers; set in the parent right before the
@@ -166,31 +195,8 @@ def _run_sim_range(idx: CorpusIndex, cfg: SimConfig, lo: int, hi: int):
 _FORK_STATE: tuple[CorpusIndex, SimConfig] | None = None
 
 
-def _forked_range(bounds: tuple[int, int]):
-    idx, cfg = _FORK_STATE
-    return _run_sim_range(idx, cfg, bounds[0], bounds[1])
-
-
-@dataclass
-class SimResult:
-    """Mean (``f_exp``) and population sigma of every pair's frequency over
-    all simulations, absences counting as zero, with the run's
-    configuration and per-simulation diagnostics."""
-
-    table: PairTable
-    cfg: SimConfig
-    per_sim_deleted: list[int]
-    per_sim_total_pairs: list[int]
-    retry_exhausted_total: int
-    # Seconds spent in each of SIM_LAYERS, summed over simulations and workers.
-    layer_s: dict[str, float]
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    @property
-    def background(self) -> str:
-        return self.cfg.background
+def _forked_range(bounds: tuple[int, int]) -> SimResult:
+    return _run_sim_range(*_FORK_STATE, *bounds)
 
 
 def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimResult:
@@ -209,11 +215,12 @@ def run_simulations(corpus: Corpus, pool: Corpus | None, cfg: SimConfig) -> SimR
 
 
 def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
-    """Mean and population sigma of every pair's frequency over N shuffles.
+    """The sums of every pair's frequency over N shuffles, simulations 0..N-1.
 
     Deterministic for a given master seed: per-simulation streams are
-    derived by simulation index and integer accumulators commute, so any
-    worker count yields bit-identical statistics.
+    derived by simulation index, and each worker's range of exact sums
+    merges with the next, so any worker count yields bit-identical
+    statistics.
 
     Raises ValueError for a ``cfg.background`` other than the index's, and
     before the first simulation when N times the square of the corpus's
@@ -242,10 +249,8 @@ def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
         idx.pair_key_counts(idx.c_tokens)
         if cfg.algorithm == "repcs":
             idx.duplicate_pub_rows(idx.c_tokens)
-        bounds = []
         step = (n + workers - 1) // workers
-        for lo in range(0, n, step):
-            bounds.append((lo, min(lo + step, n)))
+        bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         global _FORK_STATE
         _FORK_STATE = (idx, cfg)
         try:
@@ -257,26 +262,12 @@ def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
                     try:
                         parts.append(future.result())
                     except BrokenProcessPool as exc:
-                        raise WorkerError(
-                            f"a simulation worker died before simulations {lo}..{hi - 1} "
-                            f"finished: {exc}"
-                        ) from exc
+                        raise WorkerError(f"a simulation worker died before simulations "
+                                          f"{lo}..{hi - 1} finished: {exc}") from exc
         finally:
             _FORK_STATE = None
-        acc, deleted_per_sim, pairs_per_sim, exhausted, layer_s = parts[0]
-        for part_acc, part_del, part_pairs, part_exh, part_layer_s in parts[1:]:
-            acc.merge(part_acc)
-            deleted_per_sim.extend(part_del)
-            pairs_per_sim.extend(part_pairs)
-            exhausted += part_exh
-            layer_s = [a + b for a, b in zip(layer_s, part_layer_s)]
-    else:
-        acc, deleted_per_sim, pairs_per_sim, exhausted, layer_s = _run_sim_range(idx, cfg, 0, n)
-
-    keys, s1, s2 = acc.support()
-    f_exp, sigma = pair_mean_sigma(s1, s2, n)
-    return SimResult(PairTable(idx.journal_ids, keys, f_exp=f_exp, sigma=sigma), cfg,
-                     deleted_per_sim, pairs_per_sim, exhausted, dict(zip(SIM_LAYERS, layer_s)))
+        return reduce(SimResult.merge, parts)
+    return _run_sim_range(idx, cfg, 0, n)
 
 
 def zscores(f_obs: PairTable, sims: SimResult | PairTable) -> PairTable:
@@ -361,25 +352,28 @@ def write_pair_stats_csv(stats: PairTable, path: str | Path) -> None:
 
 
 def read_pair_stats_csv(path: str | Path) -> PairTable:
-    """The table of a pair_stats.csv. Raises IngestError naming the line of
-    a malformed row, of a z that does not fit its defined_flag, and of a
-    pair out of journal order or given twice; the last two once every row
-    is read."""
+    """The table of a pair_stats.csv. Raises IngestError naming the line of a
+    malformed row, of a pair out of journal order, of a z that does not fit
+    its defined_flag, and of a pair given twice, once every row is read."""
     names: dict[str, int] = {}
     kinds = (names, names, int, float, float, float_or_nan, {"0": 0, "1": 1})
     lines, _, (a, b, *columns, _) = read_columns(path, PAIR_STATS_COLUMNS, kinds, ",",
-                                                 _flag_fits_z)
+                                                 _pair_row_faults)
     try:
         return PairTable.from_codes(list(names), a, b, *columns)
     except PairRowError as exc:
         raise IngestError(f"{path}:{lines[exc.row]}: {exc}") from None
 
 
-def _flag_fits_z(fields: list[list[str]], typed: list):
-    """Rows whose defined_flag is not 1 exactly where z is a number."""
-    z, flag = typed[5], typed[6]
-    return ((flag > 1) | ((flag == 1) == np.isnan(z)),
-            lambda i: f"defined_flag {fields[6][i]!r} does not fit z {fields[5][i]!r}")
+def _pair_row_faults(fields: list[list[str]], typed: list):
+    """Rows whose journal pair is out of order, or whose defined_flag is not
+    1 exactly where z is a number."""
+    a, b, z, flag = fields[0], fields[1], typed[5], typed[6]
+    # Python string order is the order of ranks in the sorted journal ids.
+    reversed_pair = np.fromiter(map(operator.gt, a, b), bool, len(z))
+    return reversed_pair | (flag > 1) | ((flag == 1) == np.isnan(z)), lambda i: (
+        f"journal pair {(a[i], b[i])} is not in journal_a <= journal_b order" if reversed_pair[i]
+        else f"defined_flag {fields[6][i]!r} does not fit z {fields[5][i]!r}")
 
 
 def write_pair_means_csv(sims: SimResult, path: str | Path) -> None:

@@ -118,13 +118,13 @@ def test_umsj_compose_dump_matches_recorded_digests(tmp_path):
 
 def test_sparse_pair_path_matches_recorded_digests(tmp_path, monkeypatch):
     # A dense limit of 0 sends observed and simulated counts down the sorted
-    # key path and the simulations into _SparseAccumulator, which compacts
+    # key path and the simulations into sorted sparse sums, which compact
     # many times per worker at this threshold.
     import cocite.indexing as indexing
     import cocite.simulate as simulate
 
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
-    monkeypatch.setattr(simulate._SparseAccumulator, "_COMPACT_AT", 64)
+    monkeypatch.setattr(simulate, "_COMPACT_AT", 64)
     for workers in (1, 2):
         assert run_case("local", tmp_path, workers) == GOLDEN["local"]
 

@@ -242,7 +242,7 @@ def test_sparse_accumulator_path_matches_dense(monkeypatch, small_world):
     import cocite.simulate as simulate
 
     monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
-    monkeypatch.setattr(simulate._SparseAccumulator, "_COMPACT_AT", 64)
+    monkeypatch.setattr(simulate, "_COMPACT_AT", 64)
     sparse = run_simulations(corpus, None, cfg)
     assert list(dense.table) == list(sparse.table)
     sparse_workers = run_simulations(
@@ -405,3 +405,59 @@ def test_pair_stats_csv_round_trips(tmp_path):
     path = tmp_path / "pair_stats.csv"
     write_pair_stats_csv(PairTable.from_rows(stats), path)
     assert list(read_pair_stats_csv(path)) == stats
+
+
+def test_a_reversed_pair_is_raised_before_a_later_rows_fault(tmp_path, monkeypatch):
+    import cocite.corpus as corpus_module
+    from cocite.corpus import IngestError
+
+    path = tmp_path / "pair_stats.csv"
+    path.write_text("journal_a,journal_b,f_obs,f_exp,sigma,z,defined_flag\n"
+                    "A,A,1,0.5,0.5,1.0,1\n"
+                    "C,B,1,0.5,0.5,1.0,1\n"
+                    "A,B,0,0.5,0.5,-1.0,1\n"
+                    "A,C,2,2.0,0.0,,0\n"
+                    "B,C,1,many,0.5,1.0,1\n")
+    # The default block holds every line; 16-byte blocks hold one line each.
+    for block_bytes in (corpus_module._BLOCK_BYTES, 16):
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+        with pytest.raises(IngestError, match=r":3: journal pair \('C', 'B'\) is not in "
+                                              "journal_a <= journal_b order"):
+            read_pair_stats_csv(path)
+
+
+@pytest.mark.parametrize("algorithm", ["repcs", "umsj"])
+@pytest.mark.parametrize("builder", ["dense", "sparse"])
+def test_adjacent_ranges_merge_into_the_whole_range(monkeypatch, small_world, builder,
+                                                    algorithm):
+    import cocite.indexing as indexing
+    import cocite.simulate as simulate
+
+    if builder == "sparse":
+        monkeypatch.setattr(indexing, "DENSE_PAIR_LIMIT", 0)
+        monkeypatch.setattr(simulate, "_COMPACT_AT", 64)
+    idx = build_groups(small_world.by_discipline["D00"], None)
+    assert idx.dense_pairs() == (builder == "dense")
+    cfg = SimConfig(n_simulations=7, master_seed=9, algorithm=algorithm)
+    sums = []
+    monkeypatch.setattr(simulate, "_sum_parts",
+                        lambda parts, f=simulate._sum_parts: sums.append(len(parts)) or f(parts))
+    whole = simulate._run_sim_range(idx, cfg, 0, 7)
+    # The sparse range sums its parts before the end, at the 64-key threshold.
+    assert len(sums) > 1 if builder == "sparse" else sums == []
+    for b in range(1, 7):
+        merged = simulate._run_sim_range(idx, cfg, 0, b).merge(
+            simulate._run_sim_range(idx, cfg, b, 7))
+        assert merged.simulations == whole.simulations == range(7)
+        assert merged.journal_ids == whole.journal_ids
+        for name in ("keys", "s1", "s2"):
+            got, want = getattr(merged, name), getattr(whole, name)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), name
+        for name in ("per_sim_deleted", "per_sim_total_pairs", "retry_exhausted_total"):
+            assert getattr(merged, name) == getattr(whole, name), name
+        assert merged.layer_s.keys() == whole.layer_s.keys()
+        assert list(merged.table) == list(whole.table)
+    first, last = simulate._run_sim_range(idx, cfg, 0, 3), simulate._run_sim_range(idx, cfg, 4, 7)
+    for a, b in ((first, last), (last, first), (first, first)):
+        with pytest.raises(ValueError, match="does not start where"):
+            a.merge(b)
