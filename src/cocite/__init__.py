@@ -30,6 +30,7 @@ from .shuffle import (
     build_groups,
     preservation_report,
     repcs_shuffle,
+    run_shuffle,
     umsj_shuffle,
 )
 from .simulate import (

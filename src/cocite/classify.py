@@ -91,7 +91,7 @@ def index_summaries(idx: CorpusIndex, stats: PairTable) -> tuple[PubTable, int]:
         counts = hit.sum(axis=1)
         n_defined[rows] = counts
         # Sorting puts NaN last, so rows with c defined pairs hold them in [:c].
-        for c in np.unique(counts[counts > 0]).tolist():
+        for c in np.flatnonzero(np.bincount(counts[counts > 0])).tolist():
             sel = counts == c
             q[:, rows[sel]] = np.percentile(z[sel, :c], [50.0, 10.0, 1.0], axis=1)
     kept = np.flatnonzero(n_defined)

@@ -66,7 +66,7 @@ from .impact import (
 from .manifest import RunManifest, file_digest
 from .indexing import CorpusIndex
 from .pairs import PairTable, index_frequencies, write_pair_csv
-from .shuffle import ShuffleOutcome, build_groups, repcs_shuffle, umsj_shuffle
+from .shuffle import ShuffleOutcome, build_groups, run_shuffle
 from .simulate import (
     ALGORITHMS,
     BACKGROUNDS,
@@ -311,15 +311,13 @@ class Run:
         a = self.args
         idx = self.index_of(a.background)
         with self.timed("compose"):
-            if a.algorithm == "repcs":
-                outcome = repcs_shuffle(idx, a.seed)
-            else:
-                outcome = umsj_shuffle(idx, a.seed, a.max_retries)
+            outcome = run_shuffle(idx, a.algorithm, a.seed, a.max_retries)
             rows = composition_fold(corpus, outcome, include_deleted=include_deleted)
-        self.diagnostics.update(deleted_pubs=len(outcome.deleted_pubs),
-                                fixed_points=outcome.fixed_points,
-                                retry_exhausted=outcome.retry_exhausted,
-                                max_fold=max(r.fold for r in rows))
+            # Inside the timer: deleted_rows and fixed_points are computed on first read.
+            self.diagnostics.update(deleted_pubs=len(outcome.deleted_rows),
+                                    fixed_points=outcome.fixed_points,
+                                    retry_exhausted=outcome.retry_exhausted,
+                                    max_fold=max(r.fold for r in rows))
         return outcome, rows
 
 

@@ -247,7 +247,7 @@ class Corpus:
 
     def journals(self) -> set[str]:
         """Journal ids appearing on this corpus's references."""
-        return {self.journal_ids[j] for j in np.unique(self.ref_journal).tolist()}
+        return {self.journal_ids[j] for j in np.flatnonzero(np.bincount(self.ref_journal)).tolist()}
 
     def n_citations(self) -> int:
         return len(self.slot_ref)
@@ -707,7 +707,7 @@ def export_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
 def summarize(corpus: Corpus) -> CorpusSummary:
     """Publication/reference counts and the total-to-unique reference ratio."""
     total = corpus.n_citations()
-    cited = len(np.unique(corpus.slot_ref))
+    cited = int(np.count_nonzero(np.bincount(corpus.slot_ref)))
     ratio = total / cited if cited else 0.0
     return CorpusSummary(len(corpus.pub_ids), cited, total, ratio)
 

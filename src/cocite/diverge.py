@@ -99,7 +99,7 @@ def composition_fold(before: Corpus, after: ShuffleOutcome,
     if before is not idx.corpus and before.pub_ids != idx.c_pub_ids:
         raise ValueError("shuffle outcome was not produced from this corpus")
     o_counts = idx.subject_counts(idx.c_tokens)
-    exclude = None if include_deleted else after._deleted_rows
+    exclude = None if include_deleted else after.deleted_rows
     s_counts = idx.subject_counts(after._assignment, exclude_rows=exclude)
     known = {
         label: (int(o_counts[i]), int(s_counts[i]))

@@ -136,7 +136,7 @@ class CorpusIndex:
         """
         where = self._corpus_positions()
         buckets = []
-        for n in np.unique(self.c_counts).tolist():
+        for n in np.flatnonzero(np.bincount(self.c_counts)).tolist():
             rows = np.flatnonzero(self.c_counts == n)
             mat = where[self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]]
             buckets.append((n, rows, mat))
@@ -172,7 +172,7 @@ class CorpusIndex:
         if n_pairs > PAIRS_PER_SORTED_SLOT * len(self.c_tokens):
             return None
         a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-        for h in np.unique(lengths[lengths > 1]).tolist():
+        for h in np.flatnonzero(np.bincount(lengths[lengths > 1])).tolist():
             first = starts[lengths == h][:, None]
             iu = self._triu_of(h)
             a.append((first + iu[0]).reshape(-1))

@@ -1,21 +1,22 @@
 """Citation-switching null models over year-stratified permutation groups.
 
-Two samplers share the same group construction:
+Two samplers share the same group construction; ``run_shuffle`` names one:
 
 * ``repcs_shuffle`` draws one uniform random permutation of the reference
   tokens within each group (tokens form a multiset, so frequently cited
   references are substituted in proportion to their frequency, and a
-  token may land back on its original slot), then deletes any
-  publication left holding a duplicate reference.
+  token may land back on its original slot).
 * ``umsj_shuffle`` is the sequential baseline: it walks citation slots
   and swaps each with a randomly chosen partner in its group, rejecting
   a swap that would hand either slot its original reference or create a
   duplicate within either publication.
 
-Both preserve, for every surviving publication, the number of references
-and the reference-year histogram. Groups, slot order, and the per
-(simulation, group) random streams are fixed, so outcomes are
-reproducible for any worker count.
+Both outcomes pass one error-correction step, which deletes publications
+left holding a reference twice (never one of umsj's). Both preserve, for
+every surviving publication, the number of references and the
+reference-year histogram. Groups, slot order, and the per (simulation,
+group) random streams are fixed, so outcomes are reproducible for any
+worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .corpus import Corpus
 from .indexing import CorpusIndex
 from .rng import group_stream
 
+ALGORITHMS = ("repcs", "umsj")
 _UMSJ_DRAW_CHUNK = 4096
 
 
@@ -55,31 +57,40 @@ class ShuffleOutcome:
 
     ``_assignment`` is the read-back vector: the analyzed slots' tokens
     after the shuffle, group-major like ``CorpusIndex.c_tokens`` (for a
-    local background, every slot). ``corpus`` materializes lazily, reading
-    the vector in corpus order through ``CorpusIndex.corpus_order``; the
-    reporting helpers read the vector itself, so that composition can also
-    be inspected before the duplicate-deletion step.
+    local background, every slot). The rest is computed on first read:
+    the duplicate-deletion step (``deleted_rows``), the fixed points and
+    ``corpus``, which reads the vector through ``CorpusIndex.corpus_order``;
+    composition can also be inspected before deletion.
     """
 
-    def __init__(self, index: CorpusIndex, assignment: np.ndarray, deleted_rows: np.ndarray,
-                 fixed_points: int, retry_exhausted: int = 0):
+    def __init__(self, index: CorpusIndex, assignment: np.ndarray, retry_exhausted: int = 0):
         self.index = index
         self._assignment = assignment
-        self._deleted_rows = deleted_rows
-        self.fixed_points = int(fixed_points)
         self.retry_exhausted = int(retry_exhausted)
-        self.deleted_pubs = [index.c_pub_ids[r] for r in deleted_rows.tolist()]
 
     @property
     def background(self) -> str:
         return self.index.background
 
     @cached_property
+    def deleted_rows(self) -> np.ndarray:
+        """Rows of the analyzed publications left holding a reference twice."""
+        return self.index.duplicate_pub_rows(self._assignment)
+
+    @cached_property
+    def deleted_pubs(self) -> list[str]:
+        return [self.index.c_pub_ids[r] for r in self.deleted_rows.tolist()]
+
+    @cached_property
+    def fixed_points(self) -> int:
+        return self.index.fixed_points(self._assignment)
+
+    @cached_property
     def corpus(self) -> Corpus:
         """Shuffled corpus with duplicate-holding publications removed."""
         idx = self.index
         alive = np.ones(len(idx.c_pub_ids), bool)
-        alive[self._deleted_rows] = False
+        alive[self.deleted_rows] = False
         tokens = self._assignment[idx.corpus_order][np.repeat(alive, idx.c_counts)]
         return Corpus.cited_subset(idx.corpus, np.flatnonzero(alive), tokens, idx.pool,
                                    self.background)
@@ -102,13 +113,12 @@ def _permuted_tokens(idx: CorpusIndex, master_seed: int, sim_index: int) -> np.n
 
 
 def repcs_shuffle(idx: CorpusIndex, rng_seed: int, *, sim_index: int = 0) -> ShuffleOutcome:
-    """Permute tokens within every group, then delete duplicate-holding pubs.
+    """Permute tokens within every group; the outcome deletes duplicate holders.
 
     Deterministic for a given (seed, sim_index); the error-correction
     step only removes publications from the simulated corpus.
     """
-    tokens = _permuted_tokens(idx, rng_seed, sim_index)
-    return ShuffleOutcome(idx, tokens, idx.duplicate_pub_rows(tokens), idx.fixed_points(tokens))
+    return ShuffleOutcome(idx, _permuted_tokens(idx, rng_seed, sim_index))
 
 
 def umsj_shuffle(idx: CorpusIndex, rng_seed: int, max_retries: int = 10, *,
@@ -118,7 +128,7 @@ def umsj_shuffle(idx: CorpusIndex, rng_seed: int, max_retries: int = 10, *,
     Each slot draws a partner uniformly among the other slots of its
     group, up to ``max_retries`` times; a slot whose draws are all
     rejected keeps its token and is counted in ``retry_exhausted``.
-    Swaps never create duplicates, so no publications are deleted.
+    Swaps never create duplicates, so the outcome deletes no publication.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
@@ -166,14 +176,17 @@ def umsj_shuffle(idx: CorpusIndex, rng_seed: int, max_retries: int = 10, *,
                 break
             else:
                 exhausted += 1
-    assignment = idx.read_back(np.asarray(tokens, dtype=np.int64))
-    return ShuffleOutcome(
-        idx,
-        assignment,
-        np.zeros(0, np.int64),
-        idx.fixed_points(assignment),
-        retry_exhausted=exhausted,
-    )
+    return ShuffleOutcome(idx, idx.read_back(np.asarray(tokens, dtype=np.int64)), exhausted)
+
+
+def run_shuffle(idx: CorpusIndex, algorithm: str, seed: int, max_retries: int = 10, *,
+                sim_index: int = 0) -> ShuffleOutcome:
+    """Simulation ``sim_index`` of ``algorithm``; ValueError unless it is in ``ALGORITHMS``."""
+    if algorithm == "repcs":
+        return repcs_shuffle(idx, seed, sim_index=sim_index)
+    if algorithm == "umsj":
+        return umsj_shuffle(idx, seed, max_retries, sim_index=sim_index)
+    raise ValueError(f"unknown algorithm {algorithm!r}; choose from {', '.join(ALGORITHMS)}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +224,7 @@ def preservation_report(before: Corpus, after: ShuffleOutcome) -> PreservationRe
     hist_before = idx.corpus_year_histogram(idx.c_tokens).reshape(n_pubs, ny)
     hist_after = idx.corpus_year_histogram(after._assignment).reshape(n_pubs, ny)
     surviving = np.ones(n_pubs, bool)
-    surviving[after._deleted_rows] = False
+    surviving[after.deleted_rows] = False
     delta = hist_after[surviving] - hist_before[surviving]
     year_bad = int((delta != 0).any(axis=1).sum())
     refcount_bad = int((delta.sum(axis=1) != 0).sum())
@@ -219,7 +232,7 @@ def preservation_report(before: Corpus, after: ShuffleOutcome) -> PreservationRe
     return PreservationReport(
         n_publications=n_pubs,
         n_surviving=n_surviving,
-        deleted_count=len(after.deleted_pubs),
+        deleted_count=len(after.deleted_rows),
         publication_delta=n_pubs - n_surviving,
         pubs_with_refcount_delta=refcount_bad,
         pubs_with_year_histogram_delta=year_bad,

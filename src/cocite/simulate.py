@@ -24,9 +24,8 @@ from .corpus import Corpus, IngestError, float_or_nan, float_texts, read_columns
 from .indexing import CorpusIndex
 # PairStats is re-exported: the acceptance suite imports it from this module.
 from .pairs import PairRowError, PairStats, PairTable, union_support  # noqa: F401
-from .shuffle import build_groups, umsj_shuffle, _permuted_tokens
+from .shuffle import ALGORITHMS, build_groups, run_shuffle
 
-ALGORITHMS = ("repcs", "umsj")
 BACKGROUNDS = ("local", "global")
 # The steps of one simulation, timed cumulatively in SimResult.layer_s.
 SIM_LAYERS = ("permute", "dedupe", "pair_count", "accumulate")
@@ -153,18 +152,12 @@ def _run_sim_range(idx: CorpusIndex, cfg: SimConfig, lo: int, hi: int) -> SimRes
     clock = time.perf_counter
     for s in range(lo, hi):
         t0 = clock()
-        if cfg.algorithm == "repcs":
-            tokens = _permuted_tokens(idx, cfg.master_seed, s)
-            t1 = clock()
-            deleted = idx.duplicate_pub_rows(tokens)
-        else:
-            outcome = umsj_shuffle(idx, cfg.master_seed, cfg.umsj_max_retries, sim_index=s)
-            tokens = outcome._assignment
-            t1 = clock()
-            deleted = outcome._deleted_rows
-            retry_exhausted += outcome.retry_exhausted
+        outcome = run_shuffle(idx, cfg.algorithm, cfg.master_seed, cfg.umsj_max_retries,
+                              sim_index=s)
+        t1 = clock()
+        deleted = outcome.deleted_rows
         t2 = clock()
-        keys, counts = idx.pair_key_counts(tokens, exclude_rows=deleted)
+        keys, counts = idx.pair_key_counts(outcome._assignment, exclude_rows=deleted)
         t3 = clock()
         if dense:
             sums[0, keys] += counts
@@ -176,12 +169,13 @@ def _run_sim_range(idx: CorpusIndex, cfg: SimConfig, lo: int, hi: int) -> SimRes
                 parts, pending = [_sum_parts(parts)], 0
         deleted_per_sim.append(int(len(deleted)))
         pairs_per_sim.append(int(counts.sum()))
+        retry_exhausted += outcome.retry_exhausted
         t4 = clock()
         for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             layer_s[i] += dt
     # The last simulation's arrays are let go before the final sum. One
     # part, such as the dense table's support, is its own sum.
-    tokens = deleted = outcome = keys = counts = None
+    deleted = outcome = keys = counts = None
     if dense:
         keys = np.flatnonzero(sums[0])
         parts = [(keys, *sums[:, keys])]
@@ -247,8 +241,7 @@ def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
         # Run the kernels once before forking, so that every worker shares
         # one copy of the read-back data they build on first use.
         idx.pair_key_counts(idx.c_tokens)
-        if cfg.algorithm == "repcs":
-            idx.duplicate_pub_rows(idx.c_tokens)
+        idx.duplicate_pub_rows(idx.c_tokens)
         step = (n + workers - 1) // workers
         bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         global _FORK_STATE
@@ -324,21 +317,16 @@ def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
                          umsj_max_retries: int = 10) -> dict[str, float]:
     """Wall-clock seconds for n_simulations shuffles per algorithm.
 
-    Both algorithms run on the same groups and the same seed, shuffle
-    only (no pair counting), which isolates the switching cost.
+    Both algorithms run on the same groups and the same seed, shuffle and
+    error correction only (no pair counting or fixed points).
     """
-    from .shuffle import repcs_shuffle
-
     check_algorithms(algorithms)
     idx = build_groups(corpus, pool)
     timings: dict[str, float] = {}
     for alg in algorithms:
         start = time.perf_counter()
         for s in range(n_simulations):
-            if alg == "repcs":
-                repcs_shuffle(idx, master_seed, sim_index=s)
-            else:
-                umsj_shuffle(idx, master_seed, umsj_max_retries, sim_index=s)
+            run_shuffle(idx, alg, master_seed, umsj_max_retries, sim_index=s).deleted_rows
         timings[alg] = time.perf_counter() - start
     return timings
 

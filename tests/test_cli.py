@@ -497,6 +497,24 @@ def test_pool_flags_with_local_background_exit_1(synth_dir, tmp_path, capsys, co
     assert not (tmp_path / "o" / "run.manifest").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compose", "bench", "pipeline"])
+def test_pool_flags_not_given_together_exit_1(synth_dir, tmp_path, capsys, command):
+    code = main([command, *corpus_flags(synth_dir / "D00"), *pool_flags(synth_dir)[:4],
+                 "--background", "global", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "--pool-cites must be given together" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "run.manifest").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compose", "bench", "pipeline"])
+def test_global_background_without_a_pool_exits_1(synth_dir, tmp_path, capsys, command):
+    code = main([command, *corpus_flags(synth_dir / "D00"), "--background", "global",
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "global background requires --pool-* files" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "run.manifest").exists()
+
+
 def test_manifest_records_the_pools_dropped_rows(synth_dir, tmp_path):
     # The pool is D00 plus one reference without a journal and two citation
     # rows whose pub_id is on no publication row.

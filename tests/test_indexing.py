@@ -84,9 +84,9 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
         # The shuffle outcome holds the same read-back vector and deletions.
         outcome = repcs_shuffle(idx, 5, sim_index=s)
         assert np.array_equal(outcome._assignment, tokens)
-        assert np.array_equal(outcome._deleted_rows, deleted)
+        assert np.array_equal(outcome.deleted_rows, deleted)
         assert outcome.deleted_pubs == [idx.c_pub_ids[r] for r in expected]
-        wrapped = idx.pair_key_counts(outcome._assignment, exclude_rows=outcome._deleted_rows)
+        wrapped = idx.pair_key_counts(outcome._assignment, exclude_rows=outcome.deleted_rows)
         assert np.array_equal(wrapped[0], keys) and np.array_equal(wrapped[1], counts)
         fixed = sum(r == o for rr, p in zip(refs, corpus.publications) for r, o in zip(rr, p.refs))
         assert idx.fixed_points(tokens) == outcome.fixed_points == fixed
@@ -170,9 +170,7 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
             else:
                 plan = build_groups(result.by_discipline["D01"], result.pool)
             assert plan.index.counts_by_product() == product
-            want = {"_pub_key"} if product else {"_buckets"}
-            if algorithm == "repcs":
-                want.add("same_year_pairs")
+            want = {"_pub_key" if product else "_buckets", "same_year_pairs"}
             want = [name for name in LAZY if name in want]
             at_fork = []
 

@@ -319,7 +319,8 @@ def test_read_blocks_matches_a_whole_file_csv_read(tmp_path, monkeypatch, block_
     # on is a later one, then a blank CRLF line, a lone CR, a quote around
     # a CRLF, a CRLF line, a blank line and a quoted newline, each followed
     # by plain lines. The header and the plain lines end in LF, in CRLF, or
-    # in either in turn, one file each.
+    # in either in turn, one file each. csv yields its rows 3 at a time.
+    monkeypatch.setattr(corpus_module, "_CSV_BLOCK_ROWS", 3)
     if block_bytes is not None:
         monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
     columns = corpus_module.CITE_COLUMNS

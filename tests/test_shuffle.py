@@ -9,6 +9,7 @@ from cocite import (
     composition_fold,
     preservation_report,
     repcs_shuffle,
+    run_shuffle,
     umsj_shuffle,
 )
 from cocite.impact import chi2_sf
@@ -119,6 +120,21 @@ def test_single_slot_group_is_fixed_point(make_corpus):
     assert outcome.corpus.publications[0].refs == ("r80a", "r82a")
     assert outcome.fixed_points == 2
     assert outcome.deleted_pubs == []
+
+
+def test_umsj_one_slot_group_keeps_its_token_and_exhausts_once(make_corpus):
+    refs = {"A": (2000, "JA", "s"), "B": (2000, "JB", "s"), "C": (1999, "JC", "s")}
+    corpus = make_corpus(pubs=[("p1", "J", ["A", "C"], 0), ("p2", "J", ["B"], 0)], refs=refs)
+    outcome = umsj_shuffle(build_groups(corpus), 1)
+    by_id = {p.pub_id: p.refs for p in outcome.corpus.publications}
+    # The 1999 group's one slot keeps C and counts once; the 2000 group
+    # swaps A and B, after which its second slot can only swap back.
+    assert by_id == {"p1": ("B", "C"), "p2": ("A",)}
+    assert outcome.retry_exhausted == 2
+    alone = umsj_shuffle(build_groups(make_corpus(pubs=[("p1", "J", ["C"], 0)], refs=refs)), 1)
+    assert alone.corpus.publications[0].refs == ("C",)
+    assert alone.retry_exhausted == 1
+    assert alone.fixed_points == 1
 
 
 def test_repcs_permutations_are_uniform(make_corpus):
@@ -279,7 +295,7 @@ def test_global_outcomes_read_back_the_analyzed_slots(repcs_oracle):
         any_deleted |= bool(deleted)
         outcome = repcs_shuffle(idx, 5, sim_index=s)
         assert len(outcome._assignment) == len(idx.c_tokens)
-        assert outcome._deleted_rows.tolist() == deleted
+        assert outcome.deleted_rows.tolist() == deleted
         assert outcome.deleted_pubs == [corpus.publications[r].pub_id for r in deleted]
         survivors = [(p.pub_id, tuple(rr)) for row, (p, rr)
                      in enumerate(zip(corpus.publications, refs)) if row not in deleted]
@@ -301,6 +317,65 @@ def test_global_outcomes_read_back_the_analyzed_slots(repcs_oracle):
         outcome = umsj_shuffle(idx, 5, sim_index=s)
         assert len(outcome._assignment) == len(idx.c_tokens)
         assert preservation_report(corpus, outcome).all_preserved
+
+
+def duplicate_prone_index(background):
+    """An index whose small reference pools make repcs deletions common."""
+    result = generate(SynthConfig(n_disciplines=3, pubs_per_discipline=60,
+                                  ref_pool_per_discipline=60, seed=23))
+    if background == "local":
+        return build_groups(result.pool)
+    return build_groups(result.by_discipline["D01"], result.pool)
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_run_shuffle_runs_the_named_sampler(background):
+    idx = duplicate_prone_index(background)
+    for s in range(3):
+        repcs = run_shuffle(idx, "repcs", 5, sim_index=s)
+        umsj = run_shuffle(idx, "umsj", 5, 1, sim_index=s)
+        assert not np.array_equal(repcs._assignment, umsj._assignment)
+        for got, want in ((repcs, repcs_shuffle(idx, 5, sim_index=s)),
+                          (umsj, umsj_shuffle(idx, 5, 1, sim_index=s))):
+            assert np.array_equal(got._assignment, want._assignment)
+            assert np.array_equal(got.deleted_rows, want.deleted_rows)
+            assert got.fixed_points == want.fixed_points
+            assert got.retry_exhausted == want.retry_exhausted
+        # max_retries reaches umsj: one draw per slot exhausts more slots.
+        assert umsj.retry_exhausted > run_shuffle(idx, "umsj", 5, sim_index=s).retry_exhausted
+
+
+@pytest.mark.parametrize("name", ["", "REPCS", "umsj ", "swap"])
+def test_run_shuffle_refuses_an_unknown_algorithm(yeared_corpus, name):
+    with pytest.raises(ValueError, match=f"unknown algorithm {name!r}; choose from repcs, umsj"):
+        run_shuffle(build_groups(yeared_corpus), name, 0)
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_umsj_outcomes_pass_the_dedupe_with_no_deletion(background):
+    idx = duplicate_prone_index(background)
+    repcs_deleted = 0
+    for s in range(6):
+        outcome = umsj_shuffle(idx, 5, sim_index=s)
+        assert outcome.deleted_rows.dtype == np.int64
+        assert outcome.deleted_rows.tolist() == []
+        assert outcome.deleted_pubs == []
+        assert len(outcome.corpus.publications) == len(idx.c_pub_ids)
+        repcs_deleted += len(repcs_shuffle(idx, 5, sim_index=s).deleted_rows)
+    # The same dedupe deletes repcs publications on these groups.
+    assert repcs_deleted > 0
+
+
+def test_reports_refuse_an_outcome_of_another_corpus(make_corpus, yeared_corpus):
+    other = make_corpus(
+        pubs=[("p1", "J-X", ["r80a", "r80b", "r82a"], 0), ("p3", "J-X", ["r80c", "r82b"], 0)],
+        refs=YEARED_REFS,
+    )
+    outcome = repcs_shuffle(build_groups(yeared_corpus), 0)
+    for report in (composition_fold, preservation_report):
+        with pytest.raises(ValueError, match="not produced from this corpus"):
+            report(other, outcome)
+        assert report(yeared_corpus, outcome)
 
 
 def test_shuffle_determinism():

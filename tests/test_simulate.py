@@ -13,6 +13,7 @@ from cocite import (
     sign_change_report,
     zscores,
 )
+from cocite.indexing import CorpusIndex
 from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.simulate import (
     benchmark_algorithms,
@@ -157,6 +158,19 @@ def test_per_sim_totals_match_shuffle_outcomes(small_world):
         )
         assert sims.per_sim_total_pairs[s] == expected
         assert sims.per_sim_deleted[s] == len(outcome.deleted_pubs)
+
+
+@pytest.mark.parametrize("algorithm", ["repcs", "umsj"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulations_never_count_fixed_points(small_world, monkeypatch, algorithm, workers):
+    def spy(self, tokens):
+        raise AssertionError("a simulation counted fixed points")
+
+    monkeypatch.setattr(CorpusIndex, "fixed_points", spy)
+    idx = build_groups(small_world.by_discipline["D00"])
+    sims = simulate_plan(idx, SimConfig(n_simulations=4, algorithm=algorithm, workers=workers))
+    assert sims.simulations == range(4)
+    assert len(sims.per_sim_deleted) == 4
 
 
 def test_global_background_requires_superset(small_world):
