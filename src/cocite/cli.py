@@ -584,7 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Expand --config key=value files in place; explicit flags win.
+    """Expand a --config file in place: a ``key=value`` line is the flag
+    ``--key`` and its value, a bare ``key`` line the flag alone.
 
     Config entries are spliced in right after the subcommand so that
     anything the user typed later overrides them.
@@ -601,10 +602,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}: config lines must be key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            expanded += [f"--{key.strip()}", value.strip()]
+            key, eq, value = line.partition("=")
+            expanded += [f"--{key.strip()}", value.strip()] if eq else [f"--{key}"]
     rest = argv[:i] + argv[i + 2:]
     if not rest:
         return expanded

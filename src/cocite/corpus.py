@@ -165,10 +165,9 @@ class Corpus:
             if rec.ref_id != rid:
                 raise ValueError(f"reference map key {rid!r} does not match record id {rec.ref_id!r}")
         pubs = list(publications)
-        ref_pos = dict(zip(ref_ids, count()))
         for p in pubs:
             for rid in p.refs:
-                if rid not in ref_pos:
+                if rid not in references:
                     raise ValueError(f"publication {p.pub_id!r} cites unknown reference {rid!r}")
         journal_ids = sorted({p.journal_id for p in pubs} | {r.journal_id for r in recs})
         subject_ids = sorted({r.subject for r in recs})
@@ -179,7 +178,7 @@ class Corpus:
             pub_journal=_codes((p.journal_id for p in pubs), journal_ids),
             citations_8yr=np.fromiter((p.citations_8yr for p in pubs), np.int64),
             pub_ptr=_ptr(np.fromiter((len(p.refs) for p in pubs), np.int64)),
-            slot_ref=np.fromiter((ref_pos[rid] for p in pubs for rid in p.refs), np.int64),
+            slot_ref=_codes((rid for p in pubs for rid in p.refs), ref_ids),
             ref_ids=ref_ids,
             ref_year=np.fromiter((r.year for r in recs), np.int64),
             ref_journal=_codes((r.journal_id for r in recs), journal_ids),
@@ -401,11 +400,12 @@ def read_blocks(path: str | Path, columns: tuple[str, ...],
     A block is split by ``_split_block``, its CRLF line ends read as LF.
     From the first block that it refuses, or that holds a quote or a lone
     carriage return, and from line 1 where the first line is not the
-    header itself, ``_read_csv`` reads on from the file's own bytes.
+    header itself, ``_read_csv`` reads on from the file's own bytes. One
+    UTF-8 byte order mark before the header is dropped.
     """
     header = delimiter.join(columns).encode()
     with open(path, "rb") as fh:
-        head = fh.readline()
+        head = fh.readline().removeprefix(b"\xef\xbb\xbf")
         blocks = _line_blocks(fh)
         if head not in (header, header + b"\n", header + b"\r\n"):
             yield from _read_csv(path, columns, delimiter, 1, chain([head], blocks))

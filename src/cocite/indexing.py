@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import count, repeat
 from typing import Iterator
 
 import numpy as np
 
-from .corpus import Corpus, _ptr
+from .corpus import Corpus, _codes, _ptr
 
 # Dense journal-pair tables are used up to this many cells (n_journals
 # squared); larger journal sets fall back to sorted sparse counting.
@@ -331,14 +330,10 @@ def _pool_rows(corpus: Corpus, pool: Corpus) -> np.ndarray:
     not in the pool, cites other references there (by id, in order), or
     repeats an earlier one's pool row.
     """
-    pool_row = dict(zip(pool.pub_ids, count()))
-    rows = np.fromiter(map(pool_row.get, corpus.pub_ids, repeat(-1)), np.int64,
-                       len(corpus.pub_ids))
+    rows = _codes(corpus.pub_ids, pool.pub_ids)
     missing = rows < 0
     # Corpus reference codes as pool codes, -1 where the pool has no such id.
-    pool_ref = dict(zip(pool.ref_ids, count()))
-    ref_in_pool = np.fromiter(map(pool_ref.get, corpus.ref_ids, repeat(-1)), np.int64,
-                              len(corpus.ref_ids))
+    ref_in_pool = _codes(corpus.ref_ids, pool.ref_ids)
     # Publications with as many references in the pool are compared slot by slot.
     # A missing publication reads the pool's end, whose count of -1 no
     # publication has.

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, _codes, write_columns
+from .corpus import Corpus, _codes, _merged_tables, write_columns
 from .indexing import CorpusIndex
 
 COLUMNS = ("f_obs", "f_exp", "sigma", "z")
@@ -126,11 +126,18 @@ def rekey(table: PairTable, journal_ids: list[str]) -> tuple[np.ndarray, np.ndar
     over two journal lists never meet: two tables are re-keyed onto one."""
     if table.journal_ids == journal_ids:
         return np.arange(len(table)), table.keys
-    rank = {j: i for i, j in enumerate(journal_ids)}
-    new_rank = np.array([rank.get(j, -1) for j in table.journal_ids], np.int64)
+    new_rank = _codes(table.journal_ids, journal_ids)
     lo, hi = (new_rank[k] for k in np.divmod(table.keys, max(len(table.journal_ids), 1)))
     rows = np.flatnonzero((lo >= 0) & (hi >= 0))
     return rows, lo[rows] * len(journal_ids) + hi[rows]
+
+
+def merge_keys(runs: list[np.ndarray]) -> np.ndarray:
+    """The distinct keys of ascending int64 ``runs``, ascending."""
+    keys = np.concatenate([np.zeros(0, np.int64), *runs])
+    # A stable sort merges the ascending runs in one pass; repeats are dropped.
+    keys.sort(kind="stable")
+    return np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
 
 
 def union_support(a: PairTable, b: PairTable, journal_ids: list[str] | None = None) -> tuple:
@@ -139,12 +146,9 @@ def union_support(a: PairTable, b: PairTable, journal_ids: list[str] | None = No
     journals) and, per table, the rows re-keyed onto it and their positions
     in it."""
     if journal_ids is None:
-        journal_ids = a.journal_ids if a.journal_ids == b.journal_ids else sorted(
-            set(a.journal_ids) | set(b.journal_ids))
+        journal_ids = _merged_tables(a.journal_ids, b.journal_ids)[0]
     (rows_a, keys_a), (rows_b, keys_b) = rekey(a, journal_ids), rekey(b, journal_ids)
-    # A stable sort merges the two ascending runs in one pass.
-    keys = np.sort(np.concatenate([keys_a, keys_b]), kind="stable")
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    keys = merge_keys([keys_a, keys_b])
     return (journal_ids, keys, (rows_a, np.searchsorted(keys, keys_a)),
             (rows_b, np.searchsorted(keys, keys_b)))
 

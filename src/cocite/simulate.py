@@ -23,7 +23,7 @@ import numpy as np
 from .corpus import Corpus, IngestError, float_or_nan, float_texts, read_columns, write_columns
 from .indexing import CorpusIndex
 # PairStats is re-exported: the acceptance suite imports it from this module.
-from .pairs import PairRowError, PairStats, PairTable, union_support  # noqa: F401
+from .pairs import PairRowError, PairStats, PairTable, merge_keys, union_support  # noqa: F401
 from .shuffle import ALGORITHMS, build_groups, run_shuffle
 
 BACKGROUNDS = ("local", "global")
@@ -128,10 +128,7 @@ class SimResult:
 def _sum_parts(parts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(keys, s1, s2) of ``parts`` summed by key. Each part is a (keys, s1,
     s2) with unique ascending keys; the list is emptied as they are added."""
-    keys = np.concatenate([np.zeros(0, np.int64), *(part[0] for part in parts)])
-    # A stable sort merges the ascending runs in one pass; repeats are dropped.
-    keys.sort(kind="stable")
-    keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+    keys = merge_keys([part[0] for part in parts])
     s1, s2 = np.zeros((2, len(keys)), np.int64)
     while parts:
         part_keys, part_s1, part_s2 = parts.pop()

@@ -101,7 +101,7 @@ def test_rerun_reproduces_bytes(synth_dir, tmp_path):
     assert (first / "pair_stats.csv").read_bytes() == (second / "pair_stats.csv").read_bytes()
 
 
-def test_rerun_detects_changed_inputs(synth_dir, tmp_path):
+def test_rerun_detects_changed_inputs(synth_dir, tmp_path, capsys):
     first = tmp_path / "first"
     assert main([
         "observe", *corpus_flags(synth_dir / "D01"), "--out", str(first),
@@ -109,12 +109,16 @@ def test_rerun_detects_changed_inputs(synth_dir, tmp_path):
     manifest = RunManifest.load(first / "run.manifest")
     target = next(iter(manifest.input_digests))
     original = open(target, "rb").read()
+    rerun = ["rerun", "--manifest", str(first / "run.manifest"), "--out", str(tmp_path / "again")]
     try:
         with open(target, "ab") as fh:
             fh.write(b"p999\t1995\tJX\t0\n")
-        code = main(["rerun", "--manifest", str(first / "run.manifest"),
-                     "--out", str(tmp_path / "again")])
+        code = main(rerun)
         assert code == 1
+        assert "has changed since the recorded run" in capsys.readouterr().err
+        Path(target).unlink()
+        assert main(rerun) == 1
+        assert f"manifest input {target} is missing" in capsys.readouterr().err
     finally:
         with open(target, "wb") as fh:
             fh.write(original)
@@ -248,7 +252,7 @@ def test_compose_can_dump_shuffled_corpus(synth_dir, tmp_path):
     assert (dump / "publications.tsv").exists()
 
 
-def test_config_file_flags_win(synth_dir, tmp_path):
+def test_config_file_flags_win(synth_dir, tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("sims=20\nseed=11\nworkers=1\n")
     out = tmp_path / "cfg"
@@ -259,12 +263,45 @@ def test_config_file_flags_win(synth_dir, tmp_path):
     assert code == 0
     manifest = RunManifest.load(out / "run.manifest")
     assert manifest.master_seed == 12  # explicit flag beats the config file
+    assert main(["zscore", *corpus_flags(synth_dir / "D00"), "--config"]) == 1
+    assert "--config requires a file path" in capsys.readouterr().err
 
 
-def test_usage_error_exits_2(synth_dir, capsys):
+def test_a_bare_config_key_sets_a_flag_without_a_value(synth_dir, tmp_path):
+    # On this corpus and seed, --survivors-only changes composition.csv.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("# compose\n\nsurvivors-only\n")
+    written = {}
+    for name, flags in (("all", []), ("flag", ["--survivors-only"]),
+                        ("config", ["--config", str(cfgfile)])):
+        out = tmp_path / name
+        assert main(["compose", *corpus_flags(synth_dir / "D00"), "--seed", "1", *flags,
+                     "--out", str(out)]) == 0
+        written[name] = (out / "composition.csv").read_bytes()
+    assert written["config"] == written["flag"] != written["all"]
+
+
+def test_synth_takes_one_size_per_discipline(tmp_path):
+    out = tmp_path / "synth"
+    assert main(["synth", "--disciplines", "2", "--pubs-per-discipline", "30,20",
+                 "--ref-pool", "140,120", "--seed", "7", "--out", str(out)]) == 0
+    for label, n_pubs in (("D00", 30), ("D01", 20)):
+        lines = (out / label / "publications.tsv").read_text().splitlines()
+        assert len(lines) == 1 + n_pubs, label
+
+
+def test_usage_error_exits_2(synth_dir, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["pipeline", "--definitely-not-a-flag"])
     assert exc.value.code == 2
+    # A bare config key of a flag that takes a value.
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("seed\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["compose", "--config", str(cfgfile), *corpus_flags(synth_dir / "D00"),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "argument --seed: expected one argument" in capsys.readouterr().err
 
 
 def test_validation_error_exits_1(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import csv
 import io
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from cocite.corpus import (
     DROP_REF_NO_JOURNAL,
     DROP_REF_NO_SUBJECT,
     DROP_TOO_FEW_REFS,
+    Corpus,
+    Publication,
+    ReferenceRecord,
     write_columns,
 )
 from cocite.synth import SynthConfig, generate
@@ -240,6 +244,30 @@ def test_validate_corpus_rejects_duplicate_refs(make_corpus):
     )
     with pytest.raises(ValueError, match="more than once"):
         validate_corpus(corpus)
+    # Each other invariant, broken alone.
+    refs = {"A": (1990, "J-A", "s"), "B": (1991, "J-B", "t")}
+    for pubs, refs, slice_year, match in [
+        ([("p1", "J-X", ["A", "B"], 0), ("p1", "J-X", ["B", "A"], 0)], refs, 1995,
+         "duplicate pub_id 'p1'"),
+        ([("p1", "J-X", ["A", "B"], 0)], refs, 1996,
+         "publication 'p1' has year 1995, corpus slice is 1996"),
+        ([("p1", "J-X", ["A"], 0)], refs, 1995, "publication 'p1' has fewer than two references"),
+        ([("p1", "J-X", ["A", "B"], 0)], {**refs, "B": (1991, "", "t")}, 1995,
+         "reference 'B' has an empty journal id"),
+        ([("p1", "J-X", ["A", "B"], 0)], {**refs, "A": (1990, "J-A", "")}, 1995,
+         "reference 'A' has an empty subject label"),
+    ]:
+        corpus = replace(make_corpus(pubs=pubs, refs=refs), slice_year=slice_year)
+        with pytest.raises(ValueError, match=match):
+            validate_corpus(corpus)
+
+
+def test_from_records_refuses_a_reference_keyed_by_another_id():
+    references = {"A": ReferenceRecord("A", 1990, "J-A", "s"),
+                  "B": ReferenceRecord("C", 1990, "J-A", "s")}
+    publications = [Publication("p1", 1995, "J-X", ("A", "B"), 0)]
+    with pytest.raises(ValueError, match="reference map key 'B' does not match record id 'C'"):
+        Corpus.from_records(1995, publications, references)
 
 
 def test_twenty_thousand_subjects_are_coded_in_sorted_order(write_tsvs):

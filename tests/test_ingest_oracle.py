@@ -10,6 +10,7 @@ the drop tallies and the exact error text must agree.
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -279,6 +280,30 @@ def test_read_blocks_raises_the_first_fault_in_row_order(tmp_path, monkeypatch, 
     with pytest.raises(IngestError, match=match):
         read_block_rows(path, rows)
     assert rows == ([(2, ["1", "2"])] if b"3" in data else [])
+
+
+@pytest.mark.parametrize("block_bytes", [None, 4], ids=["default-blocks", "4-byte-blocks"])
+def test_a_byte_order_mark_before_the_header_is_dropped(tmp_path, monkeypatch, block_bytes):
+    # LF, CRLF and quoted-header files read the same with a leading UTF-8
+    # byte order mark; a mark anywhere else is data.
+    if block_bytes is not None:
+        monkeypatch.setattr(corpus_module, "_BLOCK_BYTES", block_bytes)
+    bom = "\ufeff".encode()
+    path = tmp_path / "table.csv"
+    for text in (b"a,b\n1,2\n3,4\n", b"a,b\r\n1,2\r\n3,4\r\n", b'"a",b\n1,"2"\n3,4\n'):
+        plain, marked = [], []
+        path.write_bytes(text)
+        read_block_rows(path, plain)
+        path.write_bytes(bom + text)
+        read_block_rows(path, marked)
+        assert marked == plain == [(2, ["1", "2"]), (3, ["3", "4"])], text
+    path.write_bytes(b"a,b\n" + bom + b"1,2\n3," + bom + b"\n")
+    rows = []
+    read_block_rows(path, rows)
+    assert rows == [(2, ["\ufeff1", "2"]), (3, ["3", "\ufeff"])]
+    path.write_bytes(bom + bom + b"a,b\n1,2\n")
+    with pytest.raises(IngestError, match=re.escape("table.csv:1: bad header ['\\ufeffa', 'b']")):
+        read_block_rows(path, [])
 
 
 def test_read_blocks_reads_a_tab_in_a_csv_field_as_text(tmp_path):

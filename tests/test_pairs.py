@@ -1,10 +1,14 @@
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cocite import JournalPair, PairStats, PairTable, indexing, observed_frequencies
 from cocite.corpus import Corpus
-from cocite.pairs import PairRowError, rekey
+from cocite.diverge import kl_divergence
+from cocite.pairs import PairRowError, merge_keys, rekey
+from cocite.simulate import sign_change_report, zscores
 from cocite.synth import SynthConfig, generate
 
 
@@ -199,3 +203,61 @@ def test_table_invariant_under_reordering():
         references=corpus.references,
     )
     assert counts_of(observed_frequencies(corpus)) == counts_of(observed_frequencies(reordered))
+
+
+def random_table(rng, journals):
+    """A table over a random two thirds of the pairs of ``journals``; about one
+    z in five is undefined."""
+    pairs = [(a, b) for i, a in enumerate(journals) for b in journals[i:]]
+    rows = []
+    for k in sorted(rng.choice(len(pairs), len(pairs) * 2 // 3, replace=False).tolist()):
+        sigma = 0.0 if rng.random() < 0.2 else float(rng.random() * 3)
+        z = float(rng.normal()) if sigma else None
+        rows.append(PairStats(JournalPair(*pairs[k]), int(rng.integers(0, 9)),
+                              float(rng.random() * 8), sigma, z))
+    return PairTable.from_rows(rows)
+
+
+def dict_kld(obs, sim, journal_filter, epsilon):
+    """D(obs || sim) in bits over the union of both row sets, from dicts."""
+    support = sorted((set(obs) | set(sim)) if journal_filter is None else {
+        pair for pair in set(obs) | set(sim) if set(pair) <= set(journal_filter)})
+    p = [obs[pair].f_obs + epsilon if pair in obs else epsilon for pair in support]
+    q = [sim[pair].f_exp + epsilon if pair in sim else epsilon for pair in support]
+    return sum(pn / sum(p) * math.log2((pn / sum(p)) / (qn / sum(q))) for pn, qn in zip(p, q))
+
+
+def test_joins_match_a_dict_join():
+    journals = [f"J{j:02d}" for j in range(12)]
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        # The two journal lists overlap in J03..J08 only.
+        table_a, table_b = random_table(rng, journals[:9]), random_table(rng, journals[3:])
+        a, b = ({ps.pair: ps for ps in table} for table in (table_a, table_b))
+        expected = {}
+        for pair in sorted(set(a) | set(b)):
+            f_obs = a[pair].f_obs if pair in a else 0
+            f_exp, sigma = (b[pair].f_exp, b[pair].sigma) if pair in b else (0.0, 0.0)
+            expected[pair] = (f_obs, f_exp, sigma, (f_obs - f_exp) / sigma if sigma else None)
+        stats = zscores(table_a, table_b)
+        assert {ps.pair: (ps.f_obs, ps.f_exp, ps.sigma, ps.z) for ps in stats} == expected
+        assert [ps.pair for ps in stats] == list(expected)
+
+        signed = [(a[pair].z, b[pair].z) for pair in set(a) & set(b)
+                  if a[pair].z is not None and b[pair].z is not None]
+        changed = sum(za * zb < 0 for za, zb in signed)
+        assert sign_change_report(table_a, table_b) == (changed / len(signed) if signed else 0.0)
+
+        # J99 is in neither table; J02..J09 keep pairs from both.
+        for journal_filter in (None, ["J99", *journals[2:10]]):
+            got = kl_divergence(table_a, table_b, journal_filter, 0.01).kld
+            assert got == pytest.approx(dict_kld(a, b, journal_filter, 0.01), abs=1e-12)
+
+    # The key merge under every join, on runs that share keys and empty runs.
+    empty = np.zeros(0, np.int64)
+    runs = [np.unique(rng.integers(0, 40, n)) for n in (25, 0, 30, 1, 12)]
+    for case in (runs, runs[::-1], [empty, empty], [runs[0], empty, runs[0]]):
+        merged = merge_keys(case)
+        assert merged.dtype == np.int64
+        assert merged.tolist() == np.unique(np.concatenate(case)).tolist()
+    assert merge_keys([]).tolist() == []

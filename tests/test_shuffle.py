@@ -351,6 +351,11 @@ def test_run_shuffle_refuses_an_unknown_algorithm(yeared_corpus, name):
         run_shuffle(build_groups(yeared_corpus), name, 0)
 
 
+def test_umsj_refuses_fewer_than_one_retry(yeared_corpus):
+    with pytest.raises(ValueError, match="max_retries must be at least 1"):
+        umsj_shuffle(build_groups(yeared_corpus), 0, max_retries=0)
+
+
 @pytest.mark.parametrize("background", ["local", "global"])
 def test_umsj_outcomes_pass_the_dedupe_with_no_deletion(background):
     idx = duplicate_prone_index(background)

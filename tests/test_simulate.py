@@ -116,6 +116,10 @@ def test_simconfig_validation():
         SimConfig(background="nope").validate()
     with pytest.raises(ValueError, match="pool"):
         run_simulations(None, None, SimConfig(n_simulations=2, background="global"))
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        SimConfig(workers=0).validate()
+    with pytest.raises(ValueError, match="master_seed must be non-negative"):
+        SimConfig(master_seed=-1).validate()
 
 
 @pytest.fixture(scope="module")

@@ -107,6 +107,15 @@ def test_config_validation():
         generate(SynthConfig(refs_mean=1.0))
     with pytest.raises(ValueError, match="per-discipline"):
         generate(SynthConfig(n_disciplines=3, pubs_per_discipline=[10, 20]))
+    for field, value, match in [
+        ("n_disciplines", 0, "n_disciplines must be at least 1"),
+        ("journals_per_discipline", 0, "journals_per_discipline must be at least 1"),
+        ("refs_dispersion", -0.1, "refs_dispersion must be non-negative"),
+        ("n_ref_years", 0, "n_ref_years must be at least 1"),
+        ("ref_pool_per_discipline", [10, 0], "ref_pool_per_discipline entries must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            generate(SynthConfig(**{"n_disciplines": 2, field: value}))
 
 
 def test_reference_years_span_configured_window():
