@@ -605,9 +605,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             key, eq, value = line.partition("=")
             expanded += [f"--{key.strip()}", value.strip()] if eq else [f"--{key}"]
     rest = argv[:i] + argv[i + 2:]
-    if not rest:
-        return expanded
-    return [rest[0]] + expanded + rest[1:]
+    return rest[:1] + expanded + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -98,8 +98,7 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
 
 def _cephes_expm1(x: float) -> float:
     # Not math.expm1: libm rounds differently from Cephes in the last ulp.
-    if x < -0.5 or x > 0.5:
-        return math.exp(x) - 1.0
+    # Only _igamc_series calls it, at df 1 and 2, where |x| < 0.3.
     xx = x * x
     r = x * _polevl(xx, _EXPM1_P)
     r = r / (_polevl(xx, _EXPM1_Q) - r)
@@ -108,8 +107,7 @@ def _cephes_expm1(x: float) -> float:
 
 def _log1pmx(x: float) -> float:
     """log(1 + x) - x."""
-    if abs(x) >= 0.5:
-        return math.log1p(x) - x
+    # Only _igam_fac calls it, with a >= 142.9, where |x| < 0.43.
     xfac = x
     res = 0.0
     for n in range(2, MAXITER):

@@ -20,6 +20,8 @@ from .corpus import Corpus, _codes, _ptr
 from .rng import synth_stream
 
 _MAX_REDRAW_ROUNDS = 200
+_CITE_LOGNORM_MU = 1.0
+_CITE_LOGNORM_SIGMA = 1.2
 
 
 @dataclass
@@ -34,8 +36,6 @@ class SynthConfig:
     skew: float = 0.5
     slice_year: int = 1995
     n_ref_years: int = 5
-    cite_lognorm_mu: float = 1.0
-    cite_lognorm_sigma: float = 1.2
     seed: int = 0
 
     def validate(self) -> None:
@@ -112,7 +112,7 @@ def generate(cfg: SynthConfig) -> SynthResult:
     ]
     pub_journal_pick = rng.integers(0, cfg.journals_per_discipline, size=n_pubs)
     citations = np.floor(
-        rng.lognormal(cfg.cite_lognorm_mu, cfg.cite_lognorm_sigma, size=n_pubs)
+        rng.lognormal(_CITE_LOGNORM_MU, _CITE_LOGNORM_SIGMA, size=n_pubs)
     ).astype(np.int64)
     extra_mean = cfg.refs_mean - 2.0
     if extra_mean == 0.0:

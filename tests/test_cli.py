@@ -302,6 +302,10 @@ def test_usage_error_exits_2(synth_dir, tmp_path, capsys):
               "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert "argument --seed: expected one argument" in capsys.readouterr().err
+    # A config file with no subcommand around it.
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfgfile)])
+    assert exc.value.code == 2
 
 
 def test_validation_error_exits_1(tmp_path, capsys):

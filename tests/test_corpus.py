@@ -82,6 +82,7 @@ def test_roundtrip_is_idempotent(tmp_path):
     twice = ingest(second_dir / "publications.tsv", second_dir / "references.tsv",
                    second_dir / "citations.tsv")
     assert once == twice
+    assert once != "not a corpus"
     assert once.diagnostics.total_dropped() == 0
     assert twice.diagnostics.total_dropped() == 0
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cocite import (
@@ -9,6 +11,7 @@ from cocite import (
     repcs_shuffle,
     run_simulations,
 )
+from cocite import diverge
 from cocite.diverge import _fold
 from cocite.pairs import JournalPair, PairStats, PairTable
 from cocite.synth import SynthConfig, generate
@@ -74,6 +77,38 @@ def test_empty_filtered_support_is_an_error():
 def test_epsilon_must_be_positive():
     with pytest.raises(ValueError, match="epsilon"):
         kl_divergence(table_of({("A", "B"): 1}), sims_of({}), None, 0.0)
+
+
+def reference_kld(obs, sim, epsilon):
+    """K-L divergence with every total and the term sum added left to right
+    in key order, one bin at a time."""
+    f_obs = {ps.pair: ps.f_obs for ps in obs}
+    f_exp = {ps.pair: ps.f_exp for ps in sim}
+    support = sorted(set(f_obs) | set(f_exp))
+    p = [f_obs.get(pair, 0) + epsilon for pair in support]
+    q = [f_exp.get(pair, 0.0) + epsilon for pair in support]
+    p_total = q_total = 0.0
+    for pn, qn in zip(p, q):
+        p_total += pn
+        q_total += qn
+    kld = 0.0
+    for pn, qn in zip(p, q):
+        pn, qn = pn / p_total, qn / q_total
+        kld += pn * math.log2(pn / qn)
+    return kld
+
+
+def test_divergence_does_not_depend_on_how_python_sums_floats(monkeypatch):
+    # Python 3.12 made the builtin sum of floats compensated; shadowing it
+    # with math.fsum stands in for that change on any version.
+    corpus = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=60,
+                                  ref_pool_per_discipline=200, seed=31)).by_discipline["D00"]
+    obs = observed_frequencies(corpus)
+    sim = run_simulations(corpus, None, SimConfig(n_simulations=6, master_seed=1)).table
+    kld = kl_divergence(obs, sim, corpus.journals()).kld
+    assert kld == reference_kld(obs, sim, diverge.DEFAULT_EPSILON)
+    monkeypatch.setattr(diverge, "sum", math.fsum, raising=False)
+    assert kl_divergence(obs, sim, corpus.journals()).kld == kld
 
 
 def test_fold_rules():

@@ -66,11 +66,19 @@ def test_generated_corpora_pass_validation_with_zero_drops(tmp_path):
 
 
 def test_refs_are_distinct_and_at_least_two():
-    result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=200,
-                                  ref_pool_per_discipline=400, seed=3))
-    for pub in result.pool.publications:
-        assert len(pub.refs) >= 2
-        assert len(set(pub.refs)) == len(pub.refs)
+    # refs_mean 2 leaves no extra references to draw; dispersion 0 draws them
+    # from a Poisson.
+    for extra in ({}, {"refs_mean": 2.0}, {"refs_dispersion": 0.0}):
+        result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=200,
+                                      ref_pool_per_discipline=400, seed=3, **extra))
+        sizes = [len(pub.refs) for pub in result.pool.publications]
+        for pub in result.pool.publications:
+            assert len(set(pub.refs)) == len(pub.refs)
+        assert min(sizes) >= 2
+        if extra.get("refs_mean") == 2.0:
+            assert set(sizes) == {2}
+        else:
+            assert abs(sum(sizes) / len(sizes) - 8.0) < 0.6
 
 
 def test_citation_counts_are_heavy_tailed():
