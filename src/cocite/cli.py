@@ -317,7 +317,7 @@ class Run:
             self.diagnostics.update(deleted_pubs=len(outcome.deleted_rows),
                                     fixed_points=outcome.fixed_points,
                                     retry_exhausted=outcome.retry_exhausted,
-                                    max_fold=max(r.fold for r in rows))
+                                    max_fold=max((r.fold for r in rows), default=None))
         return outcome, rows
 
 

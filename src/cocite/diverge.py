@@ -46,10 +46,12 @@ def kl_divergence(obs: PairTable, sim_mean: SimResult | PairTable,
     distributions. Both totals and the sum of the terms are running sums in
     key order: numpy's accumulate adds one bin after another, so the result
     depends neither on numpy's pairwise summation nor on how a Python
-    version's builtin ``sum`` adds floats.
+    version's builtin ``sum`` adds floats. ValueError names an epsilon that
+    is not finite and positive, or that leaves a padded total or bin ratio
+    outside the float range.
     """
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, not {epsilon!r}")
     sim = sim_mean.table if isinstance(sim_mean, SimResult) else sim_mean
     journal_ids = None if journal_filter is None else sorted(set(journal_filter))
     _, keys, (obs_rows, obs_at), (sim_rows, sim_at) = union_support(obs, sim, journal_ids)
@@ -59,11 +61,18 @@ def kl_divergence(obs: PairTable, sim_mean: SimResult | PairTable,
     p, q = np.full(n, epsilon), np.full(n, epsilon)
     p[obs_at] += obs.f_obs[obs_rows]
     q[sim_at] += sim.f_exp[sim_rows]
-    p /= np.cumsum(p)[-1]
-    q /= np.cumsum(q)[-1]
+    # An overflowing total normalizes every bin to 0, so one ratio check
+    # also sees it.
+    with np.errstate(all="ignore"):
+        p /= np.cumsum(p)[-1]
+        q /= np.cumsum(q)[-1]
+        ratio = p / q
+    if not ((0.0 < ratio) & (ratio < math.inf)).all():
+        raise ValueError(f"epsilon {epsilon!r} leaves a padded total or bin ratio "
+                         "outside the float range")
     # math.log2, not np.log2, whose last bit differs on some inputs. A bin
     # where p equals q adds +0.0, which leaves the running sum unchanged.
-    terms = p * np.fromiter(map(math.log2, (p / q).tolist()), np.float64, n)
+    terms = p * np.fromiter(map(math.log2, ratio.tolist()), np.float64, n)
     kld = float(np.cumsum(terms)[-1])
     # Rounding can leave a tiny negative residue on near-identical inputs.
     return DivergenceResult(corpus_tag, background, max(kld, 0.0), n, epsilon, year)

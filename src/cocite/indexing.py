@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator
 
 import numpy as np
@@ -29,15 +29,16 @@ class CorpusIndex:
     whose statistics are read back out. For a local background the two
     coincide. Pool slots are numbered publication-major in pool order.
 
-    Every per-slot array is group-major: year group 0's slots come first,
-    then group 1's, each group's in pool-slot order. ``pool_tokens`` holds
-    the pool's tokens and ``pool_slot_pub`` the pool publication row of
-    each slot; a shuffle rewrites each group's slice of a copy of
-    ``pool_tokens`` in place. ``read_back`` keeps the analyzed slots of
-    such a vector: ``c_tokens`` (the tokens before any shuffle) and
-    ``c_slot_pub`` (each slot's analyzed publication row) are read back
-    this way. ``tokens[corpus_order]`` lists the same slots in corpus
-    order, publication by publication, bounded by ``c_pub_ptr``.
+    The pool's per-slot arrays are group-major: year group 0's slots come
+    first, then group 1's, each group's in pool-slot order. ``pool_tokens``
+    holds the pool's tokens and ``pool_slot_pub`` the pool publication row
+    of each slot; a shuffle rewrites each group's slice of a copy of
+    ``pool_tokens`` in place. ``read_back`` gathers the analyzed slots of
+    such a vector in corpus order: publication by publication, bounded by
+    ``c_pub_ptr``, each publication's slots in reference order. Every
+    read-back vector, ``c_tokens`` (the corpus's own references as pool
+    codes) and ``c_slot_pub`` (each slot's analyzed publication row)
+    included, lists the slots in that one order.
     """
 
     def __init__(self, corpus: Corpus, pool: Corpus | None = None):
@@ -64,12 +65,12 @@ class CorpusIndex:
         # preserved within each group; group g holds the slots in
         # [group_ptr[g], group_ptr[g + 1]).
         slot_year = self.ref_year[slot_ref]
-        self._pool_slot = np.argsort(slot_year, kind="stable")
-        yvals, starts = np.unique(slot_year[self._pool_slot], return_index=True)
+        pool_slot = np.argsort(slot_year, kind="stable")
+        yvals, starts = np.unique(slot_year[pool_slot], return_index=True)
         self.group_years = [int(y) for y in yvals]
         self.group_ptr = np.append(starts, len(slot_ref))
-        self.pool_tokens = slot_ref[self._pool_slot]
-        self.pool_slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)[self._pool_slot]
+        self.pool_tokens = slot_ref[pool_slot]
+        self.pool_slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)[pool_slot]
         if len(self.ref_ids):
             self._year_min = int(self.ref_year.min())
             self._n_year_bins = int(self.ref_year.max()) - self._year_min + 1
@@ -77,24 +78,18 @@ class CorpusIndex:
             self._year_min = 0
             self._n_year_bins = 1
 
-        # Analyzed-corpus read-back. ``readback_pos`` holds the positions of
-        # the analyzed slots, or None for a local index, which reads back
-        # every slot.
+        # Analyzed-corpus read-back: ``readback_pos`` is the group-major
+        # position of each analyzed slot, in corpus order.
+        group_pos = np.empty_like(pool_slot)
+        group_pos[pool_slot] = np.arange(len(pool_slot))
+        self.readback_pos = group_pos if self.local else group_pos[_pool_slots(corpus, pool)]
         self.c_pub_ids = corpus.pub_ids
-        if self.local:
-            self.readback_pos = None
-            self.c_slot_pub = self.pool_slot_pub
-        else:
-            row_of_pool = np.full(n_pool, -1, np.int64)
-            row_of_pool[_pool_rows(corpus, pool)] = np.arange(len(corpus.pub_ids))
-            self.readback_pos = np.flatnonzero(row_of_pool[self.pool_slot_pub] >= 0)
-            self.c_slot_pub = row_of_pool[self.read_back(self.pool_slot_pub)]
+        self.c_pub_ptr = corpus.pub_ptr
+        self.c_counts = np.diff(self.c_pub_ptr)
+        self.c_slot_pub = np.repeat(np.arange(len(self.c_counts)), self.c_counts)
         self.c_tokens = self.read_back(self.pool_tokens)
-        self.c_counts = np.bincount(self.c_slot_pub, minlength=len(self.c_pub_ids))
-        self.c_pub_ptr = _ptr(self.c_counts)
         # Journal pairs of the analyzed corpus, sum of n_i * (n_i - 1) / 2.
         self.n_pairs = int((self.c_counts * (self.c_counts - 1) // 2).sum())
-        self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def background(self) -> str:
@@ -107,38 +102,23 @@ class CorpusIndex:
         return self
 
     def read_back(self, pool_vector: np.ndarray) -> np.ndarray:
-        """The analyzed slots of a group-major per-slot vector, in its order."""
-        return pool_vector if self.readback_pos is None else pool_vector[self.readback_pos]
+        """The analyzed slots of a group-major per-slot vector, in corpus order."""
+        return pool_vector[self.readback_pos]
 
     # The read-back data below is built on first use, so that building an
     # index costs no more than the groups need.
-
-    def _corpus_positions(self) -> np.ndarray:
-        # Corpus order is publication row, then pool slot, which within a
-        # publication is its reference order.
-        return np.lexsort((self.read_back(self._pool_slot), self.c_slot_pub))
-
-    @cached_property
-    def corpus_order(self) -> np.ndarray:
-        """Position in a read-back vector of each analyzed slot, in corpus order."""
-        return self._corpus_positions()
 
     @cached_property
     def _buckets(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Per reference count n: the analyzed rows with n references and the
         rows x n matrix of their slots' read-back positions, each row in
-        the publication's reference order.
-
-        Rectangular matrices let pair extraction vectorize. The positions
-        come from the corpus-order map without keeping it, since pair
-        extraction reads only the matrices.
+        the publication's reference order. Rectangular matrices let pair
+        extraction vectorize.
         """
-        where = self._corpus_positions()
         buckets = []
         for n in np.flatnonzero(np.bincount(self.c_counts)).tolist():
             rows = np.flatnonzero(self.c_counts == n)
-            mat = where[self.c_pub_ptr[rows][:, None] + np.arange(n)[None, :]]
-            buckets.append((n, rows, mat))
+            buckets.append((n, rows, self.c_pub_ptr[rows][:, None] + np.arange(n)))
         return buckets
 
     @cached_property
@@ -158,13 +138,14 @@ class CorpusIndex:
         exactly when one of these pairs holds equal tokens. The pairs are
         sorted by a, so that gathering their tokens walks the vector in order.
         """
-        # A publication's slots of one year are adjacent in the group-major
-        # vector: one group, in pool-slot order. One key per (publication,
-        # year); keys start at 0, above the -1 that opens the first run.
+        # One key per (publication, year); a stable sort makes each key's
+        # slots one run, in reference order. Keys start at 0, above the -1
+        # that opens the first run.
         key = self.c_slot_pub * self._n_year_bins
         key += self.ref_year[self.c_tokens]
         key -= self._year_min
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
         del key
         lengths = np.diff(starts, append=len(self.c_tokens))
         n_pairs = int((lengths * (lengths - 1) // 2).sum())
@@ -173,18 +154,12 @@ class CorpusIndex:
         a, b = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
         for h in np.flatnonzero(np.bincount(lengths[lengths > 1])).tolist():
             first = starts[lengths == h][:, None]
-            iu = self._triu_of(h)
-            a.append((first + iu[0]).reshape(-1))
-            b.append((first + iu[1]).reshape(-1))
+            iu = _triu(h)
+            a.append(order[first + iu[0]].reshape(-1))
+            b.append(order[first + iu[1]].reshape(-1))
         a, b = np.concatenate(a), np.concatenate(b)
         by_a = np.argsort(a, kind="stable")
         return a[by_a], b[by_a]
-
-    def _triu_of(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        iu = self._triu.get(n)
-        if iu is None:
-            iu = self._triu[n] = np.triu_indices(n, k=1)
-        return iu
 
     def duplicate_pub_rows(self, tokens: np.ndarray) -> np.ndarray:
         """Analyzed publication rows whose read-back tokens repeat a reference.
@@ -233,7 +208,7 @@ class CorpusIndex:
                 rows, mat = rows[keep], mat[keep]
             if len(rows) == 0:
                 continue
-            iu = self._triu_of(n)
+            iu = _triu(n)
             j = self.ref_journal[tokens[mat]]
             a, b = j[:, iu[0]], j[:, iu[1]]
             keys = np.minimum(a, b)
@@ -323,8 +298,15 @@ class CorpusIndex:
         return np.bincount(self.ref_subject[tokens], minlength=len(self.subject_ids))
 
 
-def _pool_rows(corpus: Corpus, pool: Corpus) -> np.ndarray:
-    """The pool row of each corpus publication.
+@cache
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of an n x n
+    matrix. Every caller shares the cached arrays and only reads them."""
+    return np.triu_indices(n, k=1)
+
+
+def _pool_slots(corpus: Corpus, pool: Corpus) -> np.ndarray:
+    """The pool slot of each corpus slot, in corpus order.
 
     Raises ValueError for the first publication, in corpus order, that is
     not in the pool, cites other references there (by id, in order), or
@@ -342,7 +324,8 @@ def _pool_rows(corpus: Corpus, pool: Corpus) -> np.ndarray:
     same_count = np.append(np.diff(pool.pub_ptr), -1)[pool_at] == counts
     n = np.where(same_count, counts, 0)
     within = np.arange(n.sum()) - np.repeat(_ptr(n)[:-1], n)
-    unequal = (pool.slot_ref[np.repeat(pool.pub_ptr[pool_at], n) + within]
+    slots = np.repeat(pool.pub_ptr[pool_at], n) + within
+    unequal = (pool.slot_ref[slots]
                != ref_in_pool[corpus.slot_ref[np.repeat(corpus.pub_ptr[:-1], n) + within]])
     differs = ~missing & ~same_count
     differs[np.repeat(np.arange(len(rows)), n)[unequal]] = True
@@ -359,4 +342,5 @@ def _pool_rows(corpus: Corpus, pool: Corpus) -> np.ndarray:
         if differs[i]:
             raise ValueError(f"publication {pid!r} cites different references in the pool")
         raise ValueError("the corpus lists a publication more than once")
-    return rows
+    # Every publication passed the slot comparison, so ``slots`` covers the corpus.
+    return slots

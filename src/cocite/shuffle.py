@@ -56,11 +56,10 @@ class ShuffleOutcome:
     """Result of one citation shuffle of an analyzed corpus.
 
     ``_assignment`` is the read-back vector: the analyzed slots' tokens
-    after the shuffle, group-major like ``CorpusIndex.c_tokens`` (for a
-    local background, every slot). The rest is computed on first read:
-    the duplicate-deletion step (``deleted_rows``), the fixed points and
-    ``corpus``, which reads the vector through ``CorpusIndex.corpus_order``;
-    composition can also be inspected before deletion.
+    after the shuffle, in corpus order like ``CorpusIndex.c_tokens``. The
+    rest is computed on first read: the duplicate-deletion step
+    (``deleted_rows``), the fixed points and ``corpus``; composition can
+    also be inspected before deletion.
     """
 
     def __init__(self, index: CorpusIndex, assignment: np.ndarray, retry_exhausted: int = 0):
@@ -91,7 +90,7 @@ class ShuffleOutcome:
         idx = self.index
         alive = np.ones(len(idx.c_pub_ids), bool)
         alive[self.deleted_rows] = False
-        tokens = self._assignment[idx.corpus_order][np.repeat(alive, idx.c_counts)]
+        tokens = self._assignment[np.repeat(alive, idx.c_counts)]
         return Corpus.cited_subset(idx.corpus, np.flatnonzero(alive), tokens, idx.pool,
                                    self.background)
 
@@ -101,8 +100,8 @@ def _permuted_tokens(idx: CorpusIndex, master_seed: int, sim_index: int) -> np.n
 
     Each group of two or more pool slots shuffles its slice of the pool's
     group-major tokens in place. ``Generator.shuffle`` makes the draws of
-    ``permutation(n)`` and leaves the slice equal to ``tokens[perm]``. A
-    global background then gathers its analyzed slots once.
+    ``permutation(n)`` and leaves the slice equal to ``tokens[perm]``. The
+    analyzed slots are then gathered once, in corpus order.
     """
     out = idx.pool_tokens.copy()
     ptr = idx.group_ptr.tolist()

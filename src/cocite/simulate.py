@@ -22,8 +22,7 @@ import numpy as np
 
 from .corpus import Corpus, IngestError, float_or_nan, float_texts, read_columns, write_columns
 from .indexing import CorpusIndex
-# PairStats is re-exported: the acceptance suite imports it from this module.
-from .pairs import PairRowError, PairStats, PairTable, merge_keys, union_support  # noqa: F401
+from .pairs import PairRowError, PairTable, merge_keys, union_support
 from .shuffle import ALGORITHMS, build_groups, run_shuffle
 
 BACKGROUNDS = ("local", "global")

@@ -223,7 +223,7 @@ def test_classification_percentile_example(make_corpus):
             "c": (1990, "C", "s"), "d": (1990, "D", "s"),
         },
     )
-    from cocite.simulate import PairStats
+    from cocite.pairs import PairStats
 
     def ps(a, b, z):
         return PairStats(JournalPair.of(a, b), 0, 0.0, 1.0 if z is not None else 0.0, z)

@@ -324,6 +324,21 @@ def test_validation_error_exits_1(tmp_path, capsys):
     assert "non-integer year" in err
 
 
+def test_compose_of_a_corpus_with_no_subjects_writes_a_header(tmp_path, capsys):
+    flags = []
+    for name, header in (("pubs", "pub_id\tyear\tjournal_id\tcitations_8yr"),
+                         ("refs", "ref_id\tyear\tjournal_id\tsubject"),
+                         ("cites", "pub_id\tref_id")):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(header + "\n")
+        flags += [f"--{name}", str(path)]
+    out = tmp_path / "o"
+    assert main(["compose", *flags, "--out", str(out)]) == 0
+    assert (out / "composition.csv").read_text().splitlines() == ["subject,o,s,fold"]
+    assert RunManifest.load(out / "run.manifest").diagnostics["max_fold"] is None
+    assert "composition over 0 subjects" in capsys.readouterr().out
+
+
 def test_csv_rows_match_header_width_for_a_quoted_tag(synth_dir, tmp_path):
     tag = "D00, 1995"
     corpus = corpus_flags(synth_dir / "D00")

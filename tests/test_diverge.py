@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -77,6 +78,17 @@ def test_empty_filtered_support_is_an_error():
 def test_epsilon_must_be_positive():
     with pytest.raises(ValueError, match="epsilon"):
         kl_divergence(table_of({("A", "B"): 1}), sims_of({}), None, 0.0)
+    # Two bins: 1e308 overflows the padded totals, and 5e-324 leaves the
+    # bin (A, C) of q at most one subnormal step above 0.
+    obs, sim = table_of({("A", "B"): 1, ("A", "C"): 2}), sims_of({("A", "B"): 1.5})
+    for epsilon in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            kl_divergence(obs, sim, None, epsilon)
+    for epsilon in (1e308, 5e-324):
+        with pytest.raises(ValueError, match=re.escape(f"epsilon {epsilon!r} leaves")):
+            kl_divergence(obs, sim, None, epsilon)
+    for epsilon in (1e-300, 1e300):
+        assert math.isfinite(kl_divergence(obs, sim, None, epsilon).kld)
 
 
 def reference_kld(obs, sim, epsilon):

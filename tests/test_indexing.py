@@ -1,13 +1,14 @@
 """The analyzed-slot read-back kernel against naive oracles.
 
 A repcs simulation shuffles each year group's slice of a group-major
-token vector in place and reads back only the analyzed slots, group by
-group. It deletes duplicates either by comparing same-year slot pairs or
+token vector in place and reads back only the analyzed slots, in corpus
+order: publication by publication, each publication's slots in reference
+order. It deletes duplicates either by comparing same-year slot pairs or
 by sorting the tokens keyed by publication. The oracles here and the
 ``repcs_oracle`` fixture walk publications and their reference lists in
-Python instead, in corpus order, and draw each group's permutation with
-``permutation(n)``; the tests compare the two through the index's
-corpus-order position map, ``corpus_order``.
+Python instead, also in corpus order, and draw each group's permutation
+with ``permutation(n)``; the tests compare the two position by position,
+with no position map between them.
 """
 
 from collections import Counter
@@ -67,8 +68,7 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
     for s in range(6):
         refs = repcs_oracle(corpus, pool, 5, s)
         tokens = _permuted_tokens(idx, 5, s)
-        in_corpus_order = tokens[idx.corpus_order].tolist()
-        assert [idx.ref_ids[t] for t in in_corpus_order] == [r for rr in refs for r in rr]
+        assert [idx.ref_ids[t] for t in tokens.tolist()] == [r for rr in refs for r in rr]
 
         deleted = idx.duplicate_pub_rows(tokens)
         expected = [row for row, rr in enumerate(refs) if len(set(rr)) != len(rr)]
@@ -94,6 +94,18 @@ def test_read_back_kernel_matches_naive_oracle(monkeypatch, repcs_oracle, world,
 
 
 @pytest.mark.parametrize("background", ["local", "global"])
+def test_unshuffled_read_back_is_the_corpus_citation_list(world, background):
+    _, result = world
+    corpus = result.by_discipline["D01"] if background == "global" else result.pool
+    idx = build_groups(corpus, result.pool if background == "global" else None)
+    cited = [(p.pub_id, r) for p in corpus.publications for r in p.refs]
+    assert [idx.ref_ids[t] for t in idx.c_tokens.tolist()] == [r for _, r in cited]
+    assert [idx.c_pub_ids[r] for r in idx.c_slot_pub.tolist()] == [pid for pid, _ in cited]
+    pool_rows = idx.read_back(idx.pool_slot_pub).tolist()
+    assert [idx.pool.pub_ids[r] for r in pool_rows] == [pid for pid, _ in cited]
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
 def test_pair_check_sees_a_reference_cited_twice(make_corpus, repcs_oracle, background):
     # p1 cites "a" twice before any shuffle; the same-year pair of its two
     # slots holds equal tokens, so the unshuffled corpus already deletes it.
@@ -107,18 +119,16 @@ def test_pair_check_sees_a_reference_cited_twice(make_corpus, repcs_oracle, back
     pool = make_corpus(pubs=[("p0", "J", ["c", "a", "b"], 0)] + pubs, refs=refs)
     pool = pool if background == "global" else None
     idx = build_groups(corpus, pool)
-    # Corpus positions (0, 2) and (5, 6); the 1980 group precedes the 1990 one.
-    pos = idx.corpus_order
-    assert [a.tolist() for a in idx.same_year_pairs] == [pos[[5, 0]].tolist(),
-                                                          pos[[6, 2]].tolist()]
+    # Corpus positions (0, 2) and (5, 6), as the arrays a and b.
+    assert [a.tolist() for a in idx.same_year_pairs] == [[0, 5], [2, 6]]
     assert idx.duplicate_pub_rows(idx.c_tokens).tolist() == [0]
     assert idx._duplicates_by_sorting(idx.c_tokens).tolist() == [0]
     for s in range(4):
         tokens = _permuted_tokens(idx, 2, s)
         expected = [r for rr in repcs_oracle(corpus, pool, 2, s) for r in rr]
-        assert [idx.ref_ids[t] for t in tokens[pos].tolist()] == expected
+        assert [idx.ref_ids[t] for t in tokens.tolist()] == expected
         assert np.array_equal(tokens, repcs_shuffle(idx, 2, sim_index=s)._assignment)
-        assert tokens[pos[7]] == idx.c_tokens[pos[7]]
+        assert tokens[7] == idx.c_tokens[7]
 
 
 def test_global_index_refuses_a_publication_listed_twice(make_corpus):
@@ -129,7 +139,7 @@ def test_global_index_refuses_a_publication_listed_twice(make_corpus):
         CorpusIndex(make_corpus(pubs=[pubs[0], pubs[1], pubs[0]], refs=refs), pool)
 
 
-LAZY = ("corpus_order", "_buckets", "_pub_key", "same_year_pairs")
+LAZY = ("_buckets", "_pub_key", "same_year_pairs")
 
 
 def built(idx):
@@ -149,7 +159,7 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
     _permuted_tokens(plan, 1, 0)
     assert built(plan.index) == []
     repcs_shuffle(plan, 1).corpus
-    assert built(plan.index) == ["corpus_order", "same_year_pairs"]
+    assert built(plan.index) == ["same_year_pairs"]
 
     # simulate_plan runs the pair-count and dedupe kernels once in the parent
     # before forking, which builds what they read and nothing else, so the
@@ -195,11 +205,10 @@ def test_sorting_dedupe_is_exact_for_any_vector():
                                   ref_pool_per_discipline=60, n_ref_years=5, seed=29))
     idx = CorpusIndex(result.pool)
     rng = np.random.default_rng(31)
-    pos = idx.corpus_order
     ptr = idx.c_pub_ptr.tolist()
     for n_tokens in (len(idx.ref_ids), 60):
         tokens = rng.integers(0, n_tokens, len(idx.c_tokens))
-        in_order = tokens[pos].tolist()
+        in_order = tokens.tolist()
         per_pub = [in_order[lo:hi] for lo, hi in zip(ptr[:-1], ptr[1:])]
         expected = [row for row, t in enumerate(per_pub) if len(set(t)) != len(t)]
         assert 0 < len(expected) < len(per_pub)

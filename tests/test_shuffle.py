@@ -41,8 +41,9 @@ def test_groups_partition_by_reference_year(yeared_corpus):
     assert [idx.ref_ids[t] for t in idx.pool_tokens.tolist()] == [
         "r80a", "r80b", "r80c", "r82a", "r82b"]
     assert idx.pool_slot_pub.tolist() == [0, 0, 1, 0, 1]
-    assert np.array_equal(idx.c_tokens, idx.pool_tokens)
-    assert np.array_equal(idx.c_slot_pub, idx.pool_slot_pub)
+    # Read-back vectors list the same slots in corpus order.
+    assert np.array_equal(idx.c_tokens, yeared_corpus.slot_ref)
+    assert idx.c_slot_pub.tolist() == [0, 0, 0, 1, 1]
 
 
 def test_local_groups_partition_citation_multiset(yeared_corpus):
@@ -258,7 +259,7 @@ def test_both_algorithms_preserve_group_token_multisets():
     assert sorted(groups) == idx.group_years
     assert [len(groups[y]) for y in idx.group_years] == np.diff(idx.group_ptr).tolist()
     for outcome in (repcs_shuffle(idx, 5), umsj_shuffle(idx, 5)):
-        shuffled = outcome._assignment[idx.corpus_order]
+        shuffled = outcome._assignment
         for slots in groups.values():
             before = sorted(cited[s] for s in slots)
             after = sorted(idx.ref_ids[t] for t in shuffled[slots].tolist())

@@ -350,10 +350,9 @@ def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_
     ref_index = {r: i for i, r in enumerate(idx.ref_ids)}
     shuffled = []
     for s in range(5):
-        # The oracle lists references in corpus order; read-back vectors are group-major.
-        tokens = np.empty_like(idx.c_tokens)
-        tokens[idx.corpus_order] = [ref_index[r] for rr in repcs_oracle(corpus, pool, 9, s)
-                                    for r in rr]
+        # The oracle lists references in corpus order, as read-back vectors do.
+        tokens = np.array([ref_index[r] for rr in repcs_oracle(corpus, pool, 9, s) for r in rr],
+                          np.int64)
         shuffled.append(tokens)
     cases = []
     for tokens in [idx.c_tokens] + shuffled:
@@ -373,7 +372,7 @@ def test_journal_product_counts_match_key_path(monkeypatch, repcs_oracle, small_
         assert np.array_equal(pk, ek) and np.array_equal(pc, ec)
     # Unshuffled, the same-journal publication alone adds C(7, 2) = 21 self-pairs.
     monkeypatch.undo()
-    j = idx.ref_journal[idx.c_tokens[idx.corpus_order[idx.c_pub_ptr[same_row]]]]
+    j = idx.ref_journal[idx.c_tokens[idx.c_pub_ptr[same_row]]]
     without = idx.pair_key_counts(idx.c_tokens, exclude_rows=np.array([same_row]))
     delta = dict(zip(*(a.tolist() for a in product[0])))
     for k, c in zip(*(a.tolist() for a in without)):
