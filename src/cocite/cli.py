@@ -115,7 +115,8 @@ class Run:
     the stages, in ``diagnostics["index_s"]``, ``diagnostics["read_s"]``
     and ``diagnostics["write_s"]``. The CPU seconds the process used
     before the run began (interpreter start, imports and argument
-    parsing) are ``diagnostics["startup_cpu_s"]``.
+    parsing) are ``diagnostics["startup_cpu_s"]``, and its memory
+    high-water mark by then is ``diagnostics["startup_rss_mb"]``.
     """
 
     def __init__(self, args: argparse.Namespace, argv: list[str]):
@@ -127,7 +128,8 @@ class Run:
         self.timings: dict[str, float] = {}
         self.cpu_s: dict[str, float] = {}
         self.peak_rss_mb: dict[str, float] = {}
-        self.diagnostics: dict = {"startup_cpu_s": round(cpu_seconds(), 6)}
+        self.diagnostics: dict = {"startup_cpu_s": round(cpu_seconds(), 6),
+                                  "startup_rss_mb": round(rss_hwm_mb(), 1)}
         self.indexes: dict[str, CorpusIndex] = {}
 
     @contextmanager

@@ -31,14 +31,19 @@ class CorpusIndex:
 
     The pool's per-slot arrays are group-major: year group 0's slots come
     first, then group 1's, each group's in pool-slot order. ``pool_tokens``
-    holds the pool's tokens and ``pool_slot_pub`` the pool publication row
-    of each slot; a shuffle rewrites each group's slice of a copy of
-    ``pool_tokens`` in place. ``read_back`` gathers the analyzed slots of
-    such a vector in corpus order: publication by publication, bounded by
-    ``c_pub_ptr``, each publication's slots in reference order. Every
-    read-back vector, ``c_tokens`` (the corpus's own references as pool
-    codes) and ``c_slot_pub`` (each slot's analyzed publication row)
-    included, lists the slots in that one order.
+    holds the pool's tokens; a shuffle rewrites each group's slice of a
+    copy of it in place. ``read_back`` gathers the analyzed slots of such a
+    vector in corpus order, at ``readback_pos``: publication by
+    publication, bounded by ``c_pub_ptr``, each publication's slots in
+    reference order. Every read-back vector, ``c_tokens`` (the corpus's own
+    references as pool codes) and ``c_slot_pub`` (each slot's analyzed
+    publication row) included, lists the slots in that one order.
+
+    An index keeps three slot vectors of its own: ``pool_tokens``,
+    ``readback_pos`` and ``c_slot_pub``. A global one also gathers
+    ``c_tokens``; a local one's is ``corpus.slot_ref`` itself, which no
+    kernel writes. ``pool_slot_pub`` (for umsj), ``same_year_pairs`` and
+    ``_buckets`` are built on first use.
     """
 
     def __init__(self, corpus: Corpus, pool: Corpus | None = None):
@@ -58,8 +63,6 @@ class CorpusIndex:
         self.subject_ids = [pool.subject_ids[s] for s in used.tolist()]
         self.n_journals = len(self.journal_ids)
         slot_ref = pool.slot_ref
-        counts = np.diff(pool.pub_ptr)
-        n_pool = len(counts)
 
         # Permutation groups: pool slots keyed by reference year, slot order
         # preserved within each group; group g holds the slots in
@@ -70,7 +73,6 @@ class CorpusIndex:
         self.group_years = [int(y) for y in yvals]
         self.group_ptr = np.append(starts, len(slot_ref))
         self.pool_tokens = slot_ref[pool_slot]
-        self.pool_slot_pub = np.repeat(np.arange(n_pool, dtype=np.int64), counts)[pool_slot]
         if len(self.ref_ids):
             self._year_min = int(self.ref_year.min())
             self._n_year_bins = int(self.ref_year.max()) - self._year_min + 1
@@ -87,7 +89,8 @@ class CorpusIndex:
         self.c_pub_ptr = corpus.pub_ptr
         self.c_counts = np.diff(self.c_pub_ptr)
         self.c_slot_pub = np.repeat(np.arange(len(self.c_counts)), self.c_counts)
-        self.c_tokens = self.read_back(self.pool_tokens)
+        # A local read-back of the unshuffled tokens is the corpus's own list.
+        self.c_tokens = corpus.slot_ref if self.local else self.read_back(self.pool_tokens)
         # Journal pairs of the analyzed corpus, sum of n_i * (n_i - 1) / 2.
         self.n_pairs = int((self.c_counts * (self.c_counts - 1) // 2).sum())
 
@@ -105,8 +108,8 @@ class CorpusIndex:
         """The analyzed slots of a group-major per-slot vector, in corpus order."""
         return pool_vector[self.readback_pos]
 
-    # The read-back data below is built on first use, so that building an
-    # index costs no more than the groups need.
+    # The data below is built on first use, so that building an index costs
+    # no more than the groups need.
 
     @cached_property
     def _buckets(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -122,10 +125,11 @@ class CorpusIndex:
         return buckets
 
     @cached_property
-    def _pub_key(self) -> np.ndarray:
-        """Each read-back position's row offset, c_slot_pub * n_journals, in
-        the flattened publication x journal count matrix."""
-        return self.c_slot_pub * self.n_journals
+    def pool_slot_pub(self) -> np.ndarray:
+        """The pool publication row of each group-major slot; umsj reads it."""
+        pool = self.pool
+        slot_pub = np.repeat(np.arange(len(pool.pub_ids), dtype=np.int64), np.diff(pool.pub_ptr))
+        return slot_pub[np.argsort(self.ref_year[pool.slot_ref], kind="stable")]
 
     @cached_property
     def same_year_pairs(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -157,9 +161,15 @@ class CorpusIndex:
             iu = _triu(h)
             a.append(order[first + iu[0]].reshape(-1))
             b.append(order[first + iu[1]].reshape(-1))
-        a, b = np.concatenate(a), np.concatenate(b)
+        # Free the run data and build one extra pair vector at a time;
+        # a[by_a] is a sorted.
+        del order, starts, lengths
+        a = np.concatenate(a)
+        b = np.concatenate(b)
         by_a = np.argsort(a, kind="stable")
-        return a[by_a], b[by_a]
+        b = b[by_a]
+        a.sort()
+        return a, b
 
     def duplicate_pub_rows(self, tokens: np.ndarray) -> np.ndarray:
         """Analyzed publication rows whose read-back tokens repeat a reference.
@@ -265,7 +275,8 @@ class CorpusIndex:
                 f"the squared reference counts sum to {square_sum}, past 2^53, where "
                 "float64 journal-pair products stop being exact"
             )
-        key = self._pub_key + self.ref_journal[tokens]
+        key = self.ref_journal[tokens]
+        key += self.c_slot_pub * J
         C = np.bincount(key, np.ones(len(key)), n_pubs * J).reshape(n_pubs, J)
         if exclude_rows is not None:
             C[exclude_rows] = 0

@@ -238,6 +238,8 @@ def simulate_plan(idx: CorpusIndex, cfg: SimConfig) -> SimResult:
         # one copy of the read-back data they build on first use.
         idx.pair_key_counts(idx.c_tokens)
         idx.duplicate_pub_rows(idx.c_tokens)
+        if cfg.algorithm == "umsj":
+            idx.pool_slot_pub
         step = (n + workers - 1) // workers
         bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         global _FORK_STATE
@@ -314,9 +316,12 @@ def benchmark_algorithms(corpus: Corpus, pool: Corpus | None = None,
     """Wall-clock seconds for n_simulations shuffles per algorithm.
 
     Both algorithms run on the same groups and the same seed, shuffle and
-    error correction only (no pair counting or fixed points).
+    error correction only (no pair counting or fixed points). Raises
+    ValueError for fewer than one simulation.
     """
     check_algorithms(algorithms)
+    if n_simulations < 1:
+        raise ValueError("n_simulations must be at least 1")
     idx = build_groups(corpus, pool)
     timings: dict[str, float] = {}
     for alg in algorithms:

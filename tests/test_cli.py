@@ -180,6 +180,15 @@ def test_bench_refuses_bad_algorithm_list_before_reading(tmp_path, capsys, algor
     assert not (tmp_path / "o" / "bench.csv").exists()
 
 
+@pytest.mark.parametrize("sims", ["0", "-3"])
+def test_bench_refuses_fewer_than_one_simulation(synth_dir, tmp_path, capsys, sims):
+    code = main(["bench", *corpus_flags(synth_dir / "D00"), "--sims", sims,
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error: n_simulations must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "bench.csv").exists()
+
+
 def test_classify_and_hits_compose_from_files(synth_dir, tmp_path):
     zdir = tmp_path / "z"
     assert main([
@@ -519,6 +528,15 @@ def test_manifest_times_each_stage_that_ran(synth_dir, tmp_path):
     assert set(manifest.cpu_s) == set(manifest.timings)
     assert all(v >= 0 for v in manifest.cpu_s.values())
     assert manifest.diagnostics["startup_cpu_s"] >= 0
+
+
+def test_manifest_records_the_memory_held_before_the_first_stage(synth_dir, tmp_path):
+    out = tmp_path / "o"
+    assert main(["observe", *corpus_flags(synth_dir / "D00"), "--out", str(out)]) == 0
+    manifest = RunManifest.load(out / "run.manifest")
+    assert set(manifest.peak_rss_mb) == {"load", "observe"}
+    startup = manifest.diagnostics["startup_rss_mb"]
+    assert 0 < startup <= min(manifest.peak_rss_mb.values())
 
 
 # Flags that these subcommands never read; argparse must refuse them.

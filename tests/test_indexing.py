@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cocite import build_groups, repcs_shuffle
+from cocite import build_groups, repcs_shuffle, umsj_shuffle
 from cocite.indexing import PAIRS_PER_SORTED_SLOT, CorpusIndex
 from cocite.shuffle import _permuted_tokens
 from cocite.synth import SynthConfig, generate
@@ -139,7 +139,7 @@ def test_global_index_refuses_a_publication_listed_twice(make_corpus):
         CorpusIndex(make_corpus(pubs=[pubs[0], pubs[1], pubs[0]], refs=refs), pool)
 
 
-LAZY = ("_buckets", "_pub_key", "same_year_pairs")
+LAZY = ("_buckets", "pool_slot_pub", "same_year_pairs")
 
 
 def built(idx):
@@ -180,7 +180,8 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
             else:
                 plan = build_groups(result.by_discipline["D01"], result.pool)
             assert plan.index.counts_by_product() == product
-            want = {"_pub_key" if product else "_buckets", "same_year_pairs"}
+            want = {"same_year_pairs", "pool_slot_pub" if algorithm == "umsj" else None,
+                    None if product else "_buckets"}
             want = [name for name in LAZY if name in want]
             at_fork = []
 
@@ -195,6 +196,46 @@ def test_read_back_data_is_built_on_first_use(monkeypatch):
             assert built(plan.index) == want
             if algorithm == "repcs":
                 assert (plan.index.same_year_pairs is None) == sorting
+
+
+@pytest.mark.parametrize("background", ["local", "global"])
+def test_same_year_pairs_match_brute_force(monkeypatch, world, background):
+    # Patched high, so that the one-year corpus lists its pairs too.
+    monkeypatch.setattr("cocite.indexing.PAIRS_PER_SORTED_SLOT", 1 << 40)
+    _, result = world
+    corpus = result.by_discipline["D01"] if background == "global" else result.pool
+    idx = build_groups(corpus, result.pool if background == "global" else None)
+    years = [corpus.references[r].year for p in corpus.publications for r in p.refs]
+    expected = [(i, j) for lo, hi in zip(corpus.pub_ptr[:-1].tolist(), corpus.pub_ptr[1:].tolist())
+                for i, j in combinations(range(lo, hi), 2) if years[i] == years[j]]
+    a, b = idx.same_year_pairs
+    assert list(zip(a.tolist(), b.tolist())) == sorted(expected)
+    assert a.dtype == b.dtype == np.intp
+
+
+def test_local_index_shares_the_corpus_token_list():
+    result = generate(SynthConfig(n_disciplines=2, pubs_per_discipline=20,
+                                  ref_pool_per_discipline=30, seed=6))
+    corpus = result.pool
+    idx = build_groups(corpus)
+    assert idx.c_tokens is corpus.slot_ref
+    assert "pool_slot_pub" not in vars(idx)
+    repcs_shuffle(idx, 3).corpus
+    assert "pool_slot_pub" not in vars(idx)
+    umsj_shuffle(idx, 3)
+    assert "pool_slot_pub" in vars(idx)
+
+    # One repcs simulation's kernels, on both dedupe and both counting
+    # paths, read the shared list and write none of it.
+    before = corpus.slot_ref.copy()
+    outcome = repcs_shuffle(idx, 3, sim_index=1)
+    for tokens in (outcome._assignment, idx.c_tokens):
+        idx.duplicate_pub_rows(tokens)
+        idx._duplicates_by_sorting(tokens)
+        idx.pair_key_counts(tokens, exclude_rows=outcome.deleted_rows)
+        list(idx.bucket_pair_keys(tokens))
+    assert outcome.fixed_points > 0 and len(outcome.corpus.pub_ids) > 0
+    assert np.array_equal(corpus.slot_ref, before) and np.array_equal(idx.c_tokens, before)
 
 
 def test_sorting_dedupe_is_exact_for_any_vector():
